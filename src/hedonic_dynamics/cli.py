@@ -160,9 +160,17 @@ def partition_to_doc(partition: Partition) -> list:
     return sorted([list(block) for block in partition.blocks])
 
 
+def _agent_list(doc, where: str) -> list:
+    if not isinstance(doc, list) or any(isinstance(a, bool) or not isinstance(a, int) for a in doc):
+        raise CliUsageError(f"{where}: expected a list of integer agent ids, got {doc!r}")
+    return doc
+
+
 def doc_to_partition(doc, n: int, where: str = "partition") -> Partition:
-    if not isinstance(doc, list) or not all(isinstance(b, list) for b in doc):
+    if not isinstance(doc, list):
         raise CliUsageError(f"{where}: expected a list of agent lists")
+    for block in doc:
+        _agent_list(block, where)
     try:
         part = Partition(doc)
     except (CoreError, ValueError) as exc:
@@ -180,12 +188,17 @@ def move_to_doc(move: DeviationMove) -> dict:
 def doc_to_move(doc, where: str = "move") -> DeviationMove:
     if not isinstance(doc, dict) or "agent" not in doc or "target" not in doc:
         raise CliUsageError(f"{where}: expected {{'agent': ..., 'target': ...}}")
-    target = doc["target"]
+    agent, target = doc["agent"], doc["target"]
+    if isinstance(agent, bool) or not isinstance(agent, int):
+        raise CliUsageError(f"{where}: agent must be an integer id, got {agent!r}")
     if target == "new-singleton":
-        return DeviationMove(doc["agent"], NEW_SINGLETON)
+        return DeviationMove(agent, NEW_SINGLETON)
     if not isinstance(target, list):
         raise CliUsageError(f"{where}: target must be an agent list or 'new-singleton'")
-    return DeviationMove(doc["agent"], coalition(target))
+    try:
+        return DeviationMove(agent, coalition(_agent_list(target, f"{where}.target")))
+    except CoreError as exc:
+        raise CliUsageError(f"{where}: {exc}") from None
 
 
 def script_to_doc(script: Script) -> dict:
@@ -202,6 +215,8 @@ def doc_to_script(doc, n: int, where: str) -> Script:
     if not isinstance(doc, dict) or "start" not in doc or "moves" not in doc:
         raise CliUsageError(f"{where}: expected {{'start': ..., 'moves': ...}}")
     start = doc_to_partition(doc["start"], n, f"{where}.start")
+    if not isinstance(doc["moves"], list):
+        raise CliUsageError(f"{where}.moves: expected a list of moves")
     moves = [doc_to_move(m, f"{where}.moves[{i}]") for i, m in enumerate(doc["moves"])]
     return Script(start, moves, doc.get("note", ""))
 
@@ -372,12 +387,10 @@ def claim_to_doc(claim: Claim) -> dict:
 def doc_to_claim(doc, where: str) -> Claim:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise CliUsageError(f"{where}: expected {{'kind': ...}}")
-    return Claim(
-        doc["kind"],
-        doc.get("subject", ""),
-        doc.get("holds", True),
-        dict(doc.get("params", {})),
-    )
+    params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise CliUsageError(f"{where}.params: expected an object, got {params!r}")
+    return Claim(doc["kind"], doc.get("subject", ""), doc.get("holds", True), dict(params))
 
 
 def instance_to_doc(instance: NamedInstance) -> dict:
@@ -400,6 +413,14 @@ def instance_to_doc(instance: NamedInstance) -> dict:
     return doc
 
 
+def _section(doc, name: str, kind: type):
+    """An optional top-level section: a JSON object (dict) or array (list)."""
+    value = doc.get(name, kind())
+    if not isinstance(value, kind):
+        raise CliUsageError(f"{name}: expected a {kind.__name__}, got {value!r}")
+    return value
+
+
 def doc_to_instance(doc) -> NamedInstance:
     if not isinstance(doc, dict):
         raise CliUsageError("instance file: expected a JSON object")
@@ -414,18 +435,21 @@ def doc_to_instance(doc) -> NamedInstance:
     n = game.n
     starts = {
         name: doc_to_partition(p, n, f"starts[{name!r}]")
-        for name, p in doc.get("starts", {}).items()
+        for name, p in _section(doc, "starts", dict).items()
     }
     scripts = {
         name: doc_to_script(s, n, f"scripts[{name!r}]")
-        for name, s in doc.get("scripts", {}).items()
+        for name, s in _section(doc, "scripts", dict).items()
     }
     expected = tuple(
-        doc_to_claim(c, f"expected[{i}]") for i, c in enumerate(doc.get("expected", []))
+        doc_to_claim(c, f"expected[{i}]")
+        for i, c in enumerate(_section(doc, "expected", list))
     )
     labels = doc.get("labels")
     if labels is None:
         labels = [str(i + 1) for i in range(n)]
+    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+        raise CliUsageError(f"labels: expected a list of strings, got {labels!r}")
     if len(labels) != n or len(set(labels)) != n:
         raise CliUsageError(f"labels: need {n} distinct labels")
     return NamedInstance(

@@ -10,14 +10,15 @@ in the fast move enumeration below cannot silently corrupt a trace.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Iterator, Sequence
 
 from . import core
 from .core import (
     NEW_SINGLETON,
-    Coalition,
     DeviationMove,
     Partition,
     StabilityKind,
@@ -197,35 +198,176 @@ class Script:
 # ---------------------------------------------------------------------------
 
 
-class MoveFinder:
-    """Enumerates IS deviations in the canonical order, with per-coalition
-    caches that survive across steps (only the two coalitions touched by a
-    move change identity, everything else hits the cache).
+class _Memo(dict):
+    """Dict that fills a missing entry with ``fn(key)``, once per key."""
 
-    Output must stay move-for-move identical to
-    ``core.iter_deviations(game, partition, IS)``; a property test enforces
-    this for all four game classes.
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+class _SummaryRules:
+    """Anonymous and diversity games rank a coalition only by a summary of
+    it, its block key: the mover's gain is evaluated once per distinct key,
+    the members' welcome once per block and mover colour (0 or 1).
+
+    ``value(key)`` is what the orders rank, ``joined(key, colour)`` the value
+    once an agent of that colour joins, and going alone is joining ``empty``.
+    """
+
+    def __init__(self, game, colour, key, value, joined, empty):
+        self.orders = game.orders
+        self.colour = colour
+        self.value = value
+        self.joined = joined
+        self.alone_values = (joined(empty, 0), joined(empty, 1))
+        self.keys = _Memo(key)
+        self.welcomed = tuple(_Memo(partial(self.welcome, colour=c)) for c in (0, 1))
+
+    def welcome(self, block, colour):
+        key = self.keys[block]
+        post, pre = self.joined(key, colour), self.value(key)
+        return all(self.orders[m].compare(post, pre) >= 0 for m in block)
+
+    def targets(self, agent, cur, here, blocks, keys):
+        order = self.orders[agent]
+        colour = self.colour[agent]
+        now = self.value(here)
+        # lazy, and never asked about `cur` itself: the mover's own key plus
+        # one member can fall outside the order's domain (size n + 1)
+        gains = _Memo(lambda key: order.compare(self.joined(key, colour), now) > 0)
+        welcomed = self.welcomed[colour]
+        return (
+            b for b, key in zip(blocks, keys)
+            if b is not cur and welcomed[b] and gains[key]
+        )
+
+    def alone(self, agent, cur, here):
+        alone = self.alone_values[self.colour[agent]]
+        return self.orders[agent].compare(alone, self.value(here)) > 0
+
+
+def _size_rules(game):
+    return _SummaryRules(
+        game,
+        colour=(0,) * game.n,  # sizes ignore colour
+        key=len,
+        value=lambda size: size,
+        joined=lambda size, colour: size + 1,
+        empty=0,
+    )
+
+
+def _ratio_rules(game):
+    red = tuple(int(c is Color.RED) for c in game.colors)
+    return _SummaryRules(
+        game,
+        colour=red,
+        key=lambda block: (sum(map(red.__getitem__, block)), len(block)),
+        value=lambda key: Fraction(key[0], key[1]),
+        joined=lambda key, colour: Fraction(key[0] + colour, key[1] + 1),
+        empty=(0, 0),
+    )
+
+
+class _AverageRules:
+    """Fractional games: the block key is each member's weight sum toward the
+    block. Gains hang on the mover's own weights, so they are tested inline."""
+
+    def __init__(self, game):
+        self.weights = game.weights
+        self.keys = _Memo(self.key)
+
+    def key(self, block):
+        return tuple(sum(map(self.weights[m].__getitem__, block)) for m in block)
+
+    def welcome(self, agent, block, key):
+        # member m keeps its average iff len(block) * w(m, agent) >= its sum
+        s = len(block)
+        weights = self.weights
+        for m, base in zip(block, key):
+            if s * weights[m][agent] < base:
+                return False
+        return True
+
+    def targets(self, agent, cur, here, blocks, keys):
+        row = self.weights[agent].__getitem__
+        size, have = len(cur), here[bisect_left(cur, agent)]
+        welcome = self.welcome
+        # strict gain: sum over b / (len(b) + 1) > have / size
+        return (
+            b for b, key in zip(blocks, keys)
+            if b is not cur
+            and sum(map(row, b)) * size > have * (len(b) + 1)
+            and welcome(agent, b, key)
+        )
+
+    def alone(self, agent, cur, here):
+        return here[bisect_left(cur, agent)] < 0
+
+
+class _ApprovalRules:
+    """Dichotomous games: the block key is the members who approve the block,
+    the only ones who can object to a newcomer."""
+
+    def __init__(self, game):
+        self.approvals = game.approvals
+        self.keys = _Memo(self.key)
+
+    def key(self, block):
+        return tuple(m for m in block if block in self.approvals[m])
+
+    def welcome(self, agent, block, key):
+        post = tuple(sorted(block + (agent,)))
+        return all(post in self.approvals[m] for m in key)
+
+    def targets(self, agent, cur, here, blocks, keys):
+        mine = self.approvals[agent]
+        if not mine or agent in here:
+            return ()  # approves nothing, or already at top utility
+        welcome = self.welcome
+        return (
+            b for b, key in zip(blocks, keys)
+            if b is not cur
+            and tuple(sorted(b + (agent,))) in mine
+            and welcome(agent, b, key)
+        )
+
+    def alone(self, agent, cur, here):
+        return (agent,) in self.approvals[agent] and agent not in here
+
+
+_RULES = {
+    AnonymousGame: _size_rules,
+    DiversityGame: _ratio_rules,
+    FractionalGame: _AverageRules,
+    DichotomousGame: _ApprovalRules,
+}
+
+
+class MoveFinder:
+    """Enumerates IS deviations in the canonical order: ascending agent, then
+    target blocks as the partition lists them, then the fresh singleton.
+
+    One loop serves the four game classes through their rule sets: a block
+    key cached across steps (a move makes new blocks only where it acts),
+    the blocks a mover gains by joining and whose members welcome it, and
+    the go-alone test. The output must equal
+    ``core.iter_deviations(game, partition, IS)``; a property test checks it.
     """
 
     def __init__(self, game):
         self.game = game
         # exact-type dispatch: a subclass may override `prefers`, in which
         # case only the generic path is guaranteed to agree with it
-        kind = type(game)
-        if kind is AnonymousGame:
-            self._iter = self._iter_ahg
-            self._welcome: dict = {}
-        elif kind is DiversityGame:
-            self._iter = self._iter_hdg
-            self._welcome = {}
-            self._reds: dict = {}
-        elif kind is FractionalGame:
-            self._iter = self._iter_fhg
-            self._sums: dict = {}
-        elif kind is DichotomousGame:
-            self._iter = self._iter_dhg
-        else:
-            self._iter = self._iter_generic
+        rules = _RULES.get(type(game))
+        self._rules = rules(game) if rules else None
+        self._iter = self._iter_rules if rules else self._iter_generic
 
     def iter_moves(self, partition: Partition) -> Iterator[DeviationMove]:
         return self._iter(partition)
@@ -238,133 +380,20 @@ class MoveFinder:
     def _iter_generic(self, p):
         return core.iter_deviations(self.game, p, StabilityKind.IS)
 
-    def _iter_ahg(self, p):
-        orders = self.game.orders
-        cache = self._welcome
+    def _iter_rules(self, p):
+        targets, alone, key_of = self._rules.targets, self._rules.alone, self._rules.keys
         blocks = p.blocks
-        welcome = []
-        for b in blocks:
-            bit = cache.get(b)
-            if bit is None:
-                s = len(b)
-                # a full coalition can never be joined; size n+1 is off-domain
-                bit = s < p.n and all(orders[m].compare(s + 1, s) >= 0 for m in b)
-                cache[b] = bit
-            welcome.append(bit)
+        keys = [key_of[b] for b in blocks]
+        # `coalition_of` returns the partition's own block objects, so the
+        # mover's key is found by identity instead of rehashing its block
+        key_by_id = dict(zip(map(id, blocks), keys))
         for agent in range(p.n):
             cur = p.coalition_of(agent)
-            size_cur = len(cur)
-            order = orders[agent]
-            for idx, b in enumerate(blocks):
-                if b is cur:
-                    continue
-                if welcome[idx] and order.compare(len(b) + 1, size_cur) > 0:
-                    yield DeviationMove(agent, b)
-            if size_cur > 1 and order.compare(1, size_cur) > 0:
+            here = key_by_id[id(cur)]
+            for b in targets(agent, cur, here, blocks, keys):
+                yield DeviationMove(agent, b)
+            if len(cur) > 1 and alone(agent, cur, here):
                 yield DeviationMove(agent, NEW_SINGLETON)
-
-    def _block_reds(self, b: Coalition) -> int:
-        reds = self._reds.get(b)
-        if reds is None:
-            colors = self.game.colors
-            reds = sum(1 for a in b if colors[a] is Color.RED)
-            self._reds[b] = reds
-        return reds
-
-    def _iter_hdg(self, p):
-        game = self.game
-        orders = game.orders
-        colors = game.colors
-        blocks = p.blocks
-        ratios = [Fraction(self._block_reds(b), len(b)) for b in blocks]
-        welcome_cache = self._welcome
-        for agent in range(p.n):
-            cur = p.coalition_of(agent)
-            order = orders[agent]
-            is_red = colors[agent] is Color.RED
-            cur_ratio = Fraction(self._block_reds(cur), len(cur))
-            for idx, b in enumerate(blocks):
-                if b is cur:
-                    continue
-                post_ratio = Fraction(self._block_reds(b) + is_red, len(b) + 1)
-                if order.compare(post_ratio, cur_ratio) <= 0:
-                    continue
-                key = (b, is_red)
-                bit = welcome_cache.get(key)
-                if bit is None:
-                    pre_ratio = ratios[idx]
-                    bit = all(
-                        orders[m].compare(post_ratio, pre_ratio) >= 0 for m in b
-                    )
-                    welcome_cache[key] = bit
-                if bit:
-                    yield DeviationMove(agent, b)
-            if len(cur) > 1:
-                alone = Fraction(1 if is_red else 0)
-                if order.compare(alone, cur_ratio) > 0:
-                    yield DeviationMove(agent, NEW_SINGLETON)
-
-    def _block_sums(self, b: Coalition):
-        sums = self._sums.get(b)
-        if sums is None:
-            game = self.game
-            sums = tuple((m, game.member_sum(m, b)) for m in b)
-            self._sums[b] = sums
-        return sums
-
-    def _iter_fhg(self, p):
-        game = self.game
-        weights = game.weights
-        blocks = p.blocks
-        for agent in range(p.n):
-            cur = p.coalition_of(agent)
-            row = weights[agent]
-            sum_cur = sum(row[j] for j in cur)
-            size_cur = len(cur)
-            for b in blocks:
-                if b is cur:
-                    continue
-                sum_post = sum(row[j] for j in b)
-                s = len(b)
-                # strict improvement: sum_post/(s+1) > sum_cur/size_cur
-                if sum_post * size_cur <= sum_cur * (s + 1):
-                    continue
-                welcome = True
-                for m, base in self._block_sums(b):
-                    if s * weights[m][agent] < base:
-                        welcome = False
-                        break
-                if welcome:
-                    yield DeviationMove(agent, b)
-            if size_cur > 1 and sum_cur < 0:
-                yield DeviationMove(agent, NEW_SINGLETON)
-
-    def _iter_dhg(self, p):
-        game = self.game
-        approvals = game.approvals
-        blocks = p.blocks
-        for agent in range(p.n):
-            cur = p.coalition_of(agent)
-            mine = approvals[agent]
-            if cur in mine:
-                continue  # already at top utility, no strict improvement
-            for b in blocks:
-                if b is cur:
-                    continue
-                post = coalition(b + (agent,))
-                if post not in mine:
-                    continue
-                if all(b not in approvals[m] or post in approvals[m] for m in b):
-                    yield DeviationMove(agent, b)
-            if len(cur) > 1 and (agent,) in mine:
-                yield DeviationMove(agent, NEW_SINGLETON)
-
-
-def iter_is_deviations(game, partition: Partition, finder: MoveFinder | None = None):
-    """IS deviations in deterministic order, using the cached fast paths."""
-    if finder is None:
-        finder = MoveFinder(game)
-    return finder.iter_moves(partition)
 
 
 # ---------------------------------------------------------------------------
@@ -516,15 +545,3 @@ def validate_trace(game, trace: Trace) -> None:
                 step_index, "recorded result does not match applying the move"
             )
         state = post
-
-
-def reach_state_scripts() -> dict[str, tuple[str, str]]:
-    """Directory of bundled scripts as ``script-id -> (instance id, script name)``.
-
-    The moves themselves live on the named instances; look the instance up
-    via :func:`hedonic_dynamics.instances.build` and read
-    ``instance.scripts[script name]``.
-    """
-    from .instances import catalog
-
-    return catalog.script_directory()

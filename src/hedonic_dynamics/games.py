@@ -441,20 +441,6 @@ def complete_weak_interval_closure(
     return WeakOrder(out)
 
 
-def complete_with_tail(listed: Sequence, tail: Sequence) -> WeakOrder:
-    """Strict order: the listed prefix followed by ``tail`` in the given order."""
-    return WeakOrder([[k] for k in list(listed) + list(tail)])
-
-
-def complete_with_bottom_class(listed_classes: Sequence[Sequence], rest: Iterable) -> WeakOrder:
-    """Weak order: listed classes, then all remaining keys tied at the bottom."""
-    rest = sorted(rest)
-    classes = [list(c) for c in listed_classes]
-    if rest:
-        classes.append(rest)
-    return WeakOrder(classes)
-
-
 # ---------------------------------------------------------------------------
 # game classes
 # ---------------------------------------------------------------------------

@@ -420,10 +420,6 @@ def _build_ahg15() -> NamedInstance:
 # ---------------------------------------------------------------------------
 
 
-def _frac(num, den=1) -> Fraction:
-    return Fraction(num, den)
-
-
 def _build_hdg12_no_sp() -> NamedInstance:
     dom = RatioDomain(3, 9)
     F = Fraction

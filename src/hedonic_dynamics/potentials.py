@@ -60,10 +60,6 @@ def count_internal_pairs(partition: Partition) -> int:
     return sum(len(c) * (len(c) - 1) // 2 for c in partition.blocks)
 
 
-#: same formula, under the name used when counting edges inside cliques
-fhg_clique_edges = count_internal_pairs
-
-
 class PairCountMonitor:
     """Reports the pair count each step; on size-based games it also asserts
     the accounting bounds: a move into a larger coalition raises the count by

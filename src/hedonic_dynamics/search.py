@@ -36,10 +36,9 @@ class CapExceeded(ValueError):
 class SearchBudget:
     max_states: int = 50_000_000
     max_seconds: int = 600
-    parallelism: int = 1
 
     def __post_init__(self):
-        for name in ("max_states", "max_seconds", "parallelism"):
+        for name in ("max_states", "max_seconds"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
 

@@ -73,6 +73,31 @@ def test_document_validation_errors():
         cli.doc_to_instance(doc)
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("starts",), []),
+        (("labels",), 3),
+        (("expected", 0, "params"), [1]),
+        (("scripts", "cycle", "moves", 0, "agent"), "x"),
+        (("scripts", "cycle", "moves", 0, "agent"), True),
+        (("starts", "pair-12"), [[True], [0], [2]]),
+    ],
+    ids=["starts-list", "labels-int", "params-list", "agent-str", "agent-bool", "start-bool"],
+)
+def test_mistyped_fields_are_usage_errors(tmp_path, capsys, path, value):
+    doc = json.loads(cli.dumps_instance(build("dhg3")))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(cli.CliUsageError):
+        cli.doc_to_instance(doc)
+    mutant = tmp_path / "mutant.json"
+    mutant.write_text(json.dumps(doc))
+    assert cli.main(["check", str(mutant), "--partition", "grand"]) == 2
+
+
 def test_order_document_shapes():
     ahg15 = build("ahg15")
     hdg = build("hdg12-no-sp")

@@ -25,7 +25,6 @@ from hedonic_dynamics.dynamics import (
     ScriptedMoveInvalid,
     SeededRandom,
     StepLimitReached,
-    iter_is_deviations,
     passes_filter,
     replay,
     run,
@@ -57,32 +56,45 @@ def three_cycle_dhg() -> DichotomousGame:
     return DichotomousGame(3, [[(0, 1)], [(1, 2)], [(0, 2)]])
 
 
+def rand_game(rng, trial, n):
+    """A random game of each of the four classes in turn."""
+    kind = trial % 4
+    if kind == 0:
+        return rand_ahg(rng, n)
+    if kind == 1:
+        reds = rng.randint(0, n)
+        return rand_hdg(rng, reds, n - reds, strict=False)
+    if kind == 2:
+        return rand_fhg(rng, n)
+    return rand_dhg(rng, n)
+
+
 def test_move_finder_matches_core_enumeration():
     rng = random.Random(101)
+    cases = []
     for trial in range(200):
-        n = rng.randint(2, 7)
-        kind = trial % 4
-        if kind == 0:
-            g = rand_ahg(rng, n)
-        elif kind == 1:
-            reds = rng.randint(0, n)
-            g = rand_hdg(rng, reds, n - reds, strict=False)
-        elif kind == 2:
-            g = rand_fhg(rng, n)
-        else:
-            g = rand_dhg(rng, n)
+        g = rand_game(rng, trial, rng.randint(2, 7))
+        states = [Partition.grand(g.n), Partition.singletons(g.n)]
+        cases.append((g, states + [rand_partition(rng, g.n) for _ in range(6)]))
+    # the movers in {0,1,2,3} hold the only block with 2 reds out of 4: one
+    # more red there would be ratio 3/5, outside this game's ratio domain
+    colors = [R, R, B, B, B]
+    order = WeakOrder([[r] for r in games_ratios(colors)])
+    trap = DiversityGame(colors, [order] * 5)
+    cases.append((trap, [Partition([[0, 1, 2, 3], [4]])]))
+    for g, states in cases:
         finder = MoveFinder(g)
-        for _ in range(6):
-            p = rand_partition(rng, g.n)
+        for p in states:
             fast = list(finder.iter_moves(p))
             reference = core.enumerate_deviations(g, p, IS)
             assert fast == reference, (g.kind, p)
+            assert finder.has_move(p) == bool(reference)
 
 
 def test_move_finder_cache_stays_correct_along_a_run():
     rng = random.Random(103)
-    for trial in range(30):
-        g = rand_ahg(rng, rng.randint(3, 7))
+    for trial in range(40):
+        g = rand_game(rng, trial, rng.randint(3, 7))
         finder = MoveFinder(g)
         p = rand_partition(rng, g.n)
         for _ in range(25):
@@ -314,9 +326,3 @@ def test_monitor_hooks_receive_every_step():
     assert len([c for c in calls if c[0] == "step"]) == out.steps
     assert out.trace.steps[0].readings == {"probe": 0}
     assert out.trace.start_readings == {"probe": 0}
-
-
-def test_iter_is_deviations_helper():
-    g = three_cycle_dhg()
-    p = Partition.singletons(3)
-    assert list(iter_is_deviations(g, p)) == core.enumerate_deviations(g, p, IS)

@@ -25,8 +25,6 @@ from hedonic_dynamics.games import (
     classify_fhg,
     complete_strict_on_axis,
     complete_weak_interval_closure,
-    complete_with_bottom_class,
-    complete_with_tail,
     dhg_is_symmetric,
     fhg_utility,
     hdg_ratio,
@@ -332,13 +330,6 @@ def test_complete_weak_interval_closure_preserves_listed_and_is_sp():
         for a in listed.domain:
             for b in listed.domain:
                 assert full.compare(a, b) == listed.compare(a, b)
-
-
-def test_complete_with_tail_and_bottom():
-    o = complete_with_tail([2, 3], [1, 6, 7])
-    assert [c[0] for c in o.classes] == [2, 3, 1, 6, 7]
-    w = complete_with_bottom_class([[5], [2, 3]], [1, 4])
-    assert w.classes == ((5,), (2, 3), (1, 4))
 
 
 def test_axis_walk_order_matches_materialized_completion():

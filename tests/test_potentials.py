@@ -18,7 +18,6 @@ from hedonic_dynamics.potentials import (
     ascent_credit_init,
     ascent_credit_step,
     count_internal_pairs,
-    fhg_clique_edges,
     lex_compare,
     lex_pair_decreased,
     lex_potential,
@@ -42,7 +41,6 @@ def test_count_internal_pairs_examples():
     assert count_internal_pairs(Partition.singletons(7)) == 0
     assert count_internal_pairs(Partition.grand(7)) == 21
     assert count_internal_pairs(Partition([(1, 2), (3, 4), (5, 6, 0)])) == 5
-    assert fhg_clique_edges is count_internal_pairs
 
 
 def test_pair_count_monitor_readings_match_states():

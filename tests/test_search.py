@@ -90,8 +90,8 @@ def test_enumerate_partitions_cap():
 def test_search_budget_validation():
     with pytest.raises(ValueError, match="max_states"):
         SearchBudget(max_states=0)
-    with pytest.raises(ValueError, match="parallelism"):
-        SearchBudget(parallelism=-1)
+    with pytest.raises(ValueError, match="max_seconds"):
+        SearchBudget(max_seconds=-1)
     assert SearchBudget().max_states == 50_000_000
 
 
@@ -349,15 +349,3 @@ def test_meter_trips_on_the_clock():
     assert all(meter.tick() is None for _ in range(1023))
     now[0] = 10.0
     assert meter.tick() == "seconds"  # the 1024th state looks at the clock
-
-
-def test_answers_do_not_depend_on_parallelism_degree():
-    game = pair_chase_dhg()
-    for workers in (1, 2, 8):
-        budget = SearchBudget(parallelism=workers)
-        assert exists_is_partition(game, Plain(), budget) == exists_is_partition(
-            game
-        )
-        assert exists_path_to_is(
-            game, Partition.singletons(3), budget
-        ) == exists_path_to_is(game, Partition.singletons(3))
