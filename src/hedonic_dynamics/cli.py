@@ -26,6 +26,7 @@ from .core import (
     NEW_SINGLETON,
     CoreError,
     DeviationMove,
+    InvalidTarget,
     Partition,
     StabilityKind,
     apply,
@@ -500,19 +501,29 @@ def revalidate_trace_doc(game, doc) -> int:
     if not isinstance(doc, dict) or "start" not in doc or "steps" not in doc:
         raise CliUsageError("trace file: expected {'start': ..., 'steps': ...}")
     state = doc_to_partition(doc["start"], game.n, "trace.start")
-    for index, step in enumerate(doc["steps"]):
-        move = doc_to_move(
-            {"agent": step.get("agent"), "target": step.get("target")},
-            f"trace.steps[{index}]",
-        )
-        failure = deviation_failure(game, state, move, StabilityKind.IS)
+    steps = doc["steps"]
+    if not isinstance(steps, list):
+        raise CliUsageError("trace.steps: expected a list of steps")
+    for index, step in enumerate(steps):
+        where = f"trace.steps[{index}]"
+        if not isinstance(step, dict) or "result" not in step:
+            raise CliUsageError(
+                f"{where}: expected {{'agent': ..., 'target': ..., 'result': ...}}"
+            )
+        move = doc_to_move(step, where)
+        if not 0 <= move.agent < game.n:
+            raise CliUsageError(f"{where}: agent {move.agent} out of range for n={game.n}")
+        try:
+            failure = deviation_failure(game, state, move, StabilityKind.IS)
+        except InvalidTarget as exc:
+            failure = str(exc)
         if failure is not None:
             raise CliClaimError(f"trace step {index} is not a valid deviation: {failure}")
         state = apply(state, move)
-        recorded = doc_to_partition(step["result"], game.n, f"trace.steps[{index}].result")
+        recorded = doc_to_partition(step["result"], game.n, f"{where}.result")
         if canonicalize(recorded) != canonicalize(state):
             raise CliClaimError(f"trace step {index}: recorded result does not match")
-    return len(doc["steps"])
+    return len(steps)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,11 @@ Three questions are answered exactly, by enumeration:
 
 Everything here is exponential in the worst case — the point is certified
 answers on instances small enough to settle by brute force, with symmetry
-reduction (interchangeable agents) and domain pruning (coalitions no member
-would stay in) to push "small enough" a bit further.  Answers are
+reduction (interchangeable agents), domain pruning (coalitions no member
+would stay in) and, for weight games, a block-pair clash test (IS
+deviations depend only on the mover's block and the target block, so a
+partial cover with one clashing pair never completes to a stable
+partition) to push "small enough" a bit further.  Answers are
 deterministic; ``BudgetExhausted`` is returned rather than ever guessing.
 """
 
@@ -63,7 +66,7 @@ class TypeReduced:
 
 @dataclass(frozen=True)
 class PrunedFHG:
-    """Assemble partitions from coalitions every member tolerates.
+    """Assemble stable partitions from coalitions every member tolerates.
 
     In a weighted-average game an agent with negative utility always walks
     out (going solo needs nobody's consent and pays zero), so a stable
@@ -71,6 +74,13 @@ class PrunedFHG:
     nonnegative.  A pair pruning step discards any coalition containing two
     agents whose mutual weight is so low that one of them is negative no
     matter who else joins.
+
+    Covers are built one block at a time, always the block holding the
+    lowest free agent.  A block is rejected when it clashes with a block
+    already placed: a member of either strictly gains by joining the other
+    and every member there weakly approves.  Each pair's verdict is computed
+    once per search, and only clash-free complete covers, which are exactly
+    the stable partitions, reach the stability check.
     """
 
 
@@ -87,6 +97,12 @@ class StableExists:
 
 @dataclass(frozen=True)
 class NoStablePartition:
+    """The whole space was scanned without finding a stable partition.
+
+    ``states_checked`` counts the candidates scanned; for ``PrunedFHG`` it
+    counts pool-enumeration states plus placed blocks plus complete covers.
+    """
+
     states_checked: int
 
 
@@ -330,13 +346,43 @@ def tolerable_coalitions(game: FractionalGame, meter: _Meter | None = None):
     return out
 
 
-def _pruned_fhg_candidates(game, meter: _Meter | None = None):
+def _pruned_fhg_candidates(game, meter: _Meter):
+    """The IS-stable partitions, as covers by tolerable coalitions in which
+    no two blocks clash (see ``PrunedFHG``).
+
+    A clash is an IS deviation between two blocks, and a tolerable block has
+    no member who would rather be alone, so a complete clash-free cover has
+    no deviation at all.
+    """
     if not isinstance(game, FractionalGame):
         raise ValueError("coalition pruning needs a weighted-average game")
     pool = tolerable_coalitions(game, meter)
     by_agent: dict[int, list[tuple[int, ...]]] = {a: [] for a in range(game.n)}
     for coalition in pool:
         by_agent[coalition[0]].append(coalition)
+    prefers = game.prefers
+
+    def joins(movers, welcoming) -> bool:
+        """Some member of ``movers`` strictly gains by joining ``welcoming``,
+        and every member there weakly approves."""
+        for agent in movers:
+            post = welcoming + (agent,)
+            if prefers(agent, post, movers) > 0 and all(
+                prefers(m, post, welcoming) >= 0 for m in welcoming
+            ):
+                return True
+        return False
+
+    # keyed (placed, candidate): the placed block always holds the lower
+    # lowest agent, so each unordered pair has one key
+    clashes: dict[tuple, bool] = {}
+
+    def clash(placed, candidate) -> bool:
+        key = (placed, candidate)
+        verdict = clashes.get(key)
+        if verdict is None:
+            verdict = clashes[key] = joins(placed, candidate) or joins(candidate, placed)
+        return verdict
 
     def cover(lowest: int, used: list, free: set):
         if not free:
@@ -345,7 +391,10 @@ def _pruned_fhg_candidates(game, meter: _Meter | None = None):
         while lowest not in free:
             lowest += 1
         for coalition in by_agent[lowest]:
-            if all(a in free for a in coalition):
+            if all(a in free for a in coalition) and not any(
+                clash(block, coalition) for block in used
+            ):
+                meter.tick_or_raise()
                 used.append(coalition)
                 yield from cover(lowest + 1, used, free - set(coalition))
                 used.pop()

@@ -220,7 +220,7 @@ def test_08_average_game_15_has_no_is_partition():
     # the loop opens with the first triangle migrating into the second block
     movers = [inst.labels[m.agent] for m in rotation.moves[:3]]
     assert movers == ["a1", "b1", "c1"]
-    assert time.monotonic() - t0 < 600.0
+    assert time.monotonic() - t0 < 60.0
 
 
 def test_09_mutual_simple_average_games_converge_quickly():

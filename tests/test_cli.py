@@ -396,3 +396,25 @@ def test_trace_revalidation_rejects_tampering(tmp_path, capsys):
     forged["steps"][0]["agent"] = 6
     with pytest.raises(cli.CliClaimError):
         cli.revalidate_trace_doc(game, forged)
+
+    def forge(edit):
+        forged = json.loads(out.read_text())
+        edit(forged)
+        return forged
+
+    usage_mutants = [
+        lambda d: d["steps"][0].update(agent=9),  # agent out of range
+        lambda d: d["steps"][0].update(agent=-1),
+        lambda d: d["steps"].__setitem__(0, 5),  # a step that is not an object
+        lambda d: d.update(steps=5),
+        lambda d: d.update(steps={"agent": 0}),
+        lambda d: d["steps"][0].pop("result"),
+    ]
+    for edit in usage_mutants:
+        with pytest.raises(cli.CliUsageError):
+            cli.revalidate_trace_doc(game, forge(edit))
+    # a well-formed target that is not a block of the current state
+    for target in ([5, 6], [99]):
+        forged = forge(lambda d: d["steps"][0].update(target=target))
+        with pytest.raises(cli.CliClaimError, match="not a coalition"):
+            cli.revalidate_trace_doc(game, forged)

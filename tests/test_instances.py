@@ -18,9 +18,6 @@ from hedonic_dynamics.instances import (
     walk_moves,
 )
 
-#: exhaustive searches exercised separately (see test_acceptance)
-SLOW_KINDS = {"no-is"}
-
 
 # --- registry ----------------------------------------------------------------
 
@@ -119,8 +116,6 @@ def test_bundled_claims_hold(iid):
     inst = build(iid)
     assert inst.expected, "every entry advertises at least one claim"
     for claim in inst.expected:
-        if claim.kind in SLOW_KINDS:
-            continue
         check_claim(inst, claim)
 
 

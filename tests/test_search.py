@@ -12,6 +12,7 @@ from hedonic_dynamics.core import (
     canonicalize,
     relabel_partition,
 )
+from hedonic_dynamics.instances import build
 from hedonic_dynamics.search import (
     BudgetExhausted,
     CapExceeded,
@@ -204,16 +205,50 @@ def test_type_reduced_agrees_with_plain_on_two_color_games():
             assert core.is_stable(game, reduced.witness, StabilityKind.IS)
 
 
-def test_pruned_agrees_with_plain_on_symmetric_games():
+def test_pruned_agrees_with_plain_on_random_games():
+    # the clash test between two blocks depends on direction, so asymmetric
+    # weights are compared too
     rng = random.Random(577215)
-    for _ in range(40):
-        n = rng.randint(3, 7)
-        game = rand_fhg(rng, n, lo=-5, hi=5, symmetric=True)
-        plain = exists_is_partition(game, Plain())
-        pruned = exists_is_partition(game, PrunedFHG())
-        assert type(plain) is type(pruned)
-        if isinstance(plain, StableExists):
-            assert canonicalize(plain.witness) == canonicalize(pruned.witness)
+    for symmetric in (True, False):
+        for _ in range(40):
+            n = rng.randint(3, 7)
+            game = rand_fhg(rng, n, lo=-5, hi=5, symmetric=symmetric)
+            plain = exists_is_partition(game, Plain())
+            pruned = exists_is_partition(game, PrunedFHG())
+            assert type(plain) is type(pruned)
+            if isinstance(plain, StableExists):
+                assert canonicalize(plain.witness) == canonicalize(pruned.witness)
+            # the cover search itself yields exactly the stable partitions
+            stable = sorted(
+                canonicalize(p)
+                for p in enumerate_partitions(n)
+                if core.is_stable(game, p, StabilityKind.IS)
+            )
+            meter = search._Meter(SearchBudget())
+            covers = search._pruned_fhg_candidates(game, meter)
+            assert sorted(canonicalize(p) for p in covers) == stable
+
+
+def test_pruned_budget_counts_pool_blocks_and_covers():
+    no_is = build("fhg15").game
+    full = exists_is_partition(no_is, PrunedFHG())
+    assert isinstance(full, NoStablePartition)
+    short = exists_is_partition(
+        no_is, PrunedFHG(), SearchBudget(max_states=full.states_checked - 1)
+    )
+    assert short == BudgetExhausted("states", full.states_checked - 1)
+    # with all weights zero every partition is stable; the first cover
+    # found is the singletons, after 8 pool states (every subset of three
+    # agents), 3 placed blocks and 1 complete cover
+    indifferent = games.FractionalGame([[0] * 3 for _ in range(3)])
+    assert exists_is_partition(
+        indifferent, PrunedFHG(), SearchBudget(max_states=11)
+    ) == BudgetExhausted("states", 11)
+    early = exists_is_partition(indifferent, PrunedFHG(), SearchBudget(max_states=12))
+    assert early == StableExists(Partition.singletons(3))
+    assert exists_is_partition(indifferent, PrunedFHG()) == StableExists(
+        Partition.grand(3)
+    )
 
 
 def test_forbidden_pairs_and_tolerable_pool():
