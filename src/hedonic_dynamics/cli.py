@@ -90,11 +90,9 @@ from .search import (
     NoPath,
     NoStablePartition,
     PathFound,
-    Plain,
-    PrunedFHG,
+    STRATEGIES,
     SearchBudget,
     StableExists,
-    TypeReduced,
     exists_is_partition,
     exists_path_to_is,
     all_paths_converge,
@@ -576,7 +574,10 @@ def parse_dimacs(text: str) -> SatFormula:
         raise CliUsageError(
             f"declared {num_clauses} clauses but found {len(clauses)}"
         )
-    return SatFormula(tuple(clauses))
+    try:
+        return SatFormula(tuple(clauses), num_vars)
+    except ReductionError as exc:
+        raise CliUsageError(f"formula: {exc}") from None
 
 
 def parse_x3c_doc(doc) -> X3CInstance:
@@ -803,13 +804,6 @@ def _cmd_run(args) -> int:
     return _EXIT_OK
 
 
-_STRATEGIES = {
-    "plain": Plain,
-    "type-reduced": TypeReduced,
-    "pruned-fhg": PrunedFHG,
-}
-
-
 def _answer_doc(answer) -> dict:
     if isinstance(answer, StableExists):
         return {"answer": "stable-exists", "witness": partition_to_doc(answer.witness)}
@@ -842,7 +836,7 @@ def _cmd_search(args) -> int:
     instance = _load_instance_file(args.instance)
     budget = _search_budget(args)
     if args.mode == "exists-is":
-        strategy = _STRATEGIES[args.strategy]()
+        strategy = STRATEGIES[args.strategy]()
         try:
             answer = exists_is_partition(instance.game, strategy, budget)
         except (GameDefinitionError, ValueError) as exc:
@@ -1029,7 +1023,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("instance")
     p_search.add_argument("--mode", required=True,
                           choices=["exists-is", "exists-path", "converges"])
-    p_search.add_argument("--strategy", choices=sorted(_STRATEGIES), default="plain")
+    p_search.add_argument("--strategy", choices=sorted(STRATEGIES), default="plain")
     p_search.add_argument("--start", help="start partition for reachability modes")
     p_search.add_argument("--budget", help="STATES or STATES:SECONDS")
     common(p_search)

@@ -9,11 +9,21 @@ an agent count ``n`` and a method ``prefers(agent, a, b) -> int`` returning
 the sign of the agent's preference between two coalitions she belongs to
 (positive: ``a`` strictly better, zero: indifferent, negative: worse).
 Everything here is immutable and side-effect free.
+
+This module is the plain reference oracle that the fast move engine in
+:mod:`hedonic_dynamics.dynamics` and the searches are checked against.  The
+deviation rule is written once, in :func:`deviation_verdict`: the mover
+strictly gains, no member of the joined block is worse off (IS), and no
+member left behind is worse off (CIS).  :func:`iter_deviations` asks it
+about every (agent, block) pair; :func:`deviation_failure` validates a
+given move and words the verdict as a reason.  Blocks grow by
+:func:`join`, which inserts the mover into a canonical block.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -33,22 +43,10 @@ class InvalidTarget(CoreError):
     or a target already containing the deviator."""
 
 
-class AgentNotInCoalition(CoreError):
-    """A preference query names a coalition the agent is not part of."""
-
-
 class Ordering(enum.Enum):
     PREFER = 1
     INDIFFERENT = 0
     DISPREFER = -1
-
-    @staticmethod
-    def from_sign(sign: int) -> "Ordering":
-        if sign > 0:
-            return Ordering.PREFER
-        if sign < 0:
-            return Ordering.DISPREFER
-        return Ordering.INDIFFERENT
 
 
 class StabilityKind(enum.Enum):
@@ -85,6 +83,13 @@ def coalition(members: Iterable[int]) -> Coalition:
     if out[0] < 0 or out[-1] >= MAX_AGENTS:
         raise CoreError("agent ids must lie in [0, MAX_AGENTS)")
     return out
+
+
+def join(block: Coalition, agent: int) -> Coalition:
+    """The canonical ``block`` with ``agent`` (not a member) inserted, in
+    linear time; ``join((), agent)`` is the fresh singleton."""
+    at = bisect_left(block, agent)
+    return block[:at] + (agent,) + block[at:]
 
 
 @dataclass(frozen=True)
@@ -177,6 +182,16 @@ def canonicalize(partition: Partition) -> CanonicalForm:
     return b"|".join(b",".join(str(a).encode() for a in b) for b in partition.blocks)
 
 
+def _target_block(partition: Partition, move: DeviationMove) -> Coalition:
+    """The block the move joins, ``()`` for a fresh singleton; raises
+    :class:`InvalidTarget` if the target is not a block of the partition."""
+    if move.target is NEW_SINGLETON:
+        return ()
+    if move.target not in partition.blocks:
+        raise InvalidTarget(f"target {move.target} is not a coalition of the partition")
+    return move.target
+
+
 def apply(partition: Partition, move: DeviationMove) -> Partition:
     """Apply a deviation mechanically; the abandoned coalition is dropped if emptied.
 
@@ -186,72 +201,71 @@ def apply(partition: Partition, move: DeviationMove) -> Partition:
     predicates).
     """
     cur = partition.coalition_of(move.agent)
+    target = _target_block(partition, move)
     new_blocks = [b for b in partition.blocks if b is not cur]
-    if move.target is NEW_SINGLETON:
-        post = (move.agent,)
-    else:
-        if move.target not in partition.blocks:
-            raise InvalidTarget(f"target {move.target} is not a coalition of the partition")
-        post = coalition(move.target + (move.agent,))
-        new_blocks.remove(move.target)
+    if target:
+        new_blocks.remove(target)
     remainder = tuple(a for a in cur if a != move.agent)
     if remainder:
         new_blocks.append(remainder)
-    new_blocks.append(post)
+    new_blocks.append(join(target, move.agent))
     return Partition(new_blocks)
 
 
-def compare(game, agent: int, a: Iterable[int], b: Iterable[int]) -> Ordering:
-    """The agent's preference between two of her own coalitions (total preorder)."""
-    ca = coalition(a)
-    cb = coalition(b)
-    if agent not in ca:
-        raise AgentNotInCoalition(f"agent {agent} not in {ca}")
-    if agent not in cb:
-        raise AgentNotInCoalition(f"agent {agent} not in {cb}")
-    return Ordering.from_sign(game.prefers(agent, ca, cb))
+def deviation_verdict(
+    game, agent: int, cur: Coalition, target: Coalition, kind: StabilityKind
+) -> tuple[str, int] | None:
+    """Individual stability's rule, for ``agent`` leaving its block ``cur``
+    for the block ``target`` (``()``: a fresh singleton).
 
-
-def _post_and_welcoming(partition, move):
-    cur = partition.coalition_of(move.agent)
-    if move.target is NEW_SINGLETON:
-        return cur, (move.agent,), ()
-    if move.target not in partition.blocks:
-        raise InvalidTarget(f"target {move.target} is not a coalition of the partition")
-    return cur, coalition(move.target + (move.agent,)), move.target
+    ``None`` if the move is a deviation of ``kind``, else the first failing
+    condition and the agent it fails for: ``("gain", agent)`` if the mover
+    is not strictly better off, ``("welcome", member)`` (IS and CIS) if a
+    member of ``target`` is worse off, ``("consent", member)`` (CIS) if a
+    member left behind is worse off.
+    """
+    prefers = game.prefers
+    post = join(target, agent)
+    if prefers(agent, post, cur) <= 0:
+        return ("gain", agent)
+    if kind is StabilityKind.NASH:
+        return None
+    for member in target:
+        if prefers(member, post, target) < 0:
+            return ("welcome", member)
+    if kind is StabilityKind.IS:
+        return None
+    remainder = tuple(x for x in cur if x != agent)
+    for member in remainder:
+        if prefers(member, remainder, cur) < 0:
+            return ("consent", member)
+    return None
 
 
 def deviation_failure(game, partition, move, kind: StabilityKind) -> str | None:
     """``None`` if the move is a deviation of the requested kind, else a
     human-readable reason naming the failing condition and agent."""
-    cur, post, welcoming = _post_and_welcoming(partition, move)
-    if game.prefers(move.agent, post, cur) <= 0:
+    agent = move.agent
+    cur = partition.coalition_of(agent)
+    target = _target_block(partition, move)
+    failed = deviation_verdict(game, agent, cur, target, kind)
+    if failed is None:
+        return None
+    condition, member = failed
+    if condition == "gain":
         return (
-            f"agent {move.agent} does not strictly improve by moving to "
-            f"{set(post)} (current {set(cur)})"
+            f"agent {agent} does not strictly improve by moving to "
+            f"{set(join(target, agent))} (current {set(cur)})"
         )
-    if kind is StabilityKind.NASH:
-        return None
-    for member in welcoming:
-        if game.prefers(member, post, welcoming) < 0:
-            return (
-                f"member {member} of the welcoming coalition {set(welcoming)} "
-                f"is strictly worse off after agent {move.agent} joins"
-            )
-    if kind is StabilityKind.IS:
-        return None
-    remainder = tuple(x for x in cur if x != move.agent)
-    for member in remainder:
-        if game.prefers(member, remainder, cur) < 0:
-            return (
-                f"member {member} of the abandoned coalition {set(cur)} does not "
-                f"consent to agent {move.agent} leaving"
-            )
-    return None
-
-
-def is_deviation_of_kind(game, partition, move, kind: StabilityKind) -> bool:
-    return deviation_failure(game, partition, move, kind) is None
+    if condition == "welcome":
+        return (
+            f"member {member} of the welcoming coalition {set(target)} "
+            f"is strictly worse off after agent {agent} joins"
+        )
+    return (
+        f"member {member} of the abandoned coalition {set(cur)} does not "
+        f"consent to agent {agent} leaving"
+    )
 
 
 def iter_deviations(
@@ -263,15 +277,10 @@ def iter_deviations(
     for agent in range(partition.n):
         cur = partition.coalition_of(agent)
         for block in blocks:
-            if block is cur:
-                continue
-            move = DeviationMove(agent, block)
-            if is_deviation_of_kind(game, partition, move, kind):
-                yield move
-        if len(cur) > 1:
-            move = DeviationMove(agent, NEW_SINGLETON)
-            if is_deviation_of_kind(game, partition, move, kind):
-                yield move
+            if block is not cur and deviation_verdict(game, agent, cur, block, kind) is None:
+                yield DeviationMove(agent, block)
+        if len(cur) > 1 and deviation_verdict(game, agent, cur, (), kind) is None:
+            yield DeviationMove(agent, NEW_SINGLETON)
 
 
 def enumerate_deviations(game, partition, kind: StabilityKind) -> list[DeviationMove]:

@@ -24,8 +24,8 @@ from .core import (
     StabilityKind,
     apply,
     canonicalize,
-    coalition,
     deviation_failure,
+    join,
 )
 from .games import (
     AnonymousGame,
@@ -323,7 +323,7 @@ class _ApprovalRules:
         return tuple(m for m in block if block in self.approvals[m])
 
     def welcome(self, agent, block, key):
-        post = tuple(sorted(block + (agent,)))
+        post = join(block, agent)
         return all(post in self.approvals[m] for m in key)
 
     def targets(self, agent, cur, here, blocks, keys):
@@ -334,7 +334,7 @@ class _ApprovalRules:
         return (
             b for b, key in zip(blocks, keys)
             if b is not cur
-            and tuple(sorted(b + (agent,))) in mine
+            and join(b, agent) in mine
             and welcome(agent, b, key)
         )
 
@@ -407,8 +407,7 @@ def passes_filter(game, move: DeviationMove, criterion: DeviationFilter) -> bool
         raise DynamicsError(f"unknown filter {criterion!r}")
     if move.joins_new_singleton():
         return True
-    post = coalition(move.target + (move.agent,))
-    return not is_homogeneous(post, game.colors)
+    return not is_homogeneous(join(move.target, move.agent), game.colors)
 
 
 def _unwrap_policy(game, policy):
@@ -533,10 +532,11 @@ def replay(game, start: Partition, moves: Sequence[DeviationMove], monitors=()) 
 
 
 def validate_trace(game, trace: Trace) -> None:
-    """Post-hoc check of a finished trace using only core predicates."""
+    """Post-hoc check of a finished trace using only core predicates; fails
+    like :func:`replay`, with :class:`ScriptedMoveInvalid`."""
     state = trace.start
     for step_index, step in enumerate(trace.steps):
-        fail = deviation_failure(game, state, step.move, StabilityKind.IS)
+        fail = _scripted_failure(game, state, step.move)
         if fail is not None:
             raise ScriptedMoveInvalid(step_index, fail)
         post = apply(state, step.move)

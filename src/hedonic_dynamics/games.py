@@ -491,11 +491,6 @@ class AnonymousGame:
         return self.orders[agent].compare(len(a), len(b))
 
 
-def ahg_rank(game: AnonymousGame, agent: int, size: int) -> int:
-    """0-based rank of ``size`` in the agent's order (0 = most preferred)."""
-    return game.orders[agent].level_of(size)
-
-
 class DiversityGame:
     """Two-color hedonic game; agents care about their coalition's red fraction."""
 

@@ -219,13 +219,6 @@ def _check_script(instance, claim):
         raise ClaimFailed(f"unknown script claim {kind}")
 
 
-_STRATEGIES = {
-    "plain": search.Plain,
-    "type-reduced": search.TypeReduced,
-    "pruned-fhg": search.PrunedFHG,
-}
-
-
 def _search_budget(claim) -> search.SearchBudget:
     if "budget" in claim.params:
         return claim.params["budget"]
@@ -261,7 +254,7 @@ def _check_search(instance, claim):
                 )
         return
     if kind == "no-is":
-        strategy = _STRATEGIES[claim.params.get("strategy", "plain")]()
+        strategy = search.STRATEGIES[claim.params.get("strategy", "plain")]()
         answer = search.exists_is_partition(game, strategy, _search_budget(claim))
         if not isinstance(answer, search.NoStablePartition):
             raise ClaimFailed(f"claim '{claim.describe()}': got {type(answer).__name__}")

@@ -142,35 +142,6 @@ class SatFormula:
             for clause in self.clauses
         )
 
-    @classmethod
-    def from_dimacs(cls, text: str) -> "SatFormula":
-        """Parse DIMACS CNF: 'c' comments, optional 'p cnf V C', 0-ended clauses."""
-        num_vars = 0
-        tokens = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith(("c", "%")):
-                continue
-            if line.startswith("p"):
-                parts = line.split()
-                if len(parts) < 4 or parts[1] != "cnf":
-                    raise ReductionError(f"bad problem line {line!r}")
-                num_vars = int(parts[2])
-                continue
-            tokens.extend(int(t) for t in line.split())
-        clauses = []
-        current = []
-        for tok in tokens:
-            if tok == 0:
-                if current:
-                    clauses.append(tuple(current))
-                    current = []
-            else:
-                current.append(tok)
-        if current:
-            clauses.append(tuple(current))
-        return cls(tuple(clauses), num_vars)
-
     def to_dimacs(self) -> str:
         lines = [f"p cnf {self.num_vars} {self.m}"]
         lines += [" ".join(map(str, clause)) + " 0" for clause in self.clauses]

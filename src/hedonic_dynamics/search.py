@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from itertools import islice, product
 
-from .core import Partition, apply, canonicalize
+from .core import Partition, StabilityKind, apply, canonicalize, deviation_verdict
 from .dynamics import MoveFinder, Trace, replay
 from .games import AnonymousGame, DiversityGame, FractionalGame
 
@@ -85,6 +85,13 @@ class PrunedFHG:
 
 
 Strategy = Plain | TypeReduced | PrunedFHG
+
+#: strategy classes by the names the CLI and the catalog claims use
+STRATEGIES = {
+    "plain": Plain,
+    "type-reduced": TypeReduced,
+    "pruned-fhg": PrunedFHG,
+}
 
 
 # --- answers ----------------------------------------------------------------
@@ -360,18 +367,13 @@ def _pruned_fhg_candidates(game, meter: _Meter):
     by_agent: dict[int, list[tuple[int, ...]]] = {a: [] for a in range(game.n)}
     for coalition in pool:
         by_agent[coalition[0]].append(coalition)
-    prefers = game.prefers
 
     def joins(movers, welcoming) -> bool:
-        """Some member of ``movers`` strictly gains by joining ``welcoming``,
-        and every member there weakly approves."""
-        for agent in movers:
-            post = welcoming + (agent,)
-            if prefers(agent, post, movers) > 0 and all(
-                prefers(m, post, welcoming) >= 0 for m in welcoming
-            ):
-                return True
-        return False
+        """Some member of ``movers`` has an IS deviation into ``welcoming``."""
+        return any(
+            deviation_verdict(game, agent, movers, welcoming, StabilityKind.IS) is None
+            for agent in movers
+        )
 
     # keyed (placed, candidate): the placed block always holds the lower
     # lowest agent, so each unordered pair has one key

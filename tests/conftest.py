@@ -111,6 +111,19 @@ def rand_dhg(rng, n, density=0.3, symmetric=False) -> games.DichotomousGame:
     return games.DichotomousGame(n, families)
 
 
+def rand_game(rng, trial, n):
+    """A random game of each of the four classes in turn."""
+    kind = trial % 4
+    if kind == 0:
+        return rand_ahg(rng, n)
+    if kind == 1:
+        reds = rng.randint(0, n)
+        return rand_hdg(rng, reds, n - reds, strict=False)
+    if kind == 2:
+        return rand_fhg(rng, n)
+    return rand_dhg(rng, n)
+
+
 def rand_partition(rng, n) -> Partition:
     blocks = []
     for agent in range(n):

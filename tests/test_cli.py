@@ -309,6 +309,15 @@ def test_gen_reduce_with_params(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_gen_reduce_keeps_declared_variable_count(tmp_path, capsys):
+    # variable 4 is declared but never used, so it does not occur twice
+    # with each sign as the size encoding needs
+    cnf = tmp_path / "unused.cnf"
+    cnf.write_text("p cnf 4 4\n1 2 3 0\n1 -2 -3 0\n-1 2 -3 0\n-1 -2 3 0\n")
+    assert cli.main(["gen", "--reduce", "sat-to-ahg-exists", "--input", str(cnf)]) == 2
+    assert "variable 4 occurs 0+ / 0- times" in capsys.readouterr().err
+
+
 def test_gen_dimacs_parse_errors(tmp_path, capsys):
     cases = [
         ("p cnf 2\n1 0\n", "problem line"),
@@ -317,6 +326,7 @@ def test_gen_dimacs_parse_errors(tmp_path, capsys):
         ("p cnf 2 1\n1 2\n", "terminating 0"),
         ("p cnf 2 2\n1 0\n", "declared 2 clauses"),
         ("1 0\n", "missing"),
+        ("p cnf 2 0\n", "at least one clause"),
     ]
     for text, needle in cases:
         cnf = tmp_path / "bad.cnf"

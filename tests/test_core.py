@@ -9,23 +9,19 @@ from hedonic_dynamics.core import (
     CoreError,
     DeviationMove,
     InvalidTarget,
-    AgentNotInCoalition,
-    Ordering,
     Partition,
     StabilityKind,
     apply,
     canonicalize,
-    compare,
     coalition,
     deviation_failure,
     enumerate_deviations,
-    is_deviation_of_kind,
     is_stable,
     relabel_partition,
 )
 from hedonic_dynamics.games import AnonymousGame, FractionalGame, WeakOrder
 
-from conftest import rand_ahg, rand_dhg, rand_fhg, rand_partition
+from conftest import rand_ahg, rand_dhg, rand_fhg, rand_game, rand_partition
 
 NASH, IS, CIS = StabilityKind.NASH, StabilityKind.IS, StabilityKind.CIS
 
@@ -103,25 +99,16 @@ def test_apply_rejects_missing_target():
         DeviationMove(0, (0, 1))  # deviator inside target
 
 
-def test_compare_requires_membership():
-    g = ahg([2, 1], [2, 1])
-    with pytest.raises(AgentNotInCoalition):
-        compare(g, 0, [1], [0, 1])
-    assert compare(g, 0, [0, 1], [0]) is Ordering.PREFER
-    assert compare(g, 0, [0], [0, 1]) is Ordering.DISPREFER
-
-
 def test_deviation_kinds_nest_on_example():
     # sizes: agent prefers 2 over 1 over 3; one agent prefers 1 over all
     g = ahg([2, 1, 3], [2, 1, 3], [1, 2, 3])
     p = Partition([[0], [1], [2]])
     join = DeviationMove(0, (1,))
-    assert is_deviation_of_kind(g, p, join, NASH)
-    assert is_deviation_of_kind(g, p, join, IS)
+    assert deviation_failure(g, p, join, NASH) is None
+    assert deviation_failure(g, p, join, IS) is None
     # agent 2 would not welcome anyone
     bad = DeviationMove(0, (2,))
-    assert is_deviation_of_kind(g, p, bad, NASH)
-    assert not is_deviation_of_kind(g, p, bad, IS)
+    assert deviation_failure(g, p, bad, NASH) is None
     reason = deviation_failure(g, p, bad, IS)
     assert "member 2" in reason and "worse off" in reason
 
@@ -132,12 +119,11 @@ def test_cis_requires_remainder_consent():
     p = Partition([[0, 1, 2]])
     move = DeviationMove(0, NEW_SINGLETON)
     # 0 improves (1 beats 3 for agent 0? ranks: agent0 likes 2>3>1 — no).
-    assert not is_deviation_of_kind(g, p, move, NASH)
+    assert deviation_failure(g, p, move, NASH) is not None
     g2 = ahg([1, 2, 3], [2, 3, 1], [3, 2, 1])
-    assert is_deviation_of_kind(g2, p, move, NASH)
-    assert is_deviation_of_kind(g2, p, move, IS)  # nobody welcomes a singleton
+    assert deviation_failure(g2, p, move, NASH) is None
+    assert deviation_failure(g2, p, move, IS) is None  # nobody welcomes a singleton
     # agent 2 strictly prefers size 3 to size 2, so the remainder objects
-    assert not is_deviation_of_kind(g2, p, move, CIS)
     reason = deviation_failure(g2, p, move, CIS)
     assert "consent" in reason
 
@@ -197,6 +183,50 @@ def test_kind_nesting_properties():
             assert is_stable(g, p, CIS)
 
 
+def test_iter_deviations_lists_every_candidate_deviation_failure_accepts():
+    # the enumeration and the validating predicate share only the verdict
+    # rule, so compare them candidate by candidate, in enumeration order
+    rng = random.Random(29)
+    for trial in range(120):
+        n = rng.randint(2, 6)
+        g = rand_game(rng, trial, n)
+        for p in (rand_partition(rng, n), Partition.grand(n), Partition.singletons(n)):
+            candidates = [
+                move
+                for agent in range(n)
+                for move in [
+                    *(DeviationMove(agent, b) for b in p.blocks if agent not in b),
+                    DeviationMove(agent, NEW_SINGLETON),
+                ]
+            ]
+            for kind in (NASH, IS, CIS):
+                expected = [
+                    m for m in candidates if deviation_failure(g, p, m, kind) is None
+                ]
+                assert enumerate_deviations(g, p, kind) == expected, (trial, p, kind)
+
+
+def test_deviation_failure_reasons_are_worded_exactly():
+    g = ahg([2, 1, 3], [2, 1, 3], [1, 2, 3])
+    p = Partition([[0], [1], [2]])
+    assert deviation_failure(g, p, DeviationMove(2, (0,)), NASH) == (
+        "agent 2 does not strictly improve by moving to {0, 2} (current {2})"
+    )
+    assert deviation_failure(g, p, DeviationMove(0, (2,)), IS) == (
+        "member 2 of the welcoming coalition {2} is strictly worse off "
+        "after agent 0 joins"
+    )
+    g2 = ahg([1, 2, 3], [2, 3, 1], [3, 2, 1])
+    grand = Partition.grand(3)
+    assert deviation_failure(g2, grand, DeviationMove(0, NEW_SINGLETON), CIS) == (
+        "member 2 of the abandoned coalition {0, 1, 2} does not consent to "
+        "agent 0 leaving"
+    )
+    assert deviation_failure(g2, grand, DeviationMove(1, NEW_SINGLETON), NASH) == (
+        "agent 1 does not strictly improve by moving to {1} (current {0, 1, 2})"
+    )
+
+
 def test_compare_total_and_transitive():
     rng = random.Random(17)
     for _ in range(60):
@@ -211,13 +241,14 @@ def test_compare_total_and_transitive():
         ]
         for _ in range(40):
             a, b, c = (rng.choice(pool) for _ in range(3))
-            ab = compare(g, agent, a, b)
-            bc = compare(g, agent, b, c)
-            ac = compare(g, agent, a, c)
-            if ab is Ordering.PREFER and bc is not Ordering.DISPREFER:
-                assert ac is Ordering.PREFER
-            if ab is Ordering.INDIFFERENT and bc is Ordering.INDIFFERENT:
-                assert ac is Ordering.INDIFFERENT
+            ab = g.prefers(agent, a, b)
+            bc = g.prefers(agent, b, c)
+            ac = g.prefers(agent, a, c)
+            assert ab == -g.prefers(agent, b, a)
+            if ab > 0 and bc >= 0:
+                assert ac > 0
+            if ab == 0 and bc == 0:
+                assert ac == 0
 
 
 def test_relabeling_invariance():
@@ -242,7 +273,7 @@ def test_relabeling_invariance():
                 else tuple(perm[a] for a in move.target)
             )
             move2 = DeviationMove(perm[move.agent], target2)
-            assert is_deviation_of_kind(g2, p2, move2, IS)
+            assert deviation_failure(g2, p2, move2, IS) is None
 
 
 def test_singleton_to_new_singleton_never_improves():
@@ -252,10 +283,6 @@ def test_singleton_to_new_singleton_never_improves():
         g = rand_ahg(rng, n)
         p = Partition.singletons(n)
         for a in range(n):
-            assert not is_deviation_of_kind(g, p, DeviationMove(a, NEW_SINGLETON), NASH)
+            assert deviation_failure(g, p, DeviationMove(a, NEW_SINGLETON), NASH) is not None
 
 
-def test_ordering_from_sign():
-    assert Ordering.from_sign(5) is Ordering.PREFER
-    assert Ordering.from_sign(0) is Ordering.INDIFFERENT
-    assert Ordering.from_sign(-2) is Ordering.DISPREFER

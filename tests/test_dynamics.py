@@ -25,6 +25,8 @@ from hedonic_dynamics.dynamics import (
     ScriptedMoveInvalid,
     SeededRandom,
     StepLimitReached,
+    Trace,
+    TraceStep,
     passes_filter,
     replay,
     run,
@@ -37,11 +39,13 @@ from hedonic_dynamics.games import (
     DiversityGame,
     WeakOrder,
 )
+from hedonic_dynamics.instances import build
 
 from conftest import (
     rand_ahg,
     rand_dhg,
     rand_fhg,
+    rand_game,
     rand_hdg,
     rand_partition,
     rand_sp_order,
@@ -54,19 +58,6 @@ IS = StabilityKind.IS
 def three_cycle_dhg() -> DichotomousGame:
     # each agent approves exactly one pair; chasing it forever
     return DichotomousGame(3, [[(0, 1)], [(1, 2)], [(0, 2)]])
-
-
-def rand_game(rng, trial, n):
-    """A random game of each of the four classes in turn."""
-    kind = trial % 4
-    if kind == 0:
-        return rand_ahg(rng, n)
-    if kind == 1:
-        reds = rng.randint(0, n)
-        return rand_hdg(rng, reds, n - reds, strict=False)
-    if kind == 2:
-        return rand_fhg(rng, n)
-    return rand_dhg(rng, n)
 
 
 def test_move_finder_matches_core_enumeration():
@@ -301,6 +292,20 @@ def test_filtered_runs_on_real_hdg_make_progress():
             # states may admit only filtered-out moves; stability here is
             # "no admissible move", so just validate the trace
             validate_trace(g, out.trace)
+
+
+def test_validate_trace_fails_like_replay_on_a_missing_target():
+    game = build("dhg3").game
+    start = Partition.singletons(3)
+    move = DeviationMove(0, (1, 2))  # {1, 2} is not a block of the singletons
+    with pytest.raises(ScriptedMoveInvalid) as replayed:
+        replay(game, start, [move])
+    forged = Trace(start, (TraceStep(move, Partition.grand(3)),))
+    with pytest.raises(ScriptedMoveInvalid) as validated:
+        validate_trace(game, forged)
+    assert validated.value.step_index == replayed.value.step_index == 0
+    assert validated.value.reason == replayed.value.reason
+    assert "not a coalition of the partition" in validated.value.reason
 
 
 def test_monitor_hooks_receive_every_step():

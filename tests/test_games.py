@@ -21,7 +21,6 @@ from hedonic_dynamics.games import (
     RatioDomain,
     SizeDomain,
     WeakOrder,
-    ahg_rank,
     classify_fhg,
     complete_strict_on_axis,
     complete_weak_interval_closure,
@@ -128,10 +127,10 @@ def test_computed_order_on_ratio_domain():
 
 def test_ahg_rank_and_domain_validation():
     g = AnonymousGame([WeakOrder([[2], [1], [3]])] * 3)
-    assert ahg_rank(g, 0, 2) == 0
-    assert ahg_rank(g, 0, 3) == 2
+    assert g.orders[0].level_of(2) == 0
+    assert g.orders[0].level_of(3) == 2
     with pytest.raises(GameDefinitionError):
-        ahg_rank(g, 0, 4)
+        g.orders[0].level_of(4)
     with pytest.raises(GameDefinitionError):
         AnonymousGame([WeakOrder([[1], [2]])] * 3)  # missing size 3
 

@@ -1,16 +1,19 @@
 """Problem reductions: input validation, constant checks, bundled scripts."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from hedonic_dynamics import search
+from hedonic_dynamics.cli import parse_dimacs
 from hedonic_dynamics.core import (
     StabilityKind,
     apply,
     enumerate_deviations,
     is_stable,
 )
+from hedonic_dynamics.dynamics import MoveFinder
 from hedonic_dynamics.games import Color, classify_fhg
 from hedonic_dynamics.instances import (
     ConstantInequalityViolation,
@@ -67,11 +70,14 @@ def test_formula_validation():
 
 def test_dimacs_round_trip():
     text = "c comment\np cnf 3 2\n1 -2 3 0\n-1 2 0\n"
-    f = SatFormula.from_dimacs(text)
+    f = parse_dimacs(text)
     assert f.clauses == ((1, -2, 3), (-1, 2))
     assert f.num_vars == 3
-    again = SatFormula.from_dimacs(f.to_dimacs())
+    again = parse_dimacs(f.to_dimacs())
     assert again == f
+    # the declared variable count survives, even for a variable never used
+    unused = parse_dimacs(BALANCED.to_dimacs().replace("p cnf 3 4", "p cnf 4 4"))
+    assert unused.num_vars == 4 and unused.clauses == BALANCED.clauses
 
 
 def test_cover_input_validation():
@@ -267,10 +273,15 @@ def test_size_exists_build_matches_hand_counts():
 
 
 def test_size_exists_cycle_is_scripted_not_forced():
+    t0 = time.monotonic()
     inst = reduce("sat-to-ahg-exists", BALANCED)
     loop = inst.scripts["gadget-cycle"]
     first = enumerate_deviations(inst.game, loop.start, StabilityKind.IS)
     assert loop.moves[0] in first
+    # scripted, not forced: the start offers other moves than the script's
+    assert len(first) > 1
+    assert first == list(MoveFinder(inst.game).iter_moves(loop.start))
+    assert time.monotonic() - t0 < 60.0
 
 
 def test_size_converge_build():
