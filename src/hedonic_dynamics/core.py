@@ -23,7 +23,7 @@ given move and words the verdict as a reason.  Blocks grow by
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -111,6 +111,14 @@ class DeviationMove:
                     f"agent {self.agent} already belongs to target {self.target}"
                 )
 
+    @classmethod
+    def _trusted(cls, agent: int, target) -> "DeviationMove":
+        """A move whose ``target`` is already a canonical block without
+        ``agent`` (or :data:`NEW_SINGLETON`), built without re-checking."""
+        move = object.__new__(cls)
+        move.__dict__.update(agent=agent, target=target)
+        return move
+
     def joins_new_singleton(self) -> bool:
         return self.target is NEW_SINGLETON
 
@@ -140,6 +148,17 @@ class Partition:
         if len(seen) != total or (total and (min(seen) != 0 or max(seen) != total - 1)):
             raise CoreError("blocks must disjointly cover 0..n-1")
         self._home = None
+
+    @classmethod
+    def _trusted(cls, blocks: tuple, n: int, home=None) -> "Partition":
+        """A partition of ``n`` agents whose ``blocks`` are already canonical
+        and listed in canonical order, built without re-checking; ``home``
+        is its agent-to-block table, if known."""
+        partition = object.__new__(cls)
+        partition.blocks = blocks
+        partition.n = n
+        partition._home = home
+        return partition
 
     @staticmethod
     def singletons(n: int) -> "Partition":
@@ -199,17 +218,30 @@ def apply(partition: Partition, move: DeviationMove) -> Partition:
     partition.  Moving from a singleton to a new singleton reproduces the
     input partition (such a move is never an improvement, see the deviation
     predicates).
+
+    The successor keeps the input's untouched block tuples, in order: only
+    the remainder and the joined block are made and inserted.
     """
-    cur = partition.coalition_of(move.agent)
+    agent = move.agent
+    cur = partition.coalition_of(agent)
     target = _target_block(partition, move)
-    new_blocks = [b for b in partition.blocks if b is not cur]
+    blocks = list(partition.blocks)
+    del blocks[bisect_left(blocks, cur)]
     if target:
-        new_blocks.remove(target)
-    remainder = tuple(a for a in cur if a != move.agent)
+        del blocks[bisect_left(blocks, target)]
+    at = bisect_left(cur, agent)
+    remainder = cur[:at] + cur[at + 1:]
+    joined = join(target, agent)
     if remainder:
-        new_blocks.append(remainder)
-    new_blocks.append(join(target, move.agent))
-    return Partition(new_blocks)
+        insort(blocks, remainder)
+    insort(blocks, joined)
+    home = partition._home
+    if home is not None:
+        home = home.copy()
+        for block in (remainder, joined):
+            for member in block:
+                home[member] = block
+    return Partition._trusted(tuple(blocks), partition.n, home)
 
 
 def deviation_verdict(

@@ -33,7 +33,6 @@ from .games import (
     DichotomousGame,
     DiversityGame,
     FractionalGame,
-    is_homogeneous,
 )
 from .prng import SplitMix64
 
@@ -213,8 +212,9 @@ class _Memo(dict):
 
 class _SummaryRules:
     """Anonymous and diversity games rank a coalition only by a summary of
-    it, its block key: the mover's gain is evaluated once per distinct key,
-    the members' welcome once per block and mover colour (0 or 1).
+    it, its block key: the mover's gain is evaluated once per distinct key
+    while its own block's key stays the same, the members' welcome once per
+    block and mover colour (0 or 1).
 
     ``value(key)`` is what the orders rank, ``joined(key, colour)`` the value
     once an agent of that colour joins, and going alone is joining ``empty``.
@@ -228,28 +228,41 @@ class _SummaryRules:
         self.alone_values = (joined(empty, 0), joined(empty, 1))
         self.keys = _Memo(key)
         self.welcomed = tuple(_Memo(partial(self.welcome, colour=c)) for c in (0, 1))
+        #: per agent: its own block's key, that key's value, and the gains
+        #: by target key, renewed when the agent's key changes
+        self.mine = [None] * game.n
 
     def welcome(self, block, colour):
         key = self.keys[block]
         post, pre = self.joined(key, colour), self.value(key)
         return all(self.orders[m].compare(post, pre) >= 0 for m in block)
 
-    def targets(self, agent, cur, here, blocks, keys):
-        order = self.orders[agent]
-        colour = self.colour[agent]
+    def _renew(self, agent, here):
+        order, colour, joined = self.orders[agent], self.colour[agent], self.joined
         now = self.value(here)
-        # lazy, and never asked about `cur` itself: the mover's own key plus
+        # lazy, and never asked about the mover's own block: its key plus
         # one member can fall outside the order's domain (size n + 1)
-        gains = _Memo(lambda key: order.compare(self.joined(key, colour), now) > 0)
-        welcomed = self.welcomed[colour]
-        return (
-            b for b, key in zip(blocks, keys)
-            if b is not cur and welcomed[b] and gains[key]
-        )
+        gains = _Memo(lambda key: order.compare(joined(key, colour), now) > 0)
+        mine = self.mine[agent] = (here, now, gains)
+        return mine
+
+    def targets(self, agent, cur, here, blocks, keys):
+        mine = self.mine[agent]
+        if mine is None or mine[0] != here:
+            mine = self._renew(agent, here)
+        gains = mine[2]
+        welcomed = self.welcomed[self.colour[agent]]
+        out = []
+        for b, key in zip(blocks, keys):
+            if b is not cur and welcomed[b] and gains[key]:
+                out.append(b)
+        return out
 
     def alone(self, agent, cur, here):
-        alone = self.alone_values[self.colour[agent]]
-        return self.orders[agent].compare(alone, self.value(here)) > 0
+        mine = self.mine[agent]
+        if mine is None or mine[0] != here:
+            mine = self._renew(agent, here)
+        return self.orders[agent].compare(self.alone_values[self.colour[agent]], mine[1]) > 0
 
 
 def _size_rules(game):
@@ -299,13 +312,16 @@ class _AverageRules:
         row = self.weights[agent].__getitem__
         size, have = len(cur), here[bisect_left(cur, agent)]
         welcome = self.welcome
-        # strict gain: sum over b / (len(b) + 1) > have / size
-        return (
-            b for b, key in zip(blocks, keys)
-            if b is not cur
-            and sum(map(row, b)) * size > have * (len(b) + 1)
-            and welcome(agent, b, key)
-        )
+        out = []
+        for b, key in zip(blocks, keys):
+            # strict gain: sum over b / (len(b) + 1) > have / size
+            if (
+                b is not cur
+                and sum(map(row, b)) * size > have * (len(b) + 1)
+                and welcome(agent, b, key)
+            ):
+                out.append(b)
+        return out
 
     def alone(self, agent, cur, here):
         return here[bisect_left(cur, agent)] < 0
@@ -331,12 +347,11 @@ class _ApprovalRules:
         if not mine or agent in here:
             return ()  # approves nothing, or already at top utility
         welcome = self.welcome
-        return (
-            b for b, key in zip(blocks, keys)
-            if b is not cur
-            and join(b, agent) in mine
-            and welcome(agent, b, key)
-        )
+        out = []
+        for b, key in zip(blocks, keys):
+            if b is not cur and join(b, agent) in mine and welcome(agent, b, key):
+                out.append(b)
+        return out
 
     def alone(self, agent, cur, here):
         return (agent,) in self.approvals[agent] and agent not in here
@@ -350,14 +365,69 @@ _RULES = {
 }
 
 
+def _move(agent: int, block: core.Coalition) -> DeviationMove:
+    """The move of ``agent`` into the canonical ``block`` of a partition, or
+    to a fresh singleton for ``()``."""
+    return DeviationMove._trusted(agent, block or NEW_SINGLETON)
+
+
+class MoveTable:
+    """The IS moves of one partition, in the canonical order: ``rows[agent]``
+    holds the blocks the agent may join, in the partition's order, and
+    ``alone[agent]`` whether it may found a fresh singleton.
+
+    A table is never changed once built (the finder copies the rows it
+    updates), so an iterator over it stays valid after the finder has moved
+    on to other partitions.
+    """
+
+    __slots__ = ("partition", "rows", "alone", "count")
+
+    def __init__(self, partition: Partition, rows: list, alone: list):
+        self.partition = partition
+        self.rows = rows
+        self.alone = alone
+        self.count = sum(map(len, rows)) + sum(alone)
+
+    def pairs(self) -> Iterator[tuple[int, core.Coalition]]:
+        """(agent, block) per move, in order; ``()`` is the fresh singleton."""
+        for agent, (row, alone) in enumerate(zip(self.rows, self.alone)):
+            for block in row:
+                yield agent, block
+            if alone:
+                yield agent, ()
+
+    def __iter__(self) -> Iterator[DeviationMove]:
+        for agent, block in self.pairs():
+            yield _move(agent, block)
+
+    def nth(self, k: int) -> DeviationMove:
+        """``list(self)[k]``, without building the other moves."""
+        if not 0 <= k < self.count:
+            raise IndexError(f"move {k} of a table of {self.count}")
+        for agent, row in enumerate(self.rows):
+            if k < len(row):
+                return _move(agent, row[k])
+            k -= len(row)
+            if self.alone[agent]:
+                if not k:
+                    return _move(agent, ())
+                k -= 1
+
+
 class MoveFinder:
-    """Enumerates IS deviations in the canonical order: ascending agent, then
+    """Lists IS deviations in the canonical order: ascending agent, then
     target blocks as the partition lists them, then the fresh singleton.
 
-    One loop serves the four game classes through their rule sets: a block
-    key cached across steps (a move makes new blocks only where it acts),
-    the blocks a mover gains by joining and whose members welcome it, and
-    the go-alone test. The output must equal
+    One engine serves the four game classes through their rule sets: a block
+    key cached across steps, the blocks a mover gains by joining and whose
+    members welcome it, and the go-alone test. Since preferences are
+    hedonic, whether an agent may join a block depends on its own block and
+    that block only. So the finder keeps the :class:`MoveTable` of the last
+    partition it listed and, for the next one, rebuilds only the rows of
+    agents whose block is new and tests every other agent against the new
+    blocks alone; when more than half of the blocks are new it builds the
+    table afresh. The output must equal
     ``core.iter_deviations(game, partition, IS)``; a property test checks it.
     """
 
@@ -367,33 +437,82 @@ class MoveFinder:
         # case only the generic path is guaranteed to agree with it
         rules = _RULES.get(type(game))
         self._rules = rules(game) if rules else None
-        self._iter = self._iter_rules if rules else self._iter_generic
+        self._last: MoveTable | None = None
 
     def iter_moves(self, partition: Partition) -> Iterator[DeviationMove]:
-        return self._iter(partition)
+        """The moves of ``partition`` in order, built one at a time."""
+        yield from self.table(partition)
 
     def has_move(self, partition: Partition) -> bool:
-        for _ in self._iter(partition):
-            return True
+        """Whether ``partition`` has a move; stops at the first mover found."""
+        if self._rules is None:
+            for _ in core.iter_deviations(self.game, partition, StabilityKind.IS):
+                return True
+            return False
+        targets, alone, key_of = self._rules.targets, self._rules.alone, self._rules.keys
+        blocks = partition.blocks
+        keys = [key_of[b] for b in blocks]
+        for cur, here in zip(blocks, keys):
+            for agent in cur:
+                if (len(cur) > 1 and alone(agent, cur, here)) or targets(
+                    agent, cur, here, blocks, keys
+                ):
+                    return True
         return False
 
-    def _iter_generic(self, p):
-        return core.iter_deviations(self.game, p, StabilityKind.IS)
+    def table(self, partition: Partition) -> MoveTable:
+        """The moves of ``partition``, updated from the last table listed."""
+        if self._rules is None:
+            return self._listed(partition)
+        last, blocks = self._last, partition.blocks
+        new = set(blocks)
+        old = set(last.partition.blocks) if last is not None else set()
+        if last is not None and old == new:
+            return last
+        if 2 * len(new - old) > len(blocks):
+            last, old = None, set()  # mostly new blocks: build afresh
+        self._last = self._patch(partition, last, old - new, new - old)
+        return self._last
 
-    def _iter_rules(self, p):
+    def _listed(self, partition):
+        """The table of a game without rules, listed from ``core``."""
+        rows = [[] for _ in range(partition.n)]
+        alone = [False] * partition.n
+        for move in core.iter_deviations(self.game, partition, StabilityKind.IS):
+            if move.joins_new_singleton():
+                alone[move.agent] = True
+            else:
+                rows[move.agent].append(move.target)
+        return MoveTable(partition, rows, alone)
+
+    def _patch(self, p, last, gone, born) -> MoveTable:
+        """``last`` (``None``: an empty table) brought to ``p``, whose blocks
+        differ from ``last``'s by the blocks ``gone`` and ``born``."""
         targets, alone, key_of = self._rules.targets, self._rules.alone, self._rules.keys
         blocks = p.blocks
         keys = [key_of[b] for b in blocks]
-        # `coalition_of` returns the partition's own block objects, so the
-        # mover's key is found by identity instead of rehashing its block
-        key_by_id = dict(zip(map(id, blocks), keys))
-        for agent in range(p.n):
-            cur = p.coalition_of(agent)
-            here = key_by_id[id(cur)]
-            for b in targets(agent, cur, here, blocks, keys):
-                yield DeviationMove(agent, b)
-            if len(cur) > 1 and alone(agent, cur, here):
-                yield DeviationMove(agent, NEW_SINGLETON)
+        rows = [()] * p.n if last is None else list(last.rows)
+        lone = [False] * p.n if last is None else list(last.alone)
+        fresh = sorted(born)
+        fresh_keys = [key_of[b] for b in fresh]
+        for cur, here in zip(blocks, keys):
+            if cur in born:
+                # the agent's own block is new: its whole row changes
+                for agent in cur:
+                    rows[agent] = tuple(targets(agent, cur, here, blocks, keys))
+                    lone[agent] = len(cur) > 1 and alone(agent, cur, here)
+                continue
+            for agent in cur:
+                row = rows[agent]
+                for block in gone if row else ():
+                    at = bisect_left(row, block)
+                    if at < len(row) and row[at] == block:
+                        row = row[:at] + row[at + 1:]
+                for block in targets(agent, cur, here, fresh, fresh_keys):
+                    at = bisect_left(row, block)
+                    row = row[:at] + (block,) + row[at:]
+                rows[agent] = row
+        return MoveTable(p, rows, lone)
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +522,41 @@ class MoveFinder:
 
 def passes_filter(game, move: DeviationMove, criterion: DeviationFilter) -> bool:
     """Filter predicate on a move (independent of scheduler state)."""
+    target = () if move.joins_new_singleton() else move.target
+    return _filter_test(game, criterion)(move.agent, target)
+
+
+def _filter_test(game, criterion):
+    """``admits(agent, block)``: whether the filter lets ``agent`` join
+    ``block`` (``()``: a fresh singleton, always allowed)."""
     if criterion is not DeviationFilter.SOLITARY_HOMOGENEITY:
         raise DynamicsError(f"unknown filter {criterion!r}")
-    if move.joins_new_singleton():
-        return True
-    return not is_homogeneous(join(move.target, move.agent), game.colors)
+    colors = game.colors
+
+    def admits(agent, block):
+        # the joined block is single-coloured iff every member has the
+        # mover's colour; a block's first member settles most blocks
+        mine = colors[agent]
+        return (
+            not block
+            or colors[block[0]] is not mine
+            or any(colors[m] is not mine for m in block)
+        )
+
+    return admits
+
+
+def _pick_admissible(game, table, criterion, rng) -> DeviationMove | None:
+    """Among the table's moves that pass the filter, the first, or with
+    ``rng`` a uniform one; only the picked move is built."""
+    admits = _filter_test(game, criterion)
+    admissible = (pair for pair in table.pairs() if admits(*pair))
+    if rng is None:
+        pick = next(admissible, None)
+    else:
+        admissible = list(admissible)
+        pick = admissible[rng.below(len(admissible))] if admissible else None
+    return None if pick is None else _move(*pick)
 
 
 def _unwrap_policy(game, policy):
@@ -455,30 +604,17 @@ def run(game, start: Partition, policy: Policy, config: RunConfig = RunConfig())
                     "rejected by the solitary-homogeneity filter: the joined "
                     "coalition would be single-colored",
                 )
-        elif isinstance(base, Lexicographic):
-            saw_unfiltered = False
-            for cand in finder.iter_moves(state):
-                saw_unfiltered = True
-                if criterion is None or passes_filter(game, cand, criterion):
-                    move = cand
-                    break
-            if move is None:
-                if saw_unfiltered:
-                    raise FilterStarvation(step_index)
+        elif isinstance(base, (Lexicographic, SeededRandom)):
+            table = finder.table(state)
+            if not table.count:
                 return Converged(state, len(steps), trace())
-        elif isinstance(base, SeededRandom):
-            candidates = list(finder.iter_moves(state))
-            if criterion is not None:
-                admissible = [
-                    c for c in candidates if passes_filter(game, c, criterion)
-                ]
+            if criterion is None:
+                # the index into the canonical order a listed draw would use
+                move = table.nth(rng.below(table.count) if rng else 0)
             else:
-                admissible = candidates
-            if not admissible:
-                if candidates:
+                move = _pick_admissible(game, table, criterion, rng)
+                if move is None:
                     raise FilterStarvation(step_index)
-                return Converged(state, len(steps), trace())
-            move = admissible[rng.below(len(admissible))]
         else:
             raise DynamicsError(f"unknown policy {base!r}")
 

@@ -542,13 +542,6 @@ def hdg_ratio(coalition_: Iterable[int], colors: Sequence[Color]) -> Fraction:
     return Fraction(reds, len(members))
 
 
-def is_homogeneous(coalition_: Iterable[int], colors: Sequence[Color]) -> bool:
-    """True iff all members share one color."""
-    members = coalition(coalition_)
-    first = colors[members[0]]
-    return all(colors[a] is first for a in members)
-
-
 class FractionalGame:
     """Agents value a coalition by the average weight toward its members."""
 

@@ -217,10 +217,10 @@ def test_replay_reports_which_condition_failed_for_whom():
 
 
 def test_filter_predicate():
-    colors = [R, R, B]
+    colors = [R, R, B, B, R]
     g = DiversityGame(
         colors,
-        [WeakOrder([sorted(set(games_ratios(colors)))])] * 3,
+        [WeakOrder([sorted(set(games_ratios(colors)))])] * 5,
     )
     crit = DeviationFilter.SOLITARY_HOMOGENEITY
     # red joining a red singleton -> homogeneous pair -> rejected
@@ -229,6 +229,12 @@ def test_filter_predicate():
     assert passes_filter(g, DeviationMove(0, (2,)), crit)
     # founding a singleton is always allowed
     assert passes_filter(g, DeviationMove(0, NEW_SINGLETON), crit)
+    # larger blocks: all red, mixed behind a red first member, all blue
+    assert not passes_filter(g, DeviationMove(0, (1, 4)), crit)
+    assert passes_filter(g, DeviationMove(0, (1, 2)), crit)
+    assert passes_filter(g, DeviationMove(0, (2, 3)), crit)
+    assert not passes_filter(g, DeviationMove(3, (2,)), crit)
+    assert passes_filter(g, DeviationMove(2, (1, 4)), crit)
 
 
 def games_ratios(colors):

@@ -27,7 +27,6 @@ from hedonic_dynamics.games import (
     dhg_is_symmetric,
     fhg_utility,
     hdg_ratio,
-    is_homogeneous,
     materialize,
     single_peaked_brute,
     single_peaked_check,
@@ -141,13 +140,6 @@ def test_hdg_ratio_lowest_terms():
     assert hdg_ratio((0, 2, 3), colors) == Fraction(1, 3)
     assert hdg_ratio((2, 3), colors) == 0
     assert hdg_ratio((0, 1), colors) == 1
-
-
-def test_is_homogeneous():
-    colors = [R, B, B]
-    assert is_homogeneous((1, 2), colors)
-    assert is_homogeneous((0,), colors)
-    assert not is_homogeneous((0, 1), colors)
 
 
 def test_fhg_utility_exact():
