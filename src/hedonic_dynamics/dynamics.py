@@ -252,11 +252,10 @@ class _SummaryRules:
             mine = self._renew(agent, here)
         gains = mine[2]
         welcomed = self.welcomed[self.colour[agent]]
-        out = []
-        for b, key in zip(blocks, keys):
-            if b is not cur and welcomed[b] and gains[key]:
-                out.append(b)
-        return out
+        return (
+            b for b, key in zip(blocks, keys)
+            if b is not cur and welcomed[b] and gains[key]
+        )
 
     def alone(self, agent, cur, here):
         mine = self.mine[agent]
@@ -312,16 +311,13 @@ class _AverageRules:
         row = self.weights[agent].__getitem__
         size, have = len(cur), here[bisect_left(cur, agent)]
         welcome = self.welcome
-        out = []
-        for b, key in zip(blocks, keys):
-            # strict gain: sum over b / (len(b) + 1) > have / size
-            if (
-                b is not cur
-                and sum(map(row, b)) * size > have * (len(b) + 1)
-                and welcome(agent, b, key)
-            ):
-                out.append(b)
-        return out
+        # strict gain: sum over b / (len(b) + 1) > have / size
+        return (
+            b for b, key in zip(blocks, keys)
+            if b is not cur
+            and sum(map(row, b)) * size > have * (len(b) + 1)
+            and welcome(agent, b, key)
+        )
 
     def alone(self, agent, cur, here):
         return here[bisect_left(cur, agent)] < 0
@@ -347,11 +343,12 @@ class _ApprovalRules:
         if not mine or agent in here:
             return ()  # approves nothing, or already at top utility
         welcome = self.welcome
-        out = []
-        for b, key in zip(blocks, keys):
-            if b is not cur and join(b, agent) in mine and welcome(agent, b, key):
-                out.append(b)
-        return out
+        return (
+            b for b, key in zip(blocks, keys)
+            if b is not cur
+            and join(b, agent) in mine
+            and welcome(agent, b, key)
+        )
 
     def alone(self, agent, cur, here):
         return (agent,) in self.approvals[agent] and agent not in here
@@ -421,13 +418,14 @@ class MoveFinder:
 
     One engine serves the four game classes through their rule sets: a block
     key cached across steps, the blocks a mover gains by joining and whose
-    members welcome it, and the go-alone test. Since preferences are
+    members welcome it, and the go-alone test (false for a singleton, whose
+    fresh singleton is the block it is in). Since preferences are
     hedonic, whether an agent may join a block depends on its own block and
     that block only. So the finder keeps the :class:`MoveTable` of the last
     partition it listed and, for the next one, rebuilds only the rows of
     agents whose block is new and tests every other agent against the new
-    blocks alone; when more than half of the blocks are new it builds the
-    table afresh. The output must equal
+    blocks alone. A partition with no block in common with the last one has
+    every row rebuilt, which is a fresh build. The output must equal
     ``core.iter_deviations(game, partition, IS)``; a property test checks it.
     """
 
@@ -454,9 +452,8 @@ class MoveFinder:
         keys = [key_of[b] for b in blocks]
         for cur, here in zip(blocks, keys):
             for agent in cur:
-                if (len(cur) > 1 and alone(agent, cur, here)) or targets(
-                    agent, cur, here, blocks, keys
-                ):
+                # targets are lazy: stop at the first block the agent may join
+                if alone(agent, cur, here) or any(targets(agent, cur, here, blocks, keys)):
                     return True
         return False
 
@@ -469,8 +466,6 @@ class MoveFinder:
         old = set(last.partition.blocks) if last is not None else set()
         if last is not None and old == new:
             return last
-        if 2 * len(new - old) > len(blocks):
-            last, old = None, set()  # mostly new blocks: build afresh
         self._last = self._patch(partition, last, old - new, new - old)
         return self._last
 
@@ -500,10 +495,12 @@ class MoveFinder:
                 # the agent's own block is new: its whole row changes
                 for agent in cur:
                     rows[agent] = tuple(targets(agent, cur, here, blocks, keys))
-                    lone[agent] = len(cur) > 1 and alone(agent, cur, here)
+                    lone[agent] = alone(agent, cur, here)
                 continue
             for agent in cur:
                 row = rows[agent]
+                # bisect and re-slice per block: a run step drops and adds at
+                # most two, and a whole-row filter or re-sort was twice as slow
                 for block in gone if row else ():
                     at = bisect_left(row, block)
                     if at < len(row) and row[at] == block:

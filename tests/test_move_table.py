@@ -137,6 +137,13 @@ def test_table_updates_match_core_along_walks_and_jumps():
             state = rand_partition(rng, game.n)
             assert list(finder.iter_moves(state)) == core.enumerate_deviations(game, state, IS)
             assert finder.has_move(state) == bool(finder.table(state).count)
+        for _ in range(3):  # jumps of several moves: rows lose several blocks at once
+            for _ in range(rng.randint(2, 6)):
+                reference = core.enumerate_deviations(game, state, IS)
+                if reference:
+                    state = core.apply(state, rng.choice(reference))
+            assert list(finder.iter_moves(state)) == core.enumerate_deviations(game, state, IS)
+            assert finder.has_move(state) == bool(finder.table(state).count)
 
 
 def test_table_of_an_unknown_class_lists_core():
