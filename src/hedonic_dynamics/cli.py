@@ -26,15 +26,10 @@ from .core import (
     NEW_SINGLETON,
     CoreError,
     DeviationMove,
-    InvalidTarget,
     Partition,
     StabilityKind,
-    apply,
-    canonicalize,
     coalition,
-    deviation_failure,
     enumerate_deviations,
-    is_stable,
 )
 from .dynamics import (
     DeviationFilter,
@@ -48,9 +43,11 @@ from .dynamics import (
     SeededRandom,
     Converged,
     CycleDetected,
-    StepLimitReached,
+    ScriptedMoveInvalid,
     Trace,
+    TraceStep,
     run,
+    validate_trace,
 )
 from .games import (
     AnonymousGame,
@@ -490,19 +487,17 @@ def trace_to_doc(trace: Trace, outcome: dict | None = None) -> dict:
 
 
 def revalidate_trace_doc(game, doc) -> int:
-    """Re-check a trace document against the bare move predicates.
-
-    Uses only :mod:`hedonic_dynamics.core`: every recorded move must be an
-    admissible improving deviation and every recorded result must match
-    applying the move.  Returns the number of validated steps.
-    """
+    """Re-check a trace document against the bare move predicates: decode
+    it into a :class:`Trace` (a malformed step is a usage error) and check
+    it with :func:`dynamics.validate_trace`, which uses only ``core``.
+    Returns the number of validated steps."""
     if not isinstance(doc, dict) or "start" not in doc or "steps" not in doc:
         raise CliUsageError("trace file: expected {'start': ..., 'steps': ...}")
-    state = doc_to_partition(doc["start"], game.n, "trace.start")
-    steps = doc["steps"]
-    if not isinstance(steps, list):
+    start = doc_to_partition(doc["start"], game.n, "trace.start")
+    if not isinstance(doc["steps"], list):
         raise CliUsageError("trace.steps: expected a list of steps")
-    for index, step in enumerate(steps):
+    steps = []
+    for index, step in enumerate(doc["steps"]):
         where = f"trace.steps[{index}]"
         if not isinstance(step, dict) or "result" not in step:
             raise CliUsageError(
@@ -511,16 +506,12 @@ def revalidate_trace_doc(game, doc) -> int:
         move = doc_to_move(step, where)
         if not 0 <= move.agent < game.n:
             raise CliUsageError(f"{where}: agent {move.agent} out of range for n={game.n}")
-        try:
-            failure = deviation_failure(game, state, move, StabilityKind.IS)
-        except InvalidTarget as exc:
-            failure = str(exc)
-        if failure is not None:
-            raise CliClaimError(f"trace step {index} is not a valid deviation: {failure}")
-        state = apply(state, move)
-        recorded = doc_to_partition(step["result"], game.n, f"{where}.result")
-        if canonicalize(recorded) != canonicalize(state):
-            raise CliClaimError(f"trace step {index}: recorded result does not match")
+        result = doc_to_partition(step["result"], game.n, f"{where}.result")
+        steps.append(TraceStep(move, result))
+    try:
+        validate_trace(game, Trace(start, tuple(steps)))
+    except ScriptedMoveInvalid as exc:
+        raise CliClaimError(f"trace step {exc.step_index} is invalid: {exc.reason}") from None
     return len(steps)
 
 

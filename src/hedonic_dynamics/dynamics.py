@@ -23,7 +23,6 @@ from .core import (
     Partition,
     StabilityKind,
     apply,
-    canonicalize,
     deviation_failure,
     join,
 )
@@ -581,7 +580,8 @@ def run(game, start: Partition, policy: Policy, config: RunConfig = RunConfig())
     start_readings = {m.name: m.initial_reading() for m in monitors}
     steps: list[TraceStep] = []
     state = start
-    visited = {canonicalize(start): 0} if config.detect_cycles else None
+    # keyed by the block tuple, which hashes and compares without encoding
+    visited = {start.blocks: 0} if config.detect_cycles else None
 
     def trace():
         return Trace(start, tuple(steps), start_readings)
@@ -626,11 +626,10 @@ def run(game, start: Partition, policy: Policy, config: RunConfig = RunConfig())
         readings = {m.name: m.on_step(state, move, post) for m in monitors}
         steps.append(TraceStep(move, post, readings))
         if visited is not None:
-            key = canonicalize(post)
-            seen_at = visited.get(key)
+            seen_at = visited.get(post.blocks)
             if seen_at is not None:
                 return CycleDetected(seen_at, len(steps) - seen_at, trace())
-            visited[key] = len(steps)
+            visited[post.blocks] = len(steps)
         state = post
 
     if finder.has_move(state):

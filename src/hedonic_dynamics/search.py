@@ -7,19 +7,20 @@ Three questions are answered exactly, by enumeration:
 - from a given start, does every sequence of deviations reach one.
 
 Everything here is exponential in the worst case — the point is certified
-answers on instances small enough to settle by brute force, with symmetry
-reduction (interchangeable agents), domain pruning (coalitions no member
-would stay in) and, for weight games, a block-pair clash test (IS
-deviations depend only on the mover's block and the target block, so a
-partial cover with one clashing pair never completes to a stable
-partition) to push "small enough" a bit further.  Answers are
-deterministic; ``BudgetExhausted`` is returned rather than ever guessing.
+answers on instances small enough to settle by brute force.  Two
+strategies build only stable partitions, by one cover search over blocks no
+member would leave (labelled coalitions for weight games, per-type count
+vectors for size and two-color games): IS deviations depend only on the
+mover's block and the target block, so a block that clashes with one
+already placed is rejected.  Answers are deterministic; ``BudgetExhausted``
+is returned rather than ever guessing.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import islice, product
 
 from .core import Partition, StabilityKind, apply, canonicalize, deviation_verdict
@@ -56,11 +57,14 @@ class Plain:
 
 @dataclass(frozen=True)
 class TypeReduced:
-    """Enumerate per-type count vectors instead of labeled partitions.
+    """Assemble stable shapes from per-type count vectors (parts) instead
+    of labeled partitions.
 
     Agents with identical preferences (and identical color, for two-color
     games) are interchangeable, so stability depends only on how many of
-    each type sit in each coalition.
+    each type sit in each coalition.  Shapes are built by ``PrunedFHG``'s
+    clash-free cover search over the parts no member would leave, listed
+    non-increasing.  ``states_checked`` counts placed parts plus covers.
     """
 
 
@@ -107,7 +111,8 @@ class NoStablePartition:
     """The whole space was scanned without finding a stable partition.
 
     ``states_checked`` counts the candidates scanned; for ``PrunedFHG`` it
-    counts pool-enumeration states plus placed blocks plus complete covers.
+    counts pool-enumeration states plus placed blocks plus complete covers,
+    for ``TypeReduced`` placed parts plus complete covers.
     """
 
     states_checked: int
@@ -221,7 +226,9 @@ def exists_is_partition(
     """
     meter = _Meter(budget)
     if isinstance(strategy, TypeReduced):
-        candidates = _type_reduced_candidates(game)
+        types = _agent_types(game)
+        shapes = _type_reduced_shapes(game, types, meter)
+        candidates = (Partition(_fill_shape(types, shape)) for shape in shapes)
     elif isinstance(strategy, PrunedFHG):
         candidates = _pruned_fhg_candidates(game, meter)
     else:
@@ -246,6 +253,42 @@ def exists_is_partition(
     return NoStablePartition(meter.states)
 
 
+def _clash(game, a, b) -> bool:
+    """An IS deviation runs between blocks ``a`` and ``b``, in either
+    direction; ``_clash(game, a, ())``: a member of ``a`` would rather be
+    alone.  A cover by blocks without that is stable iff none clash."""
+    return any(
+        deviation_verdict(game, m, cur, target, StabilityKind.IS) is None
+        for cur, target in ((a, b), (b, a))
+        for m in cur
+    )
+
+
+def _covers(first, options, clash, meter: _Meter):
+    """Covers by pool blocks no two of which clash (Knuth's Algorithm X
+    with the clash test as its pruning rule), as tuples of blocks.
+
+    ``options(rest)`` lists the blocks that may be placed while ``rest`` is
+    left to cover, each with what is left after it (``None`` once covered).
+    Each placed block ticks ``meter``.
+    """
+    placed: list = []
+
+    def extend(rest):
+        if rest is None:
+            yield tuple(placed)
+            return
+        for block, left in options(rest):
+            if any(clash(other, block) for other in placed):
+                continue
+            meter.tick_or_raise()
+            placed.append(block)
+            yield from extend(left)
+            placed.pop()
+
+    yield from extend(first)
+
+
 def _agent_types(game) -> list[list[int]]:
     """Groups of interchangeable agents, each listed ascending; groups
     ordered by their smallest member."""
@@ -264,45 +307,42 @@ def _agent_types(game) -> list[list[int]]:
     return sorted(groups.values(), key=lambda agents: agents[0])
 
 
-def _vector_partitions(counts: tuple[int, ...]):
-    """Multiset partitions of a count vector: every way of splitting
-    ``counts`` into unordered nonzero parts, parts emitted non-increasing."""
-
-    def parts_upto(remaining, bound):
-        for vec in product(*(range(c, -1, -1) for c in remaining)):
-            if any(vec) and vec <= bound:
-                yield vec
-
-    def rec(remaining, bound, acc):
-        if not any(remaining):
-            yield list(acc)
-            return
-        for vec in parts_upto(remaining, bound):
-            acc.append(vec)
-            rest = tuple(r - v for r, v in zip(remaining, vec))
-            yield from rec(rest, vec, acc)
-            acc.pop()
-
-    yield from rec(counts, counts, [])
-
-
-def _fill_shape(types: list[list[int]], shape) -> Partition:
-    """A concrete labeled partition realizing a per-type count shape."""
+def _fill_shape(types: list[list[int]], parts) -> list[tuple[int, ...]]:
+    """Disjoint labeled blocks realizing per-type count vectors: each part
+    takes the lowest agents of every type that no earlier part took."""
     pools = [iter(group) for group in types]
     blocks = []
-    for vec in sorted(shape, reverse=True):
+    for part in parts:
         members: list[int] = []
-        for pool, count in zip(pools, vec):
+        for pool, count in zip(pools, part):
             members.extend(islice(pool, count))
-        blocks.append(members)
-    return Partition(blocks)
+        blocks.append(tuple(sorted(members)))
+    return blocks
 
 
-def _type_reduced_candidates(game):
-    types = _agent_types(game)
+def _type_reduced_shapes(game, types: list[list[int]], meter: _Meter):
+    """The IS-stable shapes (see ``TypeReduced``).  Agents of one type are
+    interchangeable, so a part is tested on the block ``_fill_shape`` gives
+    it and a pair of parts on two disjoint such blocks."""
     counts = tuple(len(group) for group in types)
-    for shape in _vector_partitions(counts):
-        yield _fill_shape(types, shape)
+    parts = product(*(range(c, -1, -1) for c in counts))  # decreasing
+    alone = lambda part: _clash(game, *_fill_shape(types, [part]), ())
+    pool = [part for part in parts if any(part) and not alone(part)]
+
+    def options(rest):
+        # parts no larger than the last one placed (pool order from
+        # ``start``) that hold the first type left: every later part is no
+        # larger, so none of them could hold it
+        left, start = rest
+        first = next(t for t, c in enumerate(left) if c)
+        for at in range(start, len(pool)):
+            part = pool[at]
+            if part[first] and all(p <= c for p, c in zip(part, left)):
+                after = tuple(c - p for c, p in zip(left, part))
+                yield part, ((after, at) if any(after) else None)
+
+    clash = cache(lambda p, q: _clash(game, *_fill_shape(types, (p, q))))
+    yield from _covers((counts, 0), options, clash, meter)
 
 
 def forbidden_pairs(game: FractionalGame) -> set[tuple[int, int]]:
@@ -355,53 +395,22 @@ def tolerable_coalitions(game: FractionalGame, meter: _Meter | None = None):
 
 def _pruned_fhg_candidates(game, meter: _Meter):
     """The IS-stable partitions, as covers by tolerable coalitions in which
-    no two blocks clash (see ``PrunedFHG``).
-
-    A clash is an IS deviation between two blocks, and a tolerable block has
-    no member who would rather be alone, so a complete clash-free cover has
-    no deviation at all.
-    """
+    no two blocks clash (see ``PrunedFHG``), each block holding the lowest
+    agent not yet covered."""
     if not isinstance(game, FractionalGame):
         raise ValueError("coalition pruning needs a weighted-average game")
-    pool = tolerable_coalitions(game, meter)
     by_agent: dict[int, list[tuple[int, ...]]] = {a: [] for a in range(game.n)}
-    for coalition in pool:
+    for coalition in tolerable_coalitions(game, meter):
         by_agent[coalition[0]].append(coalition)
 
-    def joins(movers, welcoming) -> bool:
-        """Some member of ``movers`` has an IS deviation into ``welcoming``."""
-        return any(
-            deviation_verdict(game, agent, movers, welcoming, StabilityKind.IS) is None
-            for agent in movers
-        )
+    def options(free):
+        for coalition in by_agent[min(free)]:
+            if free.issuperset(coalition):
+                yield coalition, (free.difference(coalition) or None)
 
-    # keyed (placed, candidate): the placed block always holds the lower
-    # lowest agent, so each unordered pair has one key
-    clashes: dict[tuple, bool] = {}
-
-    def clash(placed, candidate) -> bool:
-        key = (placed, candidate)
-        verdict = clashes.get(key)
-        if verdict is None:
-            verdict = clashes[key] = joins(placed, candidate) or joins(candidate, placed)
-        return verdict
-
-    def cover(lowest: int, used: list, free: set):
-        if not free:
-            yield Partition(list(used))
-            return
-        while lowest not in free:
-            lowest += 1
-        for coalition in by_agent[lowest]:
-            if all(a in free for a in coalition) and not any(
-                clash(block, coalition) for block in used
-            ):
-                meter.tick_or_raise()
-                used.append(coalition)
-                yield from cover(lowest + 1, used, free - set(coalition))
-                used.pop()
-
-    yield from cover(0, [], set(range(game.n)))
+    clash = cache(partial(_clash, game))
+    for cover in _covers(frozenset(range(game.n)), options, clash, meter):
+        yield Partition(cover)
 
 
 # --- reachability -----------------------------------------------------------
@@ -458,8 +467,8 @@ def all_paths_converge(
     finder = MoveFinder(game)
     meter = _Meter(budget)
     GRAY, BLACK = 1, 2
-    color: dict[bytes, int] = {}
-    start_key = canonicalize(start)
+    color: dict[tuple, int] = {}  # keyed by the partition's block tuple
+    start_key = start.blocks
     over = meter.tick()
     if over is not None:
         return BudgetExhausted(over, 0)
@@ -471,7 +480,7 @@ def all_paths_converge(
         advanced = False
         for move in moves:
             post = apply(partition, move)
-            post_key = canonicalize(post)
+            post_key = post.blocks
             state = color.get(post_key)
             if state == BLACK:
                 continue

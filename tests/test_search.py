@@ -34,7 +34,14 @@ from hedonic_dynamics.search import (
     tolerable_coalitions,
 )
 
-from conftest import rand_ahg, rand_dhg, rand_fhg, rand_hdg, rand_partition
+from conftest import (
+    rand_ahg,
+    rand_dhg,
+    rand_fhg,
+    rand_hdg,
+    rand_partition,
+    rand_weak_order,
+)
 
 
 def bell_numbers(upto):
@@ -55,6 +62,36 @@ def pair_chase_dhg():
     The grand coalition is the unique stable partition and is unreachable
     from anywhere else."""
     return games.DichotomousGame(3, [[(0, 1)], [(1, 2)], [(0, 2)]])
+
+
+def typed_covers(game) -> list:
+    """The shapes ``TypeReduced`` checks: its clash-free typed covers."""
+    meter = search._Meter(SearchBudget())
+    return list(search._type_reduced_shapes(game, search._agent_types(game), meter))
+
+
+def stable_shapes(game) -> list:
+    """The per-type count shapes of ``Plain``'s stable partitions."""
+    types = search._agent_types(game)
+    type_of = {a: t for t, group in enumerate(types) for a in group}
+    shapes = set()
+    for p in enumerate_partitions(game.n):
+        if core.is_stable(game, p, StabilityKind.IS):
+            parts = []
+            for block in p.blocks:
+                part = [0] * len(types)
+                for a in block:
+                    part[type_of[a]] += 1
+                parts.append(tuple(part))
+            shapes.add(tuple(sorted(parts, reverse=True)))
+    return sorted(shapes)
+
+
+def shared_orders(rng, n, keys, kinds):
+    """``n`` orders over ``keys`` drawn from at most ``kinds`` distinct
+    ones, so that types hold several agents."""
+    distinct = [rand_weak_order(rng, keys, rng.random() < 0.5) for _ in range(kinds)]
+    return [rng.choice(distinct) for _ in range(n)]
 
 
 def loner_game(n):
@@ -97,14 +134,16 @@ def test_search_budget_validation():
 
 
 def test_vector_partitions_match_known_counts():
-    # all-distinct types degenerate to set partitions, a single type to
-    # integer partitions
-    assert len(list(search._vector_partitions((1, 1, 1)))) == 5
-    assert len(list(search._vector_partitions((4,)))) == 5
-    assert len(list(search._vector_partitions((5,)))) == 7
-    assert len(list(search._vector_partitions((6,)))) == 11
-    parts = list(search._vector_partitions((1, 2)))
-    assert sorted(tuple(p) for p in parts) == sorted(
+    # with every agent indifferent every shape is stable, so the typed
+    # covers are all multiset partitions of the type counts: for a single
+    # type the integer partitions
+    for n, count in ((4, 5), (5, 7), (6, 11)):
+        indifferent = games.AnonymousGame([games.WeakOrder([range(1, n + 1)])] * n)
+        assert len(typed_covers(indifferent)) == count
+    ratios = games.RatioDomain(1, 2).enumerate()
+    colors = [games.Color.RED, games.Color.BLUE, games.Color.BLUE]
+    indifferent = games.DiversityGame(colors, [games.WeakOrder([ratios])] * 3)
+    assert sorted(typed_covers(indifferent)) == sorted(
         [((1, 2),), ((1, 1), (0, 1)), ((1, 0), (0, 2)), ((1, 0), (0, 1), (0, 1))]
     )
 
@@ -180,29 +219,47 @@ def test_stability_depends_only_on_type_counts():
 
 
 def test_type_reduced_agrees_with_plain_on_size_games():
+    # the typed covers must be exactly the stable shapes: matching answers
+    # alone would hide a one-direction clash test, since has_move filters
+    # the covers; shared orders put several agents in one type
     rng = random.Random(2718)
-    for _ in range(40):
+    for trial in range(60):
         n = rng.randint(3, 8)
-        game = rand_ahg(rng, n, strict=rng.random() < 0.5, sp=rng.random() < 0.5)
+        if trial < 40:
+            game = rand_ahg(rng, n, strict=rng.random() < 0.5, sp=rng.random() < 0.5)
+        else:
+            game = games.AnonymousGame(
+                shared_orders(rng, n, range(1, n + 1), rng.randint(1, 3))
+            )
         plain = exists_is_partition(game, Plain())
         reduced = exists_is_partition(game, TypeReduced())
         assert type(plain) is type(reduced)
         if isinstance(plain, StableExists):
             for answer in (plain, reduced):
                 assert core.is_stable(game, answer.witness, StabilityKind.IS)
+        assert sorted(typed_covers(game)) == stable_shapes(game)
 
 
 def test_type_reduced_agrees_with_plain_on_two_color_games():
     rng = random.Random(161803)
-    for _ in range(25):
+    for trial in range(40):
         n = rng.randint(3, 7)
         reds = rng.randint(0, n)
-        game = rand_hdg(rng, reds, n - reds, strict=rng.random() < 0.5)
+        if trial < 25:
+            game = rand_hdg(rng, reds, n - reds, strict=rng.random() < 0.5)
+        else:
+            colors = [games.Color.RED] * reds + [games.Color.BLUE] * (n - reds)
+            rng.shuffle(colors)
+            ratios = games.RatioDomain(reds, n - reds).enumerate()
+            game = games.DiversityGame(
+                colors, shared_orders(rng, n, ratios, rng.randint(1, 2))
+            )
         plain = exists_is_partition(game, Plain())
         reduced = exists_is_partition(game, TypeReduced())
         assert type(plain) is type(reduced)
         if isinstance(plain, StableExists):
             assert core.is_stable(game, reduced.witness, StabilityKind.IS)
+        assert sorted(typed_covers(game)) == stable_shapes(game)
 
 
 def test_pruned_agrees_with_plain_on_random_games():
@@ -249,6 +306,16 @@ def test_pruned_budget_counts_pool_blocks_and_covers():
     assert exists_is_partition(indifferent, PrunedFHG()) == StableExists(
         Partition.grand(3)
     )
+
+
+def test_type_reduced_budget_counts_parts_and_covers():
+    no_is = build("ahg15").game
+    full = exists_is_partition(no_is, TypeReduced())
+    assert full == NoStablePartition(103)
+    short = exists_is_partition(
+        no_is, TypeReduced(), SearchBudget(max_states=full.states_checked - 1)
+    )
+    assert short == BudgetExhausted("states", full.states_checked - 1)
 
 
 def test_forbidden_pairs_and_tolerable_pool():
