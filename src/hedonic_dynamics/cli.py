@@ -156,8 +156,14 @@ def partition_to_doc(partition: Partition) -> list:
     return sorted([list(block) for block in partition.blocks])
 
 
+def _is_int_list(doc) -> bool:
+    return isinstance(doc, list) and not any(
+        isinstance(a, bool) or not isinstance(a, int) for a in doc
+    )
+
+
 def _agent_list(doc, where: str) -> list:
-    if not isinstance(doc, list) or any(isinstance(a, bool) or not isinstance(a, int) for a in doc):
+    if not _is_int_list(doc):
         raise CliUsageError(f"{where}: expected a list of integer agent ids, got {doc!r}")
     return doc
 
@@ -574,11 +580,14 @@ def parse_dimacs(text: str) -> SatFormula:
 def parse_x3c_doc(doc) -> X3CInstance:
     if not isinstance(doc, dict) or "ground" not in doc or "sets" not in doc:
         raise CliUsageError("cover input: expected {'ground': [...], 'sets': [[...]]}")
+    ground, sets = doc["ground"], doc["sets"]
+    if not _is_int_list(ground):
+        raise CliUsageError(f"cover input: ground must be a list of integers, got {ground!r}")
+    if not isinstance(sets, list) or not all(map(_is_int_list, sets)):
+        raise CliUsageError(f"cover input: sets must be lists of integers, got {sets!r}")
     try:
-        return X3CInstance(
-            tuple(doc["ground"]), tuple(tuple(s) for s in doc["sets"])
-        )
-    except (ReductionError, TypeError) as exc:
+        return X3CInstance(tuple(ground), tuple(map(tuple, sets)))
+    except ReductionError as exc:
         raise CliUsageError(f"cover input: {exc}") from None
 
 

@@ -227,21 +227,21 @@ class _SummaryRules:
         self.alone_values = (joined(empty, 0), joined(empty, 1))
         self.keys = _Memo(key)
         self.welcomed = tuple(_Memo(partial(self.welcome, colour=c)) for c in (0, 1))
-        #: per agent: its own block's key, that key's value, and the gains
+        #: per agent: its own block's key, that key's rank, and the gains
         #: by target key, renewed when the agent's key changes
         self.mine = [None] * game.n
 
     def welcome(self, block, colour):
         key = self.keys[block]
         post, pre = self.joined(key, colour), self.value(key)
-        return all(self.orders[m].compare(post, pre) >= 0 for m in block)
+        return all(self.orders[m].rank(post) <= self.orders[m].rank(pre) for m in block)
 
     def _renew(self, agent, here):
-        order, colour, joined = self.orders[agent], self.colour[agent], self.joined
-        now = self.value(here)
+        rank, colour, joined = self.orders[agent].rank, self.colour[agent], self.joined
+        now = rank(self.value(here))
         # lazy, and never asked about the mover's own block: its key plus
         # one member can fall outside the order's domain (size n + 1)
-        gains = _Memo(lambda key: order.compare(joined(key, colour), now) > 0)
+        gains = _Memo(lambda key: rank(joined(key, colour)) < now)
         mine = self.mine[agent] = (here, now, gains)
         return mine
 
@@ -260,7 +260,7 @@ class _SummaryRules:
         mine = self.mine[agent]
         if mine is None or mine[0] != here:
             mine = self._renew(agent, here)
-        return self.orders[agent].compare(self.alone_values[self.colour[agent]], mine[1]) > 0
+        return self.orders[agent].rank(self.alone_values[self.colour[agent]]) < mine[1]
 
 
 def _size_rules(game):

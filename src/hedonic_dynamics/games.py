@@ -5,7 +5,7 @@ ints, mixed-color ratios are ``fractions.Fraction`` (always in lowest
 terms), weighted averages are compared by cross-multiplication.  No
 floats anywhere.
 
-Preference orders come in two flavors:
+Preference orders come in three flavors:
 
 - :class:`WeakOrder` — fully materialized ranked indifference classes.
 - :class:`ComputedOrder` — a listed top segment plus a completion rule for
@@ -13,14 +13,20 @@ Preference orders come in two flavors:
   generated instances (tens of thousands of agents, millions of feasible
   ratios) workable: the domain is a descriptor with a membership test, not
   a materialized list.
+- :class:`AxisWalkOrder` — a strict order fixed by a walk along the numeric
+  axis, also evaluated lazily.
+
+Each order ranks a key by one method, ``rank(key)``: a sort key where lower
+means preferred.  Pairwise comparisons, the single-peakedness checks and the
+move engine's size and ratio rule sets all read it.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .core import Coalition, coalition
@@ -38,17 +44,15 @@ class AcyclicQueriedOnNonSimpleAsymmetric(GameDefinitionError):
     """Acyclicity is only defined for simple asymmetric weight digraphs."""
 
 
-def _sign(delta) -> int:
-    if delta > 0:
-        return 1
-    if delta < 0:
-        return -1
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # preference orders
 # ---------------------------------------------------------------------------
+
+
+def _compare(order, a, b) -> int:
+    """Sign of preference: positive iff ``a`` is strictly preferred."""
+    ra, rb = order.rank(a), order.rank(b)
+    return (ra < rb) - (ra > rb)
 
 
 class WeakOrder:
@@ -85,15 +89,14 @@ class WeakOrder:
     def __contains__(self, key) -> bool:
         return key in self._level
 
-    def level_of(self, key) -> int:
+    def rank(self, key) -> int:
+        """Index of the key's class: lower means preferred."""
         try:
             return self._level[key]
         except KeyError:
             raise GameDefinitionError(f"key {key!r} outside order domain") from None
 
-    def compare(self, a, b) -> int:
-        """Sign of preference: positive iff ``a`` is strictly preferred."""
-        return _sign(self.level_of(b) - self.level_of(a))
+    compare = _compare
 
     @property
     def is_strict(self) -> bool:
@@ -156,7 +159,9 @@ class RatioDomain:
         p, q = f.numerator, f.denominator
         return p <= self.reds and q - p <= self.blues and q <= self.n
 
+    @lru_cache(maxsize=8)
     def enumerate(self) -> tuple[Fraction, ...]:
+        """The feasible ratios, ascending; built and sorted once per domain."""
         seen = set()
         for q in range(1, self.n + 1):
             for p in range(max(0, q - self.blues), min(q, self.reds) + 1):
@@ -196,36 +201,17 @@ class ComputedOrder:
     def __contains__(self, key) -> bool:
         return key in self.domain
 
-    def compare(self, a, b) -> int:
-        la = self._level.get(a)
-        lb = self._level.get(b)
-        if la is not None and lb is not None:
-            return _sign(lb - la)
-        if la is not None:
-            return 1
-        if lb is not None:
-            return -1
-        if self.completion is Completion.BOTTOM:
-            return 0
-        return _sign(b - a)
+    def rank(self, key) -> tuple:
+        """``(class index, 0)`` for a listed key.  Unlisted keys rank below
+        every listed class: all tied (bottom) or smaller key first
+        (ascending)."""
+        level = self._level.get(key)
+        if level is not None:
+            return (level, 0)
+        tie = 0 if self.completion is Completion.BOTTOM else key
+        return (len(self.listed_classes), tie)
 
-    def level_of(self, key) -> int:
-        """Absolute rank; for unlisted keys this needs a countable domain."""
-        lv = self._level.get(key)
-        if lv is not None:
-            return lv
-        if key not in self.domain:
-            raise GameDefinitionError(f"key {key!r} outside order domain")
-        base = len(self.listed_classes)
-        if self.completion is Completion.BOTTOM:
-            return base
-        if not isinstance(self.domain, SizeDomain):
-            raise GameDefinitionError(
-                "absolute ranks of unlisted keys supported on size domains only"
-            )
-        listed_sorted = sorted(self._level)
-        below = key - 1 - bisect_left(listed_sorted, key)
-        return base + below
+    compare = _compare
 
     @property
     def is_strict(self) -> bool:
@@ -266,7 +252,7 @@ class AxisWalkOrder:
     right of the whole span come next (ascending), then keys left of it
     (descending).  This ranks the full domain exactly the way
     :func:`complete_strict_on_axis` would on the sorted key list, but
-    comparisons cost O(len(listed)) and the domain is never enumerated,
+    ``rank`` costs O(len(listed)) and the domain is never enumerated,
     which keeps huge ratio domains workable.
     """
 
@@ -311,7 +297,9 @@ class AxisWalkOrder:
     def __contains__(self, key) -> bool:
         return key in self.domain
 
-    def _rank(self, key):
+    def rank(self, key) -> tuple:
+        """``(walk step, signed key)``: the step whose span first covers the
+        key, read towards that step's new end."""
         for step, (lo, hi, left) in enumerate(zip(self._lo, self._hi, self._went_left)):
             if lo <= key <= hi:
                 return (step, -key if left else key)
@@ -319,15 +307,7 @@ class AxisWalkOrder:
             return (len(self.listed), key)
         return (len(self.listed) + 1, -key)
 
-    def compare(self, a, b) -> int:
-        ra = self._rank(a)
-        rb = self._rank(b)
-        return _sign(rb[0] - ra[0]) or _sign(rb[1] - ra[1])
-
-    def level_of(self, key) -> int:
-        raise GameDefinitionError(
-            "absolute ranks are not defined for walk orders; materialize first"
-        )
+    compare = _compare
 
     @property
     def is_strict(self) -> bool:
@@ -580,7 +560,8 @@ class FractionalGame:
     def prefers(self, agent: int, a: Coalition, b: Coalition) -> int:
         sa = self.member_sum(agent, a)
         sb = self.member_sum(agent, b)
-        return _sign(sa * len(b) - sb * len(a))
+        delta = sa * len(b) - sb * len(a)
+        return (delta > 0) - (delta < 0)
 
 
 def fhg_utility(game: FractionalGame, agent: int, coalition_: Iterable[int]) -> Fraction:
@@ -739,13 +720,15 @@ class SPResult:
     peak: object | None
 
 
-def _axis_keys(order_domain: frozenset, axis) -> list:
-    if axis is NATURAL or isinstance(axis, NaturalAxis):
-        return sorted(order_domain)
+def _axis_keys(order, axis) -> list:
+    domain = order.domain
+    natural = sorted(domain) if isinstance(order, WeakOrder) else domain.enumerate()
+    if isinstance(axis, NaturalAxis):
+        return natural
     keys = list(axis.keys)
-    if set(keys) != set(order_domain) or len(keys) != len(order_domain):
+    if set(keys) != set(natural) or len(keys) != len(natural):
         raise AxisDomainMismatch(
-            f"axis keys {keys[:6]}... do not match order domain of size {len(order_domain)}"
+            f"axis keys {keys[:6]}... do not match order domain of size {len(natural)}"
         )
     return keys
 
@@ -755,41 +738,32 @@ def single_peaked_check(order, axis=NATURAL) -> SPResult:
 
     An order is single-peaked on an axis iff for every axis-ordered triple
     x, y, z (read in either direction) preferring x to y forces y to be
-    weakly preferred to z.  Equivalently — and this is what we test, in
-    linear time — every union of top indifference classes occupies a
-    contiguous stretch of the axis.
+    weakly preferred to z.  Equivalently — and this is what we test, in one
+    pass over the axis — the order's ranks first fall and then rise (both
+    weakly): once a rank has gone up, none comes down again.  That is the
+    same as every union of top indifference classes being contiguous.
 
-    The peak is reported for the natural axis only: the unique maximum for
-    strict orders, the largest most-preferred key for weak ones.  For an
+    The peak is reported for the natural axis only: the largest key of
+    lowest rank, which is the unique maximum for strict orders.  For an
     explicit axis (or a failed check) the peak is ``None``.
     """
-    if not isinstance(order, WeakOrder):
-        order = materialize(order, order.domain.enumerate())
-    keys = _axis_keys(order.domain, axis)
-    pos = {k: i for i, k in enumerate(keys)}
-    lo = hi = None
-    count = 0
-    ok = True
-    for cls in order.classes:
-        for k in cls:
-            p = pos[k]
-            lo = p if lo is None else min(lo, p)
-            hi = p if hi is None else max(hi, p)
-            count += 1
-        if hi - lo + 1 != count:
-            ok = False
-            break
-    peak = None
-    if ok and (axis is NATURAL or isinstance(axis, NaturalAxis)):
-        peak = max(order.classes[0])
-    return SPResult(ok, peak)
+    keys = _axis_keys(order, axis)
+    ranks = list(map(order.rank, keys))
+    rising = False
+    for before, after in zip(ranks, ranks[1:]):
+        if after > before:
+            rising = True
+        elif after < before and rising:
+            return SPResult(False, None)
+    if not isinstance(axis, NaturalAxis):
+        return SPResult(True, None)
+    top = min(ranks)
+    return SPResult(True, max(k for k, r in zip(keys, ranks) if r == top))
 
 
 def single_peaked_brute(order, axis=NATURAL) -> bool:
     """O(d^3) reference check straight from the triple definition."""
-    if not isinstance(order, WeakOrder):
-        order = materialize(order, order.domain.enumerate())
-    keys = _axis_keys(order.domain, axis)
+    keys = _axis_keys(order, axis)
     d = len(keys)
     for i in range(d):
         for j in range(i + 1, d):

@@ -199,7 +199,9 @@ def enumerate_partitions(n: int, cap: int = PARTITION_CAP):
         blocks: dict[int, list[int]] = {}
         for agent, lab in enumerate(labels):
             blocks.setdefault(lab, []).append(agent)
-        yield Partition(blocks.values())
+        # restricted-growth labels number blocks by their lowest member, so
+        # the blocks come out sorted and in canonical order
+        yield Partition._trusted(tuple(map(tuple, blocks.values())), n)
         i = n - 1
         while i > 0 and labels[i] >= ceiling[i]:
             i -= 1

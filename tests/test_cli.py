@@ -309,6 +309,28 @@ def test_gen_reduce_with_params(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_gen_reduce_rejects_non_integer_cover_elements(tmp_path, capsys):
+    cover = tmp_path / "cover.json"
+    mutants = [
+        {"ground": [True, 2, 3], "sets": [[1, 2, 3]]},  # True would count as 1
+        {"ground": [1.0, 2, 3], "sets": [[1, 2, 3]]},
+        {"ground": ["1", 2, 3], "sets": [["1", 2, 3]]},
+        {"ground": [1, 2, 3], "sets": [[True, 2, 3]]},
+        {"ground": [1, 2, 3], "sets": [[1, 2, 3.0]]},
+        {"ground": [1, 2, 3], "sets": [[1, 2, "3"]]},
+        {"ground": "123", "sets": [[1, 2, 3]]},
+        {"ground": [1, 2, 3], "sets": [1, 2, 3]},
+        {"ground": [1, 2, 3], "sets": {"a": [1, 2, 3]}},
+    ]
+    args = ["gen", "--reduce", "x3c-to-symfhg-exists", "--input", str(cover)]
+    cover.write_text(json.dumps({"ground": [1, 2, 3], "sets": [[1, 2, 3]]}))
+    assert cli.main(args) == 0
+    for doc in mutants:
+        cover.write_text(json.dumps(doc))
+        assert cli.main(args) == 2, doc
+    capsys.readouterr()
+
+
 def test_gen_reduce_keeps_declared_variable_count(tmp_path, capsys):
     # variable 4 is declared but never used, so it does not occur twice
     # with each sign as the size encoding needs

@@ -108,7 +108,6 @@ def test_computed_order_agrees_with_materialized():
         for a in dom.enumerate():
             for b in dom.enumerate():
                 assert co.compare(a, b) == mat.compare(a, b), (classes, completion, a, b)
-            assert co.level_of(a) == mat.level_of(a)
 
 
 def test_computed_order_on_ratio_domain():
@@ -126,10 +125,10 @@ def test_computed_order_on_ratio_domain():
 
 def test_ahg_rank_and_domain_validation():
     g = AnonymousGame([WeakOrder([[2], [1], [3]])] * 3)
-    assert g.orders[0].level_of(2) == 0
-    assert g.orders[0].level_of(3) == 2
+    assert g.orders[0].rank(2) == 0
+    assert g.orders[0].rank(3) == 2
     with pytest.raises(GameDefinitionError):
-        g.orders[0].level_of(4)
+        g.orders[0].rank(4)
     with pytest.raises(GameDefinitionError):
         AnonymousGame([WeakOrder([[1], [2]])] * 3)  # missing size 3
 
@@ -238,6 +237,20 @@ def test_single_peaked_explicit_axis():
         single_peaked_check(o, ExplicitAxis([1, 2]))
 
 
+def _rand_walk_prefix(rng, keys):
+    """A random interval-walk prefix along the sorted ``keys``."""
+    lo = hi = rng.randrange(len(keys))
+    listed = [keys[lo]]
+    while rng.random() < 0.6 and (lo > 0 or hi < len(keys) - 1):
+        if lo > 0 and (hi == len(keys) - 1 or rng.random() < 0.5):
+            lo = rng.randrange(lo)
+            listed.append(keys[lo])
+        else:
+            hi = rng.randrange(hi + 1, len(keys))
+            listed.append(keys[hi])
+    return listed
+
+
 def test_single_peaked_interval_vs_triples():
     rng = random.Random(41)
     for _ in range(200):
@@ -248,6 +261,33 @@ def test_single_peaked_interval_vs_triples():
         rng.shuffle(axis_keys)
         axis = ExplicitAxis(axis_keys)
         assert single_peaked_check(o, axis).ok == single_peaked_brute(o, axis)
+    # the lazy orders, over size and ratio domains, read without materializing
+    orders = []
+    for _ in range(150):
+        reds = rng.randint(0, 3)
+        blues = rng.randint(reds == 0, 3)
+        domain = rng.choice([SizeDomain(rng.randint(1, 8)), RatioDomain(reds, blues)])
+        keys = list(domain.enumerate())
+        orders.append(AxisWalkOrder(_rand_walk_prefix(rng, keys), domain))
+        rng.shuffle(keys)
+        listed = rand_weak_order(rng, keys[: rng.randint(1, len(keys))]).classes
+        orders.append(ComputedOrder(listed, domain, rng.choice(list(Completion))))
+    verdicts = set()
+    for o in orders:
+        keys = sorted(o.domain.enumerate())
+        res = single_peaked_check(o)
+        assert res.ok == single_peaked_brute(o), o
+        assert res.peak == (max(materialize(o, keys).classes[0]) if res.ok else None), o
+        verdicts.add((type(o), NATURAL, res.ok))
+        rng.shuffle(keys)
+        axis = ExplicitAxis(keys)
+        res = single_peaked_check(o, axis)
+        assert res.ok == single_peaked_brute(o, axis), (o, keys)
+        assert res.peak is None
+        verdicts.add((type(o), "shuffled", res.ok))
+    # walks are single-peaked on the natural axis by construction; every
+    # other pairing of order and axis gives both verdicts
+    assert len(verdicts) == 7 and (AxisWalkOrder, NATURAL, False) not in verdicts
 
 
 def test_sp_generator_produces_sp_orders():
@@ -290,7 +330,7 @@ def test_complete_strict_on_axis_always_single_peaked():
         o = complete_strict_on_axis(listed, axis)
         assert single_peaked_check(o).ok
         # listed prefix preserved verbatim at the top? no — preserved as ranks
-        ranks = [o.level_of(k) for k in listed]
+        ranks = [o.rank(k) for k in listed]
         assert ranks == sorted(ranks)
 
 

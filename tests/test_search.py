@@ -116,6 +116,16 @@ def test_enumerate_partitions_counts_match_bell():
         assert len(set(seen)) == bells[n]
 
 
+def test_enumerated_partitions_are_canonical():
+    # they skip the validating constructor, so they must come out as it would
+    # build them: sorted tuple blocks in canonical order
+    for n in range(1, 9):
+        for p in enumerate_partitions(n):
+            checked = Partition(p.blocks)
+            assert (p.blocks, p.n) == (checked.blocks, checked.n)
+            assert all(type(block) is tuple for block in p.blocks)
+
+
 def test_enumerate_partitions_cap():
     with pytest.raises(CapExceeded):
         next(enumerate_partitions(14))
