@@ -32,7 +32,6 @@ from .core import (
     enumerate_deviations,
 )
 from .dynamics import (
-    DeviationFilter,
     DynamicsError,
     FilterStarvation,
     Filtered,
@@ -277,21 +276,9 @@ def _size_key(doc, where):
 # ---------------------------------------------------------------------------
 
 
-def _game_kind(game) -> str:
-    if isinstance(game, AnonymousGame):
-        return "ahg"
-    if isinstance(game, DiversityGame):
-        return "hdg"
-    if isinstance(game, FractionalGame):
-        return "fhg"
-    if isinstance(game, DichotomousGame):
-        return "dhg"
-    raise CliUsageError(f"cannot serialize game {game!r}")
-
-
 def game_to_doc(game) -> tuple[dict, list | None]:
     """The ``game`` section plus the top-level color list (two-color games)."""
-    kind = _game_kind(game)
+    kind = game.kind
     colors = None
     if kind == "ahg":
         payload = {"orders": [_order_to_doc(o, lambda k: k) for o in game.orders]}
@@ -698,7 +685,7 @@ def _cmd_check(args) -> int:
     moves = enumerate_deviations(instance.game, partition, kind)
     stable = not moves
     human = [
-        f"instance: {instance.id} ({_game_kind(instance.game)}, n={instance.game.n})",
+        f"instance: {instance.id} ({instance.game.kind}, n={instance.game.n})",
         f"kind: {args.kind}",
         f"stable: {'yes' if stable else 'no'}",
         f"admissible moves: {len(moves)}",
@@ -742,7 +729,9 @@ def _parse_policy(args, instance: NamedInstance):
             f"--policy: expected lex, random:SEED or script:NAME, got {spec!r}"
         )
     if args.filter is not None:
-        base = Filtered(base, DeviationFilter(args.filter))
+        if not isinstance(instance.game, DiversityGame):
+            raise CliUsageError(f"--filter: needs a two-color game, not {instance.game.kind}")
+        base = Filtered(base)
     return base, script_start
 
 
@@ -1012,7 +1001,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--start", help="name of a stored start")
     p_run.add_argument("--policy", default="lex",
                        help="lex | random:SEED | script:NAME (default lex)")
-    p_run.add_argument("--filter", choices=[f.value for f in DeviationFilter])
+    p_run.add_argument("--filter", choices=["solitary-homogeneity"])
     p_run.add_argument("--max-steps", type=int, default=1_000_000)
     p_run.add_argument("--monitors", help="comma list: gamma,lambda,lex,anchor")
     p_run.add_argument("--out", help="write the trace file here")

@@ -193,10 +193,7 @@ class Partition:
         return f"Partition[{inner}]"
 
 
-CanonicalForm = bytes
-
-
-def canonicalize(partition: Partition) -> CanonicalForm:
+def canonicalize(partition: Partition) -> bytes:
     """Byte encoding that is equal iff the partitions are equal."""
     return b"|".join(b",".join(str(a).encode() for a in b) for b in partition.blocks)
 

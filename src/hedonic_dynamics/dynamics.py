@@ -2,14 +2,14 @@
 
 A run repeatedly picks an individually-stable deviation (strict improvement
 for the mover, weak approval from everyone being joined) and applies it.
-The scheduler is pluggable; every applied move is re-validated after the
-fact with the plain predicates from :mod:`hedonic_dynamics.core`, so a bug
-in the fast move enumeration below cannot silently corrupt a trace.
+The scheduler is pluggable; every move is checked with the plain
+predicates from :mod:`hedonic_dynamics.core` before it is applied, so a bug
+in the fast move enumeration below cannot silently corrupt a trace.  Runs,
+replays and trace validation share that one checked step.
 """
 
 from __future__ import annotations
 
-import enum
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,6 +24,7 @@ from .core import (
     StabilityKind,
     apply,
     deviation_failure,
+    deviation_verdict,
     join,
 )
 from .games import (
@@ -99,16 +100,13 @@ class Scripted:
         object.__setattr__(self, "moves", tuple(moves))
 
 
-class DeviationFilter(enum.Enum):
-    #: reject any move whose target coalition would be single-colored after
-    #: the join; founding a fresh singleton is always allowed
-    SOLITARY_HOMOGENEITY = "solitary-homogeneity"
-
-
 @dataclass(frozen=True)
 class Filtered:
+    """The solitary-homogeneity filter over a base policy: it rejects any move
+    whose target coalition would be single-colored after the join; founding a
+    fresh singleton is always allowed."""
+
     base: "Policy"
-    criterion: DeviationFilter = DeviationFilter.SOLITARY_HOMOGENEITY
 
 
 Policy = Lexicographic | SeededRandom | Scripted | Filtered
@@ -117,7 +115,6 @@ Policy = Lexicographic | SeededRandom | Scripted | Filtered
 @dataclass(frozen=True)
 class RunConfig:
     max_steps: int = 1_000_000
-    detect_cycles: bool = True
     #: monitor factories (see hedonic_dynamics.potentials); each is called
     #: as factory(game, start) and consulted read-only after every step
     monitors: tuple = ()
@@ -224,11 +221,11 @@ class _SummaryRules:
         self.colour = colour
         self.value = value
         self.joined = joined
-        self.alone_values = (joined(empty, 0), joined(empty, 1))
+        self.empty = empty
         self.keys = _Memo(key)
         self.welcomed = tuple(_Memo(partial(self.welcome, colour=c)) for c in (0, 1))
-        #: per agent: its own block's key, that key's rank, and the gains
-        #: by target key, renewed when the agent's key changes
+        #: per agent: its own block's key, whether it gains by going alone,
+        #: and the gains by target key, renewed when the agent's key changes
         self.mine = [None] * game.n
 
     def welcome(self, block, colour):
@@ -236,20 +233,22 @@ class _SummaryRules:
         post, pre = self.joined(key, colour), self.value(key)
         return all(self.orders[m].rank(post) <= self.orders[m].rank(pre) for m in block)
 
-    def _renew(self, agent, here):
+    def _mine(self, agent, here):
+        """``mine[agent]``, renewed if the agent's own key is no longer ``here``."""
+        mine = self.mine[agent]
+        if mine is not None and mine[0] == here:
+            return mine
         rank, colour, joined = self.orders[agent].rank, self.colour[agent], self.joined
         now = rank(self.value(here))
         # lazy, and never asked about the mover's own block: its key plus
         # one member can fall outside the order's domain (size n + 1)
         gains = _Memo(lambda key: rank(joined(key, colour)) < now)
-        mine = self.mine[agent] = (here, now, gains)
+        alone = rank(joined(self.empty, colour)) < now
+        mine = self.mine[agent] = (here, alone, gains)
         return mine
 
     def targets(self, agent, cur, here, blocks, keys):
-        mine = self.mine[agent]
-        if mine is None or mine[0] != here:
-            mine = self._renew(agent, here)
-        gains = mine[2]
+        gains = self._mine(agent, here)[2]
         welcomed = self.welcomed[self.colour[agent]]
         return (
             b for b, key in zip(blocks, keys)
@@ -257,10 +256,7 @@ class _SummaryRules:
         )
 
     def alone(self, agent, cur, here):
-        mine = self.mine[agent]
-        if mine is None or mine[0] != here:
-            mine = self._renew(agent, here)
-        return self.orders[agent].rank(self.alone_values[self.colour[agent]]) < mine[1]
+        return self._mine(agent, here)[1]
 
 
 def _size_rules(game):
@@ -353,6 +349,24 @@ class _ApprovalRules:
         return (agent,) in self.approvals[agent] and agent not in here
 
 
+class _VerdictRules:
+    """Any other game type, a subclass included (it may override ``prefers``):
+    each (agent, block) pair is put to ``core.deviation_verdict``."""
+
+    def __init__(self, game):
+        self.verdict = partial(deviation_verdict, game, kind=StabilityKind.IS)
+        self.keys = self  # blocks have no key: keys[block] is None
+
+    def __getitem__(self, block):
+        return None
+
+    def targets(self, agent, cur, here, blocks, keys):
+        return (b for b in blocks if b is not cur and self.verdict(agent, cur, b) is None)
+
+    def alone(self, agent, cur, here):
+        return len(cur) > 1 and self.verdict(agent, cur, ()) is None
+
+
 _RULES = {
     AnonymousGame: _size_rules,
     DiversityGame: _ratio_rules,
@@ -415,12 +429,13 @@ class MoveFinder:
     """Lists IS deviations in the canonical order: ascending agent, then
     target blocks as the partition lists them, then the fresh singleton.
 
-    One engine serves the four game classes through their rule sets: a block
+    One engine serves every game through a rule set, one per game class
+    (exact type; any other type asks ``core.deviation_verdict``): a block
     key cached across steps, the blocks a mover gains by joining and whose
     members welcome it, and the go-alone test (false for a singleton, whose
-    fresh singleton is the block it is in). Since preferences are
-    hedonic, whether an agent may join a block depends on its own block and
-    that block only. So the finder keeps the :class:`MoveTable` of the last
+    fresh singleton is the block it is in). Since preferences are hedonic,
+    whether an agent may join a block depends on its own block and that
+    block only. So the finder keeps the :class:`MoveTable` of the last
     partition it listed and, for the next one, rebuilds only the rows of
     agents whose block is new and tests every other agent against the new
     blocks alone. A partition with no block in common with the last one has
@@ -430,10 +445,9 @@ class MoveFinder:
 
     def __init__(self, game):
         self.game = game
-        # exact-type dispatch: a subclass may override `prefers`, in which
-        # case only the generic path is guaranteed to agree with it
-        rules = _RULES.get(type(game))
-        self._rules = rules(game) if rules else None
+        # exact-type dispatch: a subclass may override `prefers`, so only
+        # the verdict rules are sure to agree with it
+        self._rules = _RULES.get(type(game), _VerdictRules)(game)
         self._last: MoveTable | None = None
 
     def iter_moves(self, partition: Partition) -> Iterator[DeviationMove]:
@@ -442,10 +456,6 @@ class MoveFinder:
 
     def has_move(self, partition: Partition) -> bool:
         """Whether ``partition`` has a move; stops at the first mover found."""
-        if self._rules is None:
-            for _ in core.iter_deviations(self.game, partition, StabilityKind.IS):
-                return True
-            return False
         targets, alone, key_of = self._rules.targets, self._rules.alone, self._rules.keys
         blocks = partition.blocks
         keys = [key_of[b] for b in blocks]
@@ -458,8 +468,6 @@ class MoveFinder:
 
     def table(self, partition: Partition) -> MoveTable:
         """The moves of ``partition``, updated from the last table listed."""
-        if self._rules is None:
-            return self._listed(partition)
         last, blocks = self._last, partition.blocks
         new = set(blocks)
         old = set(last.partition.blocks) if last is not None else set()
@@ -467,17 +475,6 @@ class MoveFinder:
             return last
         self._last = self._patch(partition, last, old - new, new - old)
         return self._last
-
-    def _listed(self, partition):
-        """The table of a game without rules, listed from ``core``."""
-        rows = [[] for _ in range(partition.n)]
-        alone = [False] * partition.n
-        for move in core.iter_deviations(self.game, partition, StabilityKind.IS):
-            if move.joins_new_singleton():
-                alone[move.agent] = True
-            else:
-                rows[move.agent].append(move.target)
-        return MoveTable(partition, rows, alone)
 
     def _patch(self, p, last, gone, born) -> MoveTable:
         """``last`` (``None``: an empty table) brought to ``p``, whose blocks
@@ -516,17 +513,15 @@ class MoveFinder:
 # ---------------------------------------------------------------------------
 
 
-def passes_filter(game, move: DeviationMove, criterion: DeviationFilter) -> bool:
-    """Filter predicate on a move (independent of scheduler state)."""
+def passes_filter(game, move: DeviationMove) -> bool:
+    """The solitary-homogeneity filter's verdict on a move."""
     target = () if move.joins_new_singleton() else move.target
-    return _filter_test(game, criterion)(move.agent, target)
+    return _filter_test(game)(move.agent, target)
 
 
-def _filter_test(game, criterion):
+def _filter_test(game):
     """``admits(agent, block)``: whether the filter lets ``agent`` join
     ``block`` (``()``: a fresh singleton, always allowed)."""
-    if criterion is not DeviationFilter.SOLITARY_HOMOGENEITY:
-        raise DynamicsError(f"unknown filter {criterion!r}")
     colors = game.colors
 
     def admits(agent, block):
@@ -542,10 +537,9 @@ def _filter_test(game, criterion):
     return admits
 
 
-def _pick_admissible(game, table, criterion, rng) -> DeviationMove | None:
+def _pick_admissible(table, admits, rng) -> DeviationMove | None:
     """Among the table's moves that pass the filter, the first, or with
     ``rng`` a uniform one; only the picked move is built."""
-    admits = _filter_test(game, criterion)
     admissible = (pair for pair in table.pairs() if admits(*pair))
     if rng is None:
         pick = next(admissible, None)
@@ -556,22 +550,42 @@ def _pick_admissible(game, table, criterion, rng) -> DeviationMove | None:
 
 
 def _unwrap_policy(game, policy):
+    """The base policy, and the filter test if ``policy`` is filtered."""
+    base, admits = policy, None
     if isinstance(policy, Filtered):
-        base, criterion = policy.base, policy.criterion
-        if isinstance(base, Filtered):
-            raise DynamicsError("nested filters are not supported")
         if not isinstance(game, DiversityGame):
-            raise DynamicsError(
-                "the solitary-homogeneity filter needs a two-color game"
-            )
-        return base, criterion
-    return policy, None
+            raise DynamicsError("the solitary-homogeneity filter needs a two-color game")
+        base, admits = policy.base, _filter_test(game)
+    if not isinstance(base, (Lexicographic, SeededRandom, Scripted)):
+        raise DynamicsError(f"unknown policy {policy!r}")  # a nested filter too
+    return base, admits
+
+
+def _step(game, state, move, step_index, monitors=(), filtered=False,
+          scheduled=False) -> TraceStep:
+    """``move`` applied to ``state``, with each monitor's reading, once the
+    ``core`` predicates find it an IS deviation and, if ``filtered``, the
+    filter lets it through; else :class:`ScriptedMoveInvalid`, or, for a
+    ``scheduled`` move, a :class:`DynamicsError` naming the scheduler."""
+    try:
+        fail = deviation_failure(game, state, move, StabilityKind.IS)
+    except core.CoreError as exc:
+        fail = str(exc)
+    if fail is None and filtered and not passes_filter(game, move):
+        fail = ("rejected by the solitary-homogeneity filter: the joined "
+                "coalition would be single-colored")
+    if fail is not None and scheduled:
+        raise DynamicsError(f"scheduler produced an invalid move at step {step_index}: {fail}")
+    if fail is not None:
+        raise ScriptedMoveInvalid(step_index, fail)
+    post = apply(state, move)
+    return TraceStep(move, post, {m.name: m.on_step(state, move, post) for m in monitors})
 
 
 def run(game, start: Partition, policy: Policy, config: RunConfig = RunConfig()) -> RunOutcome:
     """Drive the dynamics from ``start`` until convergence, a revisited state,
     or the step budget; see the policy classes for how moves get picked."""
-    base, criterion = _unwrap_policy(game, policy)
+    base, admits = _unwrap_policy(game, policy)
     finder = MoveFinder(game)
     rng = SplitMix64(base.seed) if isinstance(base, SeededRandom) else None
     script = iter(base.moves) if isinstance(base, Scripted) else None
@@ -581,67 +595,40 @@ def run(game, start: Partition, policy: Policy, config: RunConfig = RunConfig())
     steps: list[TraceStep] = []
     state = start
     # keyed by the block tuple, which hashes and compares without encoding
-    visited = {start.blocks: 0} if config.detect_cycles else None
+    visited = {start.blocks: 0}
 
     def trace():
         return Trace(start, tuple(steps), start_readings)
 
     for step_index in range(config.max_steps):
-        move = None
         if script is not None:
             move = next(script, None)
             if move is None:
                 break  # script exhausted; classified below
-            fail = _scripted_failure(game, state, move)
-            if fail is not None:
-                raise ScriptedMoveInvalid(step_index, fail)
-            if criterion is not None and not passes_filter(game, move, criterion):
-                raise ScriptedMoveInvalid(
-                    step_index,
-                    "rejected by the solitary-homogeneity filter: the joined "
-                    "coalition would be single-colored",
-                )
-        elif isinstance(base, (Lexicographic, SeededRandom)):
+        else:
             table = finder.table(state)
             if not table.count:
                 return Converged(state, len(steps), trace())
-            if criterion is None:
+            if admits is None:
                 # the index into the canonical order a listed draw would use
                 move = table.nth(rng.below(table.count) if rng else 0)
             else:
-                move = _pick_admissible(game, table, criterion, rng)
+                move = _pick_admissible(table, admits, rng)
                 if move is None:
                     raise FilterStarvation(step_index)
-        else:
-            raise DynamicsError(f"unknown policy {base!r}")
 
-        post = apply(state, move)
-        if script is None:
-            # independent re-check with the plain core predicates
-            fail = deviation_failure(game, state, move, StabilityKind.IS)
-            if fail is not None:
-                raise DynamicsError(
-                    f"scheduler produced a non-IS move at step {step_index}: {fail}"
-                )
-        readings = {m.name: m.on_step(state, move, post) for m in monitors}
-        steps.append(TraceStep(move, post, readings))
-        if visited is not None:
-            seen_at = visited.get(post.blocks)
-            if seen_at is not None:
-                return CycleDetected(seen_at, len(steps) - seen_at, trace())
-            visited[post.blocks] = len(steps)
-        state = post
+        step = _step(game, state, move, step_index, monitors,
+                     filtered=admits is not None, scheduled=script is None)
+        steps.append(step)
+        state = step.result
+        seen_at = visited.get(state.blocks)
+        if seen_at is not None:
+            return CycleDetected(seen_at, len(steps) - seen_at, trace())
+        visited[state.blocks] = len(steps)
 
     if finder.has_move(state):
         return StepLimitReached(trace())
     return Converged(state, len(steps), trace())
-
-
-def _scripted_failure(game, state, move) -> str | None:
-    try:
-        return deviation_failure(game, state, move, StabilityKind.IS)
-    except core.CoreError as exc:
-        return str(exc)
 
 
 def replay(game, start: Partition, moves: Sequence[DeviationMove], monitors=()) -> Trace:
@@ -653,13 +640,8 @@ def replay(game, start: Partition, moves: Sequence[DeviationMove], monitors=()) 
     state = start
     steps = []
     for step_index, move in enumerate(moves):
-        fail = _scripted_failure(game, state, move)
-        if fail is not None:
-            raise ScriptedMoveInvalid(step_index, fail)
-        post = apply(state, move)
-        readings = {m.name: m.on_step(state, move, post) for m in mons}
-        steps.append(TraceStep(move, post, readings))
-        state = post
+        steps.append(_step(game, state, move, step_index, mons))
+        state = steps[-1].result
     return Trace(start, tuple(steps), start_readings)
 
 
@@ -667,13 +649,9 @@ def validate_trace(game, trace: Trace) -> None:
     """Post-hoc check of a finished trace using only core predicates; fails
     like :func:`replay`, with :class:`ScriptedMoveInvalid`."""
     state = trace.start
-    for step_index, step in enumerate(trace.steps):
-        fail = _scripted_failure(game, state, step.move)
-        if fail is not None:
-            raise ScriptedMoveInvalid(step_index, fail)
-        post = apply(state, step.move)
-        if post != step.result:
+    for step_index, recorded in enumerate(trace.steps):
+        state = _step(game, state, recorded.move, step_index).result
+        if state != recorded.result:
             raise ScriptedMoveInvalid(
                 step_index, "recorded result does not match applying the move"
             )
-        state = post

@@ -550,9 +550,6 @@ class FractionalGame:
             rows[i][j] = w
         return FractionalGame(rows)
 
-    def weight(self, i: int, j: int):
-        return self.weights[i][j]
-
     def member_sum(self, agent: int, coalition_: Iterable[int]):
         row = self.weights[agent]
         return sum(row[j] for j in coalition_)
@@ -667,9 +664,6 @@ class DichotomousGame:
             normalized.append(sets)
         self.n = n
         self.approvals = tuple(normalized)
-
-    def approves(self, agent: int, coalition_: Coalition) -> bool:
-        return coalition_ in self.approvals[agent]
 
     def prefers(self, agent: int, a: Coalition, b: Coalition) -> int:
         return int(a in self.approvals[agent]) - int(b in self.approvals[agent])

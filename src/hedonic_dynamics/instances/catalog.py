@@ -26,7 +26,7 @@ from ..core import (
     enumerate_deviations,
     is_stable,
 )
-from ..dynamics import DeviationFilter, Script, passes_filter, replay
+from ..dynamics import Script, passes_filter, replay
 from ..games import (
     AnonymousGame,
     AxisWalkOrder,
@@ -184,10 +184,7 @@ def _check_script(instance, claim):
         )
         return
     if kind == "filtered":
-        verdicts = [
-            passes_filter(game, m, DeviationFilter.SOLITARY_HOMOGENEITY)
-            for m in script.moves
-        ]
+        verdicts = [passes_filter(game, m) for m in script.moves]
         _require(
             claim,
             all(verdicts),

@@ -153,7 +153,8 @@ ReachabilityAnswer = (
 
 
 class _BudgetOver(Exception):
-    """Internal control flow: a candidate generator ran out of budget."""
+    """Internal control flow: a search ran out of budget; ``states`` is how
+    many states it had accounted for within the budget."""
 
     def __init__(self, limit: str, states: int):
         self.limit = limit
@@ -169,19 +170,13 @@ class _Meter:
         self.deadline = clock() + budget.max_seconds
         self.states = 0
 
-    def tick(self) -> str | None:
-        """Account for one explored state; the limit name when over budget."""
+    def tick(self) -> None:
+        """Account for one explored state; raise :class:`_BudgetOver` past the budget."""
         self.states += 1
         if self.states > self.budget.max_states:
-            return "states"
+            raise _BudgetOver("states", self.states - 1)
         if self.states % 1024 == 0 and self.clock() > self.deadline:
-            return "seconds"
-        return None
-
-    def tick_or_raise(self) -> None:
-        over = self.tick()
-        if over is not None:
-            raise _BudgetOver(over, self.states - 1)
+            raise _BudgetOver("seconds", self.states - 1)
 
 
 # --- partition enumeration --------------------------------------------------
@@ -241,7 +236,7 @@ def exists_is_partition(
     best_key: bytes | None = None
     try:
         for partition in candidates:
-            meter.tick_or_raise()
+            meter.tick()
             if not finder.has_move(partition):
                 key = canonicalize(partition)
                 if best_key is None or key < best_key:
@@ -283,7 +278,7 @@ def _covers(first, options, clash, meter: _Meter):
         for block, left in options(rest):
             if any(clash(other, block) for other in placed):
                 continue
-            meter.tick_or_raise()
+            meter.tick()
             placed.append(block)
             yield from extend(left)
             placed.pop()
@@ -380,7 +375,7 @@ def tolerable_coalitions(game: FractionalGame, meter: _Meter | None = None):
 
     def extend(members: list[int], sums: list[int]):
         if meter is not None:
-            meter.tick_or_raise()
+            meter.tick()
         if members and all(s >= 0 for s in sums):
             out.append(tuple(members))
         last = members[-1] if members else -1
@@ -428,32 +423,31 @@ def exists_path_to_is(
     start_key = canonicalize(start)
     parents: dict[bytes, tuple[bytes, object] | None] = {start_key: None}
     queue: list[tuple[bytes, Partition]] = [(start_key, start)]
-    over = meter.tick()
-    if over is not None:
-        return BudgetExhausted(over, 0)
     head = 0
-    while head < len(queue):
-        key, partition = queue[head]
-        head += 1
-        moves = list(finder.iter_moves(partition))
-        if not moves:
-            steps = []
-            walk = key
-            while parents[walk] is not None:
-                walk, move = parents[walk]
-                steps.append(move)
-            steps.reverse()
-            return PathFound(replay(game, start, steps))
-        for move in moves:
-            post = apply(partition, move)
-            post_key = canonicalize(post)
-            if post_key in parents:
-                continue
-            over = meter.tick()
-            if over is not None:
-                return BudgetExhausted(over, len(parents))
-            parents[post_key] = (key, move)
-            queue.append((post_key, post))
+    try:
+        meter.tick()
+        while head < len(queue):
+            key, partition = queue[head]
+            head += 1
+            moves = list(finder.iter_moves(partition))
+            if not moves:
+                steps = []
+                walk = key
+                while parents[walk] is not None:
+                    walk, move = parents[walk]
+                    steps.append(move)
+                steps.reverse()
+                return PathFound(replay(game, start, steps))
+            for move in moves:
+                post = apply(partition, move)
+                post_key = canonicalize(post)
+                if post_key in parents:
+                    continue
+                meter.tick()
+                parents[post_key] = (key, move)
+                queue.append((post_key, post))
+    except _BudgetOver as over:
+        return BudgetExhausted(over.limit, over.states)
     return NoPath(len(parents))
 
 
@@ -471,39 +465,38 @@ def all_paths_converge(
     GRAY, BLACK = 1, 2
     color: dict[tuple, int] = {}  # keyed by the partition's block tuple
     start_key = start.blocks
-    over = meter.tick()
-    if over is not None:
-        return BudgetExhausted(over, 0)
-    color[start_key] = GRAY
-    # stack frames: (key, partition, move iterator, move that entered here)
-    stack = [(start_key, start, iter(finder.iter_moves(start)), None)]
-    while stack:
-        key, partition, moves, _ = stack[-1]
-        advanced = False
-        for move in moves:
-            post = apply(partition, move)
-            post_key = post.blocks
-            state = color.get(post_key)
-            if state == BLACK:
-                continue
-            if state == GRAY:
-                # lasso: the stack up to post_key is the prefix, the rest
-                # plus this move closes the cycle
-                path_moves = [f[3] for f in stack[1:]] + [move]
-                keys = [f[0] for f in stack]
-                cycle_start = keys.index(post_key)
-                trace = replay(game, start, path_moves)
-                return CycleReachable(
-                    trace, cycle_start, len(path_moves) - cycle_start
-                )
-            over = meter.tick()
-            if over is not None:
-                return BudgetExhausted(over, len(color))
-            color[post_key] = GRAY
-            stack.append((post_key, post, iter(finder.iter_moves(post)), move))
-            advanced = True
-            break
-        if not advanced:
-            color[key] = BLACK
-            stack.pop()
+    try:
+        meter.tick()
+        color[start_key] = GRAY
+        # stack frames: (key, partition, move iterator, move that entered here)
+        stack = [(start_key, start, iter(finder.iter_moves(start)), None)]
+        while stack:
+            key, partition, moves, _ = stack[-1]
+            advanced = False
+            for move in moves:
+                post = apply(partition, move)
+                post_key = post.blocks
+                state = color.get(post_key)
+                if state == BLACK:
+                    continue
+                if state == GRAY:
+                    # lasso: the stack up to post_key is the prefix, the rest
+                    # plus this move closes the cycle
+                    path_moves = [f[3] for f in stack[1:]] + [move]
+                    keys = [f[0] for f in stack]
+                    cycle_start = keys.index(post_key)
+                    trace = replay(game, start, path_moves)
+                    return CycleReachable(
+                        trace, cycle_start, len(path_moves) - cycle_start
+                    )
+                meter.tick()
+                color[post_key] = GRAY
+                stack.append((post_key, post, iter(finder.iter_moves(post)), move))
+                advanced = True
+                break
+            if not advanced:
+                color[key] = BLACK
+                stack.pop()
+    except _BudgetOver as over:
+        return BudgetExhausted(over.limit, over.states)
     return ConvergesAlways(len(color))

@@ -29,7 +29,6 @@ from hedonic_dynamics.core import (
 )
 from hedonic_dynamics.dynamics import (
     Converged,
-    DeviationFilter,
     Filtered,
     Lexicographic,
     RunConfig,
@@ -105,7 +104,6 @@ def test_03_strict_peaked_size_games_converge_with_credit_bounds():
                 policy,
                 RunConfig(
                     max_steps=cap + 1,
-                    detect_cycles=False,
                     monitors=(AscentCreditMonitor, PairCountMonitor),
                 ),
             )
@@ -160,7 +158,7 @@ def test_05_two_color_cycle_constructions_replay():
         assert replay(inst.game, cycle.start, cycle.moves).final == cycle.start
     solitary = build("hdg26-sp-strict-solitary")
     for move in solitary.scripts["cycle"].moves:
-        assert passes_filter(solitary.game, move, DeviationFilter.SOLITARY_HOMOGENEITY)
+        assert passes_filter(solitary.game, move)
     # the assembled run needs unfiltered moves to set up, but cycles filtered
     assembled = build("hdg-assembled")
     holds = {(c.kind, c.subject): c.holds for c in assembled.expected}
@@ -196,7 +194,7 @@ def test_07_filtered_two_color_runs_converge_in_shape():
             game,
             Partition.singletons(n),
             Filtered(base),
-            RunConfig(max_steps=n**5 + 1, detect_cycles=False),
+            RunConfig(max_steps=n**5 + 1),
         )
         assert isinstance(outcome, Converged)
         assert outcome.steps <= n**5
@@ -235,8 +233,7 @@ def test_09_mutual_simple_average_games_converge_quickly():
             game,
             Partition.singletons(n),
             policy,
-            RunConfig(max_steps=cap + 1, detect_cycles=False,
-                      monitors=(PairCountMonitor,)),
+            RunConfig(max_steps=cap + 1, monitors=(PairCountMonitor,)),
         )
         assert isinstance(outcome, Converged)
         assert outcome.steps <= cap
@@ -271,8 +268,7 @@ def test_10_one_way_acyclic_average_games_converge():
             game,
             Partition.singletons(n),
             policy,
-            RunConfig(max_steps=n**4 + 1, detect_cycles=False,
-                      monitors=(LexPotentialMonitor,)),
+            RunConfig(max_steps=n**4 + 1, monitors=(LexPotentialMonitor,)),
         )
         assert isinstance(outcome, Converged)
         assert outcome.steps <= n**4

@@ -223,6 +223,18 @@ def test_run_rejects_bad_policy(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_run_filter_needs_a_two_color_game(tmp_path, capsys):
+    # a filter the game cannot take is bad input (2), not a failed claim (1)
+    path = _write(tmp_path, "ahg7.json", build("ahg7"))
+    assert cli.main(["run", path, "--start", "singletons",
+                     "--filter", "solitary-homogeneity"]) == 2
+    assert "two-color" in capsys.readouterr().err
+    hdg = _write(tmp_path, "hdg26.json", build("hdg26-sp-strict-solitary"))
+    assert cli.main(["run", hdg, "--policy", "script:cycle",
+                     "--filter", "solitary-homogeneity"]) == 0
+    assert "cycle-detected" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # search
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hedonic_dynamics import core
+from hedonic_dynamics import core, dynamics
 from hedonic_dynamics.core import (
     NEW_SINGLETON,
     DeviationMove,
@@ -14,12 +14,12 @@ from hedonic_dynamics.core import (
 from hedonic_dynamics.dynamics import (
     Converged,
     CycleDetected,
-    DeviationFilter,
     DynamicsError,
     Filtered,
     FilterStarvation,
     Lexicographic,
     MoveFinder,
+    MoveTable,
     RunConfig,
     Scripted,
     ScriptedMoveInvalid,
@@ -222,19 +222,18 @@ def test_filter_predicate():
         colors,
         [WeakOrder([sorted(set(games_ratios(colors)))])] * 5,
     )
-    crit = DeviationFilter.SOLITARY_HOMOGENEITY
     # red joining a red singleton -> homogeneous pair -> rejected
-    assert not passes_filter(g, DeviationMove(0, (1,)), crit)
+    assert not passes_filter(g, DeviationMove(0, (1,)))
     # red joining the blue singleton -> mixed pair -> allowed
-    assert passes_filter(g, DeviationMove(0, (2,)), crit)
+    assert passes_filter(g, DeviationMove(0, (2,)))
     # founding a singleton is always allowed
-    assert passes_filter(g, DeviationMove(0, NEW_SINGLETON), crit)
+    assert passes_filter(g, DeviationMove(0, NEW_SINGLETON))
     # larger blocks: all red, mixed behind a red first member, all blue
-    assert not passes_filter(g, DeviationMove(0, (1, 4)), crit)
-    assert passes_filter(g, DeviationMove(0, (1, 2)), crit)
-    assert passes_filter(g, DeviationMove(0, (2, 3)), crit)
-    assert not passes_filter(g, DeviationMove(3, (2,)), crit)
-    assert passes_filter(g, DeviationMove(2, (1, 4)), crit)
+    assert not passes_filter(g, DeviationMove(0, (1, 4)))
+    assert passes_filter(g, DeviationMove(0, (1, 2)))
+    assert passes_filter(g, DeviationMove(0, (2, 3)))
+    assert not passes_filter(g, DeviationMove(3, (2,)))
+    assert passes_filter(g, DeviationMove(2, (1, 4)))
 
 
 def games_ratios(colors):
@@ -312,6 +311,40 @@ def test_validate_trace_fails_like_replay_on_a_missing_target():
     assert validated.value.step_index == replayed.value.step_index == 0
     assert validated.value.reason == replayed.value.reason
     assert "not a coalition of the partition" in validated.value.reason
+
+
+def test_validate_trace_rejects_a_recorded_result_the_move_does_not_give():
+    game = three_cycle_dhg()
+    start = Partition.singletons(3)
+    move = DeviationMove(0, (1,))  # a valid move, recorded with a wrong result
+    validate_trace(game, Trace(start, (TraceStep(move, Partition([[0, 1], [2]])),)))
+    with pytest.raises(ScriptedMoveInvalid) as err:
+        validate_trace(game, Trace(start, (TraceStep(move, Partition.grand(3)),)))
+    assert err.value.step_index == 0
+    assert err.value.reason == "recorded result does not match applying the move"
+
+
+def test_run_checks_each_move_once_before_applying_it(monkeypatch):
+    events = []
+    check, apply_ = dynamics.deviation_failure, dynamics.apply
+    monkeypatch.setattr(dynamics, "deviation_failure",
+                        lambda *args: events.append("check") or check(*args))
+    monkeypatch.setattr(dynamics, "apply", lambda *args: events.append("apply") or apply_(*args))
+    game = AnonymousGame([WeakOrder([[3], [2], [1]])] * 3)  # bigger is better
+    for policy in (Lexicographic(), SeededRandom(3), Scripted([DeviationMove(0, (1,))])):
+        events.clear()
+        out = run(game, Partition.singletons(3), policy)
+        assert events == ["check", "apply"] * len(out.trace), policy
+
+
+def test_a_scheduled_move_that_fails_names_the_scheduler(monkeypatch):
+    # a broken move table offering agent 0 a fresh singleton it already has
+    monkeypatch.setattr(
+        MoveFinder, "table",
+        lambda self, p: MoveTable(p, [()] * p.n, [True] + [False] * (p.n - 1)))
+    with pytest.raises(DynamicsError, match="scheduler produced") as err:
+        run(three_cycle_dhg(), Partition.singletons(3), Lexicographic())
+    assert not isinstance(err.value, ScriptedMoveInvalid)
 
 
 def test_monitor_hooks_receive_every_step():

@@ -136,3 +136,28 @@ def test_mutated_x3c_files(tmp_path, capsys):
     for _ in range(200):
         text = json.dumps(mutate_doc(rng, X3C))
         assert _gen_reduce(tmp_path, capsys, rng.choice(kinds), text) in (0, 1, 2), text
+
+
+#: the commands each mutated instance file goes through
+COMMANDS = (
+    ["check"],
+    ["run", "--max-steps", "50"],
+    *(["search", "--mode", mode, "--budget", "2000:5"]
+      for mode in ("exists-is", "exists-path", "converges")),
+)
+
+
+@pytest.mark.parametrize("instance_id, mutants", [("ahg7", 60), ("dhg3", 60)])
+def test_mutated_instance_files_through_the_cli(tmp_path, capsys, instance_id, mutants):
+    rng = random.Random(f"cli {instance_id}")
+    doc = json.loads(cli.dumps_instance(build(instance_id)))
+    path = tmp_path / "instance.json"
+    codes = set()
+    for _ in range(mutants):
+        path.write_text(json.dumps(mutate_doc(rng, doc)))
+        for command in COMMANDS:
+            code = cli.main([command[0], str(path), *command[1:]])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2) and "Traceback" not in err, (command, err)
+            codes.add(code)
+    assert {0, 2} <= codes  # some mutants still load, some do not

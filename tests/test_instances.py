@@ -185,9 +185,7 @@ def test_hdg26_cycle_is_eight_moves_all_filter_clean():
     script = inst.scripts["cycle"]
     assert len(script.moves) == 8
     for move in script.moves:
-        assert dynamics.passes_filter(
-            inst.game, move, dynamics.DeviationFilter.SOLITARY_HOMOGENEITY
-        )
+        assert dynamics.passes_filter(inst.game, move)
 
 
 # --- helpers ------------------------------------------------------------------
@@ -211,8 +209,5 @@ def test_homogeneous_block_builder(k, color):
     assert all(game.colors[a] is color for a in blocks[0])
     # gathering same-color agents necessarily passes through a move the
     # solitary-homogeneity filter blocks
-    verdicts = [
-        dynamics.passes_filter(game, m, dynamics.DeviationFilter.SOLITARY_HOMOGENEITY)
-        for m in script.moves
-    ]
+    verdicts = [dynamics.passes_filter(game, m) for m in script.moves]
     assert not all(verdicts)

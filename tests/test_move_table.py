@@ -22,7 +22,7 @@ from hedonic_dynamics.dynamics import (
     SeededRandom,
     run,
 )
-from hedonic_dynamics.games import AnonymousGame, DichotomousGame
+from hedonic_dynamics.games import DichotomousGame
 
 from conftest import rand_game, rand_partition
 
@@ -104,6 +104,19 @@ def incremental_games():
             yield rand_game(rng, trial, n), rng
 
 
+def check_against_core(finder, state):
+    """Asserts that the finder's listing, table, ``nth`` and ``has_move`` at
+    ``state`` agree with ``core``; returns ``core``'s moves."""
+    reference = core.enumerate_deviations(finder.game, state, IS)
+    assert list(finder.iter_moves(state)) == reference, (type(finder.game).__name__, state)
+    table = finder.table(state)
+    assert [table.nth(k) for k in range(table.count)] == reference
+    with pytest.raises(IndexError):
+        table.nth(table.count)
+    assert finder.has_move(state) == bool(reference)
+    return reference
+
+
 def test_table_updates_match_core_along_walks_and_jumps():
     for game, rng in incremental_games():
         finder = MoveFinder(game)
@@ -135,27 +148,48 @@ def test_table_updates_match_core_along_walks_and_jumps():
         assert list(moves) == rest  # resumed after the finder moved on
         for _ in range(3):  # jumps to unrelated partitions
             state = rand_partition(rng, game.n)
-            assert list(finder.iter_moves(state)) == core.enumerate_deviations(game, state, IS)
-            assert finder.has_move(state) == bool(finder.table(state).count)
+            check_against_core(finder, state)
         for _ in range(3):  # jumps of several moves: rows lose several blocks at once
             for _ in range(rng.randint(2, 6)):
                 reference = core.enumerate_deviations(game, state, IS)
                 if reference:
                     state = core.apply(state, rng.choice(reference))
-            assert list(finder.iter_moves(state)) == core.enumerate_deviations(game, state, IS)
-            assert finder.has_move(state) == bool(finder.table(state).count)
+            check_against_core(finder, state)
+
+
+def subclass_of(game, reverse: bool):
+    """``game`` as an instance of a subclass of its class, which keeps the
+    parent's preferences or, with ``reverse``, turns every one around."""
+    cls = type(game)
+    body = {"__slots__": ()}
+    if reverse:
+        body["prefers"] = lambda self, agent, a, b: -cls.prefers(self, agent, a, b)
+    game.__class__ = type(f"Sub{cls.__name__}", (cls,), body)
+    return game
 
 
 def test_table_of_an_unknown_class_lists_core():
-    class Sized(AnonymousGame):
-        """A subclass: the finder must not assume the size rules hold."""
-
-    game = Sized(instances.random("ahg", 8, 3).game.orders)
-    finder = MoveFinder(game)
-    state = Partition.singletons(8)
-    reference = core.enumerate_deviations(game, state, IS)
-    assert reference and list(finder.iter_moves(state)) == reference
-    table = finder.table(state)
-    assert [table.nth(k) for k in range(table.count)] == reference
-    with pytest.raises(IndexError):
-        table.nth(table.count)
+    # a subclass may override `prefers`, so the finder puts every pair to
+    # core's verdict; its tables are still patched from move to move
+    rng = random.Random(307)
+    for trial in range(8):
+        game = subclass_of(rand_game(rng, trial, rng.randint(8, 12)), trial >= 4)
+        finder = MoveFinder(game)
+        shown, targets = [], finder._rules.targets
+        finder._rules.targets = lambda *args: shown.append(len(args[3])) or targets(*args)
+        state = rand_partition(rng, game.n)
+        moves = patched = 0
+        for _ in range(40):
+            shown.clear()
+            reference = check_against_core(finder, state)
+            patched += min(shown, default=len(state.blocks)) < len(state.blocks)
+            if moves >= 10:
+                break
+            if reference:
+                state = core.apply(state, rng.choice(reference))
+                moves += 1
+            else:  # stable: walk on from elsewhere
+                state = rand_partition(rng, game.n)
+        assert moves >= 10 and patched, type(game).__name__
+        for _ in range(3):  # jumps to unrelated partitions
+            check_against_core(finder, rand_partition(rng, game.n))

@@ -458,6 +458,9 @@ def test_reachability_budget_exhaustion():
 def test_meter_trips_on_the_clock():
     now = [0.0]
     meter = search._Meter(SearchBudget(max_seconds=5), clock=lambda: now[0])
-    assert all(meter.tick() is None for _ in range(1023))
+    for _ in range(1023):
+        meter.tick()
     now[0] = 10.0
-    assert meter.tick() == "seconds"  # the 1024th state looks at the clock
+    with pytest.raises(search._BudgetOver) as over:
+        meter.tick()  # the 1024th state looks at the clock
+    assert (over.value.limit, over.value.states) == ("seconds", 1023)
