@@ -216,12 +216,6 @@ def _check_script(instance, claim):
         raise ClaimFailed(f"unknown script claim {kind}")
 
 
-def _search_budget(claim) -> search.SearchBudget:
-    if "budget" in claim.params:
-        return claim.params["budget"]
-    return search.SearchBudget()
-
-
 def _check_search(instance, claim):
     game = instance.game
     kind = claim.kind
@@ -230,11 +224,9 @@ def _check_search(instance, claim):
         _require(claim, is_stable(game, part, StabilityKind.IS), "stability mismatch")
         return
     if kind == "unique-stable":
-        from .. import search as s
-
         stable = [
             p
-            for p in s.enumerate_partitions(game.n)
+            for p in search.enumerate_partitions(game.n)
             if is_stable(game, p, StabilityKind.IS)
         ]
         want = instance.starts[claim.subject]
@@ -244,7 +236,7 @@ def _check_search(instance, claim):
             )
         total = claim.params.get("total")
         if total is not None:
-            count = sum(1 for _ in s.enumerate_partitions(game.n))
+            count = sum(1 for _ in search.enumerate_partitions(game.n))
             if count != total:
                 raise ClaimFailed(
                     f"claim '{claim.describe()}': scanned {count} partitions"
@@ -252,22 +244,22 @@ def _check_search(instance, claim):
         return
     if kind == "no-is":
         strategy = search.STRATEGIES[claim.params.get("strategy", "plain")]()
-        answer = search.exists_is_partition(game, strategy, _search_budget(claim))
+        answer = search.exists_is_partition(game, strategy, search.SearchBudget())
         if not isinstance(answer, search.NoStablePartition):
             raise ClaimFailed(f"claim '{claim.describe()}': got {type(answer).__name__}")
         return
     start = instance.starts[claim.subject]
     if kind == "no-path":
-        answer = search.exists_path_to_is(game, start, _search_budget(claim))
+        answer = search.exists_path_to_is(game, start, search.SearchBudget())
         wanted = search.NoPath
     elif kind == "path-found":
-        answer = search.exists_path_to_is(game, start, _search_budget(claim))
+        answer = search.exists_path_to_is(game, start, search.SearchBudget())
         wanted = search.PathFound
     elif kind == "cycle-reachable":
-        answer = search.all_paths_converge(game, start, _search_budget(claim))
+        answer = search.all_paths_converge(game, start, search.SearchBudget())
         wanted = search.CycleReachable
     elif kind == "converges":
-        answer = search.all_paths_converge(game, start, _search_budget(claim))
+        answer = search.all_paths_converge(game, start, search.SearchBudget())
         wanted = search.ConvergesAlways
     else:  # pragma: no cover
         raise ClaimFailed(f"unknown search claim {kind}")
@@ -688,13 +680,13 @@ class _Roster:
         self.colors = []
         self.orders = []
 
-    def add(self, label, color, order) -> int:
+    def add(self, label, color=None, order=None) -> int:
         self.labels.append(label)
         self.colors.append(color)
         self.orders.append(order)
         return len(self.labels) - 1
 
-    def many(self, prefix, count, color, order) -> list[int]:
+    def many(self, prefix, count, color=None, order=None) -> list[int]:
         return [self.add(f"{prefix}{i + 1}", color, order) for i in range(count)]
 
 

@@ -46,11 +46,26 @@ _HDG_GEN_CAP = 64
 
 
 def _merge(kind: str, restrictions) -> dict:
+    """The defaults of ``kind`` overridden by ``restrictions``.
+
+    Each value must have the exact type of its default (so a bool is not
+    taken for an int); a ``None`` default stands for an int or ``None``.
+    """
     merged = dict(_DEFAULTS[kind])
     for key, value in (restrictions or {}).items():
         if key not in merged:
             raise InconsistentRestrictions(
                 f"{kind} knows restrictions {sorted(merged)}; got {key!r}"
+            )
+        default = merged[key]
+        if default is None:
+            fits = value is None or type(value) is int
+        else:
+            fits = type(value) is type(default)
+        if not fits:
+            want = "int" if default is None else type(default).__name__
+            raise InconsistentRestrictions(
+                f"{kind} restriction {key!r} must be of type {want}; got {value!r}"
             )
         merged[key] = value
     return merged
@@ -120,7 +135,7 @@ def _random_hdg(n: int, rng: SplitMix64, opts: dict):
             f"hdg generation enumerates the ratio axis; n must be <= {_HDG_GEN_CAP}"
         )
     reds = opts["reds"] if opts["reds"] is not None else n // 2
-    if not isinstance(reds, int) or not 0 <= reds <= n:
+    if not 0 <= reds <= n:
         raise InconsistentRestrictions(f"reds must be an integer in 0..{n}; got {reds!r}")
     strict, hill = opts["strict"], opts["natural-sp"]
     colors = [Color.RED] * reds + [Color.BLUE] * (n - reds)
@@ -188,7 +203,7 @@ def _random_dhg(n: int, rng: SplitMix64, opts: dict):
             f"dhg generation enumerates every coalition; n must be <= {_DHG_GEN_CAP}"
         )
     density = opts["density"]
-    if not isinstance(density, int) or not 1 <= density <= 100:
+    if not 1 <= density <= 100:
         raise InconsistentRestrictions(
             f"density must be an integer percentage in 1..100; got {density!r}"
         )
@@ -226,7 +241,10 @@ def random(kind: str, n: int, seed: int, restrictions: dict | None = None) -> Na
     if n < 1:
         raise InconsistentRestrictions(f"n must be positive; got {n}")
     opts = _merge(kind, restrictions)
-    rng = SplitMix64(seed)
+    try:
+        rng = SplitMix64(seed)
+    except ValueError as exc:
+        raise InconsistentRestrictions(f"{exc}; got {seed}") from None
     game, claims = _BUILDERS[kind](n, rng, opts)
     tags = ";".join(f"{k}={v}" for k, v in sorted(opts.items())
                     if v != _DEFAULTS[kind][k])

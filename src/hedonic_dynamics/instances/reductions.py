@@ -12,6 +12,13 @@ level: the bundled scripts exercise the two-agent cycle inside one variable
 gadget.  The coverage and approval encodings are small enough to carry full
 settle/cycle scripts, and the dichotomous "exists" kind round-trips against a
 brute-force satisfiability check in the test suite.
+
+Every reducer is built from one scaffold: agent ids come from a roster
+(``_Roster``), the numeric scales from ``_scales``, two-colour blocks from
+``_colored``, and the bundled scripts from two tails on the instance:
+``_reach`` (a script from ``initial`` to a named start) and ``_loop`` (a
+script that returns to its start, claimed as a cycle).  The two size and
+ratio "exists" kinds share ``_probe_cycle``, their gadget loop and claims.
 """
 
 from __future__ import annotations
@@ -269,23 +276,27 @@ def _no_params(kind: str, params) -> None:
         raise ReductionError(f"{kind} takes no parameters; got {sorted(params)}")
 
 
-def _take_params(kind: str, params, defaults: dict) -> dict:
-    merged = dict(defaults)
+def _scales(kind: str, params, defaults: dict) -> list:
+    """The scales in ``defaults`` order, each one overridable by ``params``.
+
+    A scale with an integer default must stay an integer >= 2; a rational
+    one (a weight) is checked by its reducer.
+    """
+    chosen = dict(defaults)
     for key, value in (params or {}).items():
         if key not in defaults:
             raise ReductionError(
                 f"{kind} knows parameters {sorted(defaults)}; got {key!r}"
             )
-        merged[key] = value
-    return merged
-
-
-def _int_scales(kind: str, chosen: dict) -> None:
+        chosen[key] = value
     for key, value in chosen.items():
-        if not isinstance(value, int) or isinstance(value, bool) or value < 2:
+        if isinstance(defaults[key], int) and (
+            not isinstance(value, int) or isinstance(value, bool) or value < 2
+        ):
             raise ConstantInequalityViolation(
                 f"{kind} parameter {key!r} must be an integer >= 2; got {value!r}"
             )
+    return list(chosen.values())
 
 
 def _listed(domain, *keys) -> ComputedOrder:
@@ -302,6 +313,35 @@ def _chain_desc(name: str, values) -> None:
     values = list(values)
     for a, b in zip(values, values[1:]):
         _need(a > b, f"{name}: needed {a} > {b}")
+
+
+def _colored(roster: _Roster, prefix: str, total: int, red_count: int, order) -> list[int]:
+    """``total`` agents sharing ``order``: the first ``red_count`` red, the rest blue."""
+    ids = roster.many(prefix, total, BLUE, order)
+    for a in ids[:red_count]:
+        roster.colors[a] = RED
+    return ids
+
+
+def _reach(instance: NamedInstance, script: str, state: str, hops, note: str) -> None:
+    """Script ``hops`` from the ``initial`` start and keep its end as ``state``."""
+    instance.scripts[script], instance.starts[state] = _script(
+        instance.starts["initial"], hops, note
+    )
+    instance.expected += (
+        Claim("starts-at", script, params={"state": "initial"}),
+        Claim("reaches", script, params={"state": state}),
+    )
+
+
+def _loop(instance: NamedInstance, script: str, start: Partition, hops, note: str) -> None:
+    """Script ``hops`` from ``start`` back to it, claimed as a cycle of that length."""
+    instance.scripts[script], end = _script(start, hops, note)
+    assert end == start
+    instance.expected += (
+        Claim("cycle", script),
+        Claim("script-length", script, params={"length": len(hops)}),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -325,28 +365,40 @@ def _size_families(kind: str, families: dict) -> None:
             seen[v] = name
 
 
+def _probe_cycle(name: str, game, roster: _Roster, blocks, probes, anchors) -> NamedInstance:
+    """A size or ratio "exists" instance: ``initial`` is ``blocks``, and the
+    ``gadget-cycle`` script loops variable 1's two ``probes`` around the
+    gadget parts whose first agents are ``anchors``.
+
+    The loop starts from ``blocks`` with the probes moved out of their pools,
+    the positive one onto gadget part 3 and the negative one onto part 2.
+    """
+    instance = NamedInstance(
+        name, game, {"initial": Partition(blocks)}, {},
+        (Claim("strict", holds=False),), tuple(roster.labels),
+    )
+    z, zb = probes
+    g1, g2, g3 = anchors
+    moved = {g2: [zb], g3: [z]}
+    relocated = [[a for a in blk if a not in probes] + moved.get(blk[0], [])
+                 for blk in blocks]
+    _loop(
+        instance, "gadget-cycle", Partition(relocated),
+        [(zb, g3), (z, g2), (zb, g1), (z, g1), (zb, g2), (z, g3)],
+        note="the two probes of variable 1 chase each other around its gadget",
+    )
+    return instance
+
+
 def _reduce_sat_ahg_exists(formula: SatFormula, params) -> NamedInstance:
+    kind = "sat-to-ahg-exists"
     _require_strict_occurrence_class(formula)
     m, p = formula.m, formula.num_vars
-    chosen = _take_params(
-        "sat-to-ahg-exists",
-        params,
-        {
-            "clause-scale": m**5,
-            "pos-scale": m**4,
-            "neg-scale": m**3,
-            "gadget-scale": m**2,
-        },
-    )
-    _int_scales("sat-to-ahg-exists", chosen)
-    ca, bp, bn, g = (
-        chosen["clause-scale"],
-        chosen["pos-scale"],
-        chosen["neg-scale"],
-        chosen["gadget-scale"],
-    )
+    ca, bp, bn, g = _scales(kind, params, {
+        "clause-scale": m**5, "pos-scale": m**4, "neg-scale": m**3, "gadget-scale": m**2,
+    })
     _size_families(
-        "sat-to-ahg-exists",
+        kind,
         {
             "clause": [q * ca + x for q in range(1, m + 1) for x in (0, 1, 2)],
             "pos": [r * bp + y for r in range(1, p + 1) for y in (-1, 0, 1, 2)],
@@ -356,7 +408,7 @@ def _reduce_sat_ahg_exists(formula: SatFormula, params) -> NamedInstance:
     )
     tri_p = p * (p + 1) // 2
     n = 4 * p + ca * m * (m + 1) // 2 + (bp + bn) * tri_p + 3 * g * tri_p + 8 * p
-    _cap_population(n, "sat-to-ahg-exists")
+    _cap_population(n, kind)
 
     dom = SizeDomain(n)
     roster = _Roster()
@@ -366,114 +418,61 @@ def _reduce_sat_ahg_exists(formula: SatFormula, params) -> NamedInstance:
     for i in range(1, p + 1):
         for k, cl in enumerate(pos[i], start=1):
             order = _listed(dom, cl * ca + 1, i * bp + 2, i * bp + 1, 1)
-            blocks.append([roster.add(f"lit+{i}.{k}", None, order)])
+            blocks.append([roster.add(f"lit+{i}.{k}", order=order)])
         for k, cl in enumerate(neg[i], start=1):
             order = _listed(dom, cl * ca + 1, i * bn + 2, i * bn + 1, 1)
-            blocks.append([roster.add(f"lit-{i}.{k}", None, order)])
+            blocks.append([roster.add(f"lit-{i}.{k}", order=order)])
 
-    probes = {}
+    probes = []
     for i in range(1, p + 1):
         z = roster.add(
             f"probe+{i}",
-            None,
-            _listed(dom, i * bp + 2, i * g + 2, i * g + 4, i * g + 7,
-                    i * g + 6, i * g + 1, i * bp + 1, i * bp),
+            order=_listed(dom, i * bp + 2, i * g + 2, i * g + 4, i * g + 7,
+                          i * g + 6, i * g + 1, i * bp + 1, i * bp),
         )
-        pool = roster.many(
-            f"pool+{i}.", i * bp - 1, None,
-            _listed(dom, i * bp + 2, i * bp + 1, i * bp, i * bp - 1),
-        )
-        blocks.append([z] + pool)
+        blocks.append([z] + roster.many(
+            f"pool+{i}.", i * bp - 1,
+            order=_listed(dom, i * bp + 2, i * bp + 1, i * bp, i * bp - 1),
+        ))
         zb = roster.add(
             f"probe-{i}",
-            None,
-            _listed(dom, i * bn + 2, i * g + 7, i * g + 4, i * g + 2,
-                    i * g + 1, i * g + 6, i * bn + 1, i * bn),
+            order=_listed(dom, i * bn + 2, i * g + 7, i * g + 4, i * g + 2,
+                          i * g + 1, i * g + 6, i * bn + 1, i * bn),
         )
-        npool = roster.many(
-            f"pool-{i}.", i * bn - 1, None,
-            _listed(dom, i * bn + 2, i * bn + 1, i * bn, i * bn - 1),
-        )
-        blocks.append([zb] + npool)
-        probes[i] = (z, zb)
+        blocks.append([zb] + roster.many(
+            f"pool-{i}.", i * bn - 1,
+            order=_listed(dom, i * bn + 2, i * bn + 1, i * bn, i * bn - 1),
+        ))
+        probes.append((z, zb))
 
     for j in range(1, m + 1):
         order = _listed(dom, j * ca + 1, j * ca)
-        blocks.append(roster.many(f"clause{j}.", j * ca, None, order))
+        blocks.append(roster.many(f"clause{j}.", j * ca, order=order))
 
-    gadget_anchor = {}
+    anchors = []
     for i in range(1, p + 1):
         for part, size, keys in (
             (1, i * g, (i * g + 2, i * g + 1, i * g)),
             (2, i * g + 3, (i * g + 4, i * g + 3)),
             (3, i * g + 5, (i * g + 7, i * g + 6, i * g + 5)),
         ):
-            ids = roster.many(f"gadget{i}.{part}.", size, None, _listed(dom, *keys))
-            gadget_anchor[(i, part)] = ids[0]
-            blocks.append(ids)
+            blocks.append(roster.many(f"gadget{i}.{part}.", size, order=_listed(dom, *keys)))
+            anchors.append(blocks[-1][0])
 
-    game = AnonymousGame(roster.orders)
-    initial = Partition(blocks)
-
-    z1, zb1 = probes[1]
-    g1, g2, g3 = (gadget_anchor[(1, part)] for part in (1, 2, 3))
-    relocated = []
-    for blk in blocks:
-        if z1 in blk:
-            relocated.append([a for a in blk if a != z1])
-        elif zb1 in blk:
-            relocated.append([a for a in blk if a != zb1])
-        elif blk[0] == g2:
-            relocated.append(blk + [zb1])
-        elif blk[0] == g3:
-            relocated.append(blk + [z1])
-        else:
-            relocated.append(blk)
-    cycle, end = _script(
-        Partition(relocated),
-        [(zb1, g3), (z1, g2), (zb1, g1), (z1, g1), (zb1, g2), (z1, g3)],
-        note="the two probes of variable 1 chase each other around its gadget",
-    )
-    assert end == cycle.start
-
-    return NamedInstance(
-        f"sat-to-ahg-exists(m={m},p={p})",
-        game,
-        {"initial": initial},
-        {"gadget-cycle": cycle},
-        (
-            Claim("strict", holds=False),
-            Claim("cycle", "gadget-cycle"),
-            Claim("script-length", "gadget-cycle", params={"length": 6}),
-        ),
-        tuple(roster.labels),
-    )
+    return _probe_cycle(f"{kind}(m={m},p={p})", AnonymousGame(roster.orders), roster,
+                        blocks, probes[0], anchors[:3])
 
 
 def _reduce_sat_ahg_converge(formula: SatFormula, params) -> NamedInstance:
+    kind = "sat-to-ahg-converge"
     _require_strict_occurrence_class(formula)
     m, p = formula.m, formula.num_vars
-    chosen = _take_params(
-        "sat-to-ahg-converge",
-        params,
-        {
-            "clause-scale": m**5,
-            "pos-scale": m**4,
-            "neg-scale": m**3,
-            "pos-relay": m**2,
-            "neg-relay": m,
-        },
-    )
-    _int_scales("sat-to-ahg-converge", chosen)
-    ca, bp1, bn1, bp2, bn2 = (
-        chosen["clause-scale"],
-        chosen["pos-scale"],
-        chosen["neg-scale"],
-        chosen["pos-relay"],
-        chosen["neg-relay"],
-    )
+    ca, bp1, bn1, bp2, bn2 = _scales(kind, params, {
+        "clause-scale": m**5, "pos-scale": m**4, "neg-scale": m**3,
+        "pos-relay": m**2, "neg-relay": m,
+    })
     _size_families(
-        "sat-to-ahg-converge",
+        kind,
         {
             "clause": [q * ca + x for q in range(1, m + 2) for x in (0, 1, 2)],
             "pos": [r * bp1 + y for r in range(1, p + 1) for y in (0, 1, 2)],
@@ -484,7 +483,7 @@ def _reduce_sat_ahg_converge(formula: SatFormula, params) -> NamedInstance:
     )
     tri_p = p * (p + 1) // 2
     n = 1 + 4 * p + ca * (m + 1) * (m + 2) // 2 + (bp1 + bn1 + bp2 + bn2) * tri_p
-    _cap_population(n, "sat-to-ahg-converge")
+    _cap_population(n, kind)
 
     dom = SizeDomain(n)
     roster = _Roster()
@@ -497,9 +496,9 @@ def _reduce_sat_ahg_converge(formula: SatFormula, params) -> NamedInstance:
     for i in range(1, p + 1):
         c1, c2 = pos[i]
         blocks.append([roster.add(
-            f"lit+{i}.1", None,
-            _listed(dom, *clause_prefix(c1), i * bp1 + 2, i * bp2 + 2,
-                    i * bp2 + 1, i * bp1 + 1, 1),
+            f"lit+{i}.1",
+            order=_listed(dom, *clause_prefix(c1), i * bp1 + 2, i * bp2 + 2,
+                          i * bp2 + 1, i * bp1 + 1, 1),
         )])
         if i < p:
             tail = (i * bp2 + 2, (i + 1) * bp1 + 2, (i + 1) * bp1 + 1,
@@ -507,13 +506,13 @@ def _reduce_sat_ahg_converge(formula: SatFormula, params) -> NamedInstance:
         else:
             tail = (p * bp2 + 2, ca + 2, ca + 1, p * bp2 + 1, 1)
         blocks.append([roster.add(
-            f"lit+{i}.2", None, _listed(dom, *clause_prefix(c2), *tail),
+            f"lit+{i}.2", order=_listed(dom, *clause_prefix(c2), *tail),
         )])
         d1, d2 = neg[i]
         blocks.append([roster.add(
-            f"lit-{i}.1", None,
-            _listed(dom, *clause_prefix(d1), i * bn1 + 2, i * bn2 + 2,
-                    i * bn2 + 1, i * bn1 + 1, 1),
+            f"lit-{i}.1",
+            order=_listed(dom, *clause_prefix(d1), i * bn1 + 2, i * bn2 + 2,
+                          i * bn2 + 1, i * bn1 + 1, 1),
         )])
         if i < p:
             tail = (i * bn2 + 2, (i + 1) * bp1 + 2, (i + 1) * bp1 + 1,
@@ -521,30 +520,29 @@ def _reduce_sat_ahg_converge(formula: SatFormula, params) -> NamedInstance:
         else:
             tail = (p * bn2 + 2, ca + 2, ca + 1, p * bn2 + 1, 1)
         blocks.append([roster.add(
-            f"lit-{i}.2", None, _listed(dom, *clause_prefix(d2), *tail),
+            f"lit-{i}.2", order=_listed(dom, *clause_prefix(d2), *tail),
         )])
 
     blocks.append([roster.add(
-        "trigger", None,
-        _listed(dom, (m + 1) * ca + 2, bp1 + 2, bp1 + 1, bn1 + 2, bn1 + 1,
-                (m + 1) * ca + 1, 1),
+        "trigger",
+        order=_listed(dom, (m + 1) * ca + 2, bp1 + 2, bp1 + 1, bn1 + 2, bn1 + 1,
+                      (m + 1) * ca + 1, 1),
     )])
 
     for j in range(1, m + 2):
         order = _listed(dom, j * ca + 2, j * ca + 1, j * ca, 1)
-        blocks.append(roster.many(f"clause{j}.", j * ca, None, order))
+        blocks.append(roster.many(f"clause{j}.", j * ca, order=order))
 
     for i in range(1, p + 1):
         for tag, scale in (("pool+", bp1), ("pool-", bn1),
                            ("relay+", bp2), ("relay-", bn2)):
             size = i * scale
             order = _listed(dom, size + 2, size + 1, size, 1)
-            blocks.append(roster.many(f"{tag}{i}.", size, None, order))
+            blocks.append(roster.many(f"{tag}{i}.", size, order=order))
 
-    game = AnonymousGame(roster.orders)
     return NamedInstance(
-        f"sat-to-ahg-converge(m={m},p={p})",
-        game,
+        f"{kind}(m={m},p={p})",
+        AnonymousGame(roster.orders),
         {"initial": Partition(blocks)},
         {},
         (Claim("strict", holds=False),),
@@ -558,15 +556,12 @@ def _reduce_sat_ahg_converge(formula: SatFormula, params) -> NamedInstance:
 
 
 def _reduce_sat_hdg_exists(formula: SatFormula, params) -> NamedInstance:
+    kind = "sat-to-hdg-exists"
     _require_strict_occurrence_class(formula)
     m, p = formula.m, formula.num_vars
-    chosen = _take_params(
-        "sat-to-hdg-exists",
-        params,
-        {"clause-scale": m**2, "variable-scale": m**4, "gadget-scale": m**7},
-    )
-    _int_scales("sat-to-hdg-exists", chosen)
-    ca, b, g = chosen["clause-scale"], chosen["variable-scale"], chosen["gadget-scale"]
+    ca, b, g = _scales(kind, params, {
+        "clause-scale": m**2, "variable-scale": m**4, "gadget-scale": m**7,
+    })
     F = Fraction
 
     _need(ca > 2 * m - 1, f"clause-scale {ca} must exceed 2m-1 = {2 * m - 1}")
@@ -612,7 +607,7 @@ def _reduce_sat_hdg_exists(formula: SatFormula, params) -> NamedInstance:
           "gadget ratios must sit strictly below variable ratios")
 
     n = 4 * p + m * ca + 2 * p * b + 3 * g * p * (p + 1) // 2
-    _cap_population(n, "sat-to-hdg-exists")
+    _cap_population(n, kind)
 
     reds = 3 * p  # two positive literal agents and one positive probe per variable
     reds += sum(2 * j - 1 for j in range(1, m + 1))
@@ -635,13 +630,7 @@ def _reduce_sat_hdg_exists(formula: SatFormula, params) -> NamedInstance:
                             F(3 * i - 2, b + 1), ZERO)
             blocks.append([roster.add(f"lit-{i}.{k}", BLUE, order)])
 
-    def colored(prefix, total, red_count, order):
-        ids = roster.many(prefix, total, BLUE, order)
-        for a in ids[:red_count]:
-            roster.colors[a] = RED
-        return ids
-
-    probes = {}
+    probes = []
     for i in range(1, p + 1):
         x = 6 * (p - i)
         z = roster.add(
@@ -650,31 +639,29 @@ def _reduce_sat_hdg_exists(formula: SatFormula, params) -> NamedInstance:
                     F(x + 6, i * g + 2), F(x + 6, i * g + 1), F(x + 2, i * g + 1),
                     F(3 * i - 1, b + 1), F(3 * i - 2, b)),
         )
-        pool = colored(
-            f"pool+{i}.", b - 1, 3 * i - 3,
+        blocks.append([z] + _colored(
+            roster, f"pool+{i}.", b - 1, 3 * i - 3,
             _listed(dom, F(3 * i, b + 2), F(3 * i - 1, b + 1), F(3 * i - 2, b),
                     F(3 * i - 3, b - 1)),
-        )
-        blocks.append([z] + pool)
+        ))
         zb = roster.add(
             f"probe-{i}", BLUE,
             _listed(dom, F(3 * i - 2, b + 2), F(x + 6, i * g + 2), F(x + 3, i * g + 1),
                     F(x + 2, i * g + 2), F(x + 1, i * g + 1), F(x + 5, i * g + 1),
                     F(3 * i - 2, b + 1), F(3 * i - 2, b)),
         )
-        npool = colored(
-            f"pool-{i}.", b - 1, 3 * i - 2,
+        blocks.append([zb] + _colored(
+            roster, f"pool-{i}.", b - 1, 3 * i - 2,
             _listed(dom, F(3 * i - 2, b + 2), F(3 * i - 2, b + 1), F(3 * i - 2, b),
                     F(3 * i - 2, b - 1)),
-        )
-        blocks.append([zb] + npool)
-        probes[i] = (z, zb)
+        ))
+        probes.append((z, zb))
 
     for j in range(1, m + 1):
         order = _listed(dom, F(2 * j, ca + 1), F(2 * j - 1, ca + 1), F(2 * j - 1, ca))
-        blocks.append(colored(f"clause{j}.", ca, 2 * j - 1, order))
+        blocks.append(_colored(roster, f"clause{j}.", ca, 2 * j - 1, order))
 
-    gadget_anchor = {}
+    anchors = []
     for i in range(1, p + 1):
         x = 6 * (p - i)
         for part, red_count, keys in (
@@ -684,65 +671,22 @@ def _reduce_sat_hdg_exists(formula: SatFormula, params) -> NamedInstance:
             (3, x + 5, (F(x + 6, i * g + 2), F(x + 6, i * g + 1),
                         F(x + 5, i * g + 1), F(x + 5, i * g))),
         ):
-            ids = colored(f"gadget{i}.{part}.", i * g, red_count, _listed(dom, *keys))
-            gadget_anchor[(i, part)] = ids[0]
-            blocks.append(ids)
+            blocks.append(_colored(roster, f"gadget{i}.{part}.", i * g, red_count,
+                                   _listed(dom, *keys)))
+            anchors.append(blocks[-1][0])
 
     game = DiversityGame(roster.colors, roster.orders)
     assert game.reds == reds
-    initial = Partition(blocks)
-
-    z1, zb1 = probes[1]
-    g1, g2, g3 = (gadget_anchor[(1, part)] for part in (1, 2, 3))
-    relocated = []
-    for blk in blocks:
-        if z1 in blk:
-            relocated.append([a for a in blk if a != z1])
-        elif zb1 in blk:
-            relocated.append([a for a in blk if a != zb1])
-        elif blk[0] == g2:
-            relocated.append(blk + [zb1])
-        elif blk[0] == g3:
-            relocated.append(blk + [z1])
-        else:
-            relocated.append(blk)
-    cycle, end = _script(
-        Partition(relocated),
-        [(zb1, g3), (z1, g2), (zb1, g1), (z1, g1), (zb1, g2), (z1, g3)],
-        note="the two probes of variable 1 chase each other around its gadget",
-    )
-    assert end == cycle.start
-
-    return NamedInstance(
-        f"sat-to-hdg-exists(m={m},p={p})",
-        game,
-        {"initial": initial},
-        {"gadget-cycle": cycle},
-        (
-            Claim("strict", holds=False),
-            Claim("cycle", "gadget-cycle"),
-            Claim("script-length", "gadget-cycle", params={"length": 6}),
-        ),
-        tuple(roster.labels),
-    )
+    return _probe_cycle(f"{kind}(m={m},p={p})", game, roster, blocks, probes[0], anchors[:3])
 
 
 def _reduce_sat_hdg_converge(formula: SatFormula, params) -> NamedInstance:
+    kind = "sat-to-hdg-converge"
     _require_strict_occurrence_class(formula)
     m, p = formula.m, formula.num_vars
-    chosen = _take_params(
-        "sat-to-hdg-converge",
-        params,
-        {"clause-scale": m**3, "pos-scale": m**5, "neg-scale": m**7,
-         "relay-scale": m**9},
-    )
-    _int_scales("sat-to-hdg-converge", chosen)
-    ca, bp1, bn1, b2 = (
-        chosen["clause-scale"],
-        chosen["pos-scale"],
-        chosen["neg-scale"],
-        chosen["relay-scale"],
-    )
+    ca, bp1, bn1, b2 = _scales(kind, params, {
+        "clause-scale": m**3, "pos-scale": m**5, "neg-scale": m**7, "relay-scale": m**9,
+    })
     F = Fraction
 
     _need(ca > 6 * m + 2, f"clause-scale {ca} must exceed 6m+2 = {6 * m + 2}")
@@ -798,7 +742,7 @@ def _reduce_sat_hdg_converge(formula: SatFormula, params) -> NamedInstance:
           "relay ratios must sit strictly below neg ratios")
 
     n = 1 + 4 * p + (m + 1) * ca + p * (bp1 + bn1 + 2 * b2)
-    _cap_population(n, "sat-to-hdg-converge")
+    _cap_population(n, kind)
 
     reds = 1 + 2 * p  # the trigger and the positive literal agents
     reds += sum(3 * j - 2 for j in range(1, m + 2))
@@ -865,35 +809,29 @@ def _reduce_sat_hdg_converge(formula: SatFormula, params) -> NamedInstance:
                 ONE),
     )])
 
-    def colored(prefix, total, red_count, order):
-        ids = roster.many(prefix, total, BLUE, order)
-        for a in ids[:red_count]:
-            roster.colors[a] = RED
-        return ids
-
     for j in range(1, m + 2):
         order = _listed(dom, F(3 * j, ca + 2), F(3 * j - 1, ca + 2),
                         F(3 * j - 2, ca + 2), F(3 * j - 1, ca + 1),
                         F(3 * j - 2, ca + 1), F(3 * j - 2, ca))
-        blocks.append(colored(f"clause{j}.", ca, 3 * j - 2, order))
+        blocks.append(_colored(roster, f"clause{j}.", ca, 3 * j - 2, order))
 
     for i in range(1, p + 1):
-        blocks.append(colored(
-            f"pool+{i}.", bp1, 2 * i - 1,
+        blocks.append(_colored(
+            roster, f"pool+{i}.", bp1, 2 * i - 1,
             _listed(dom, F(2 * i + 1, bp1 + 2), F(2 * i, bp1 + 2),
                     F(2 * i, bp1 + 1), F(2 * i - 1, bp1 + 1), F(2 * i - 1, bp1)),
         ))
-        blocks.append(colored(
-            f"pool-{i}.", bn1, 2 * i - 1,
+        blocks.append(_colored(
+            roster, f"pool-{i}.", bn1, 2 * i - 1,
             _listed(dom, F(2 * i, bn1 + 2), F(2 * i - 1, bn1 + 2),
                     F(2 * i, bn1 + 1), F(2 * i - 1, bn1 + 1), F(2 * i - 1, bn1)),
         ))
-        blocks.append(colored(
-            f"relay+{i}.", b2, 3 * i - 2,
+        blocks.append(_colored(
+            roster, f"relay+{i}.", b2, 3 * i - 2,
             _listed(dom, F(3 * i, b2 + 2), F(3 * i - 1, b2 + 1), F(3 * i - 2, b2)),
         ))
-        blocks.append(colored(
-            f"relay-{i}.", b2, 3 * i - 2,
+        blocks.append(_colored(
+            roster, f"relay-{i}.", b2, 3 * i - 2,
             _listed(dom, F(3 * i - 2, b2 + 2), F(3 * i - 2, b2 + 1),
                     F(3 * i - 2, b2)),
         ))
@@ -901,7 +839,7 @@ def _reduce_sat_hdg_converge(formula: SatFormula, params) -> NamedInstance:
     game = DiversityGame(roster.colors, roster.orders)
     assert game.reds == reds
     return NamedInstance(
-        f"sat-to-hdg-converge(m={m},p={p})",
+        f"{kind}(m={m},p={p})",
         game,
         {"initial": Partition(blocks)},
         {},
@@ -934,6 +872,8 @@ def _require_coverage(problem: X3CInstance, kind: str) -> dict:
 
 
 def _cap_fhg(n: int, kind: str) -> None:
+    if n == 0:
+        raise ReductionError(f"{kind}: an empty cover input gives a game with no agents")
     if n > _FHG_AGENT_CAP:
         raise ReductionTooLarge(
             f"{kind} would create {n} agents; dense weight matrices are capped "
@@ -947,8 +887,38 @@ def _cover_for_scripts(problem: X3CInstance):
     return brute_force_x3c(problem)
 
 
-def _ring_labels(prefix: str):
-    return [f"{prefix}.{role}{t}" for t in range(1, 6) for role in "abc"]
+def _x3c_instance(kind: str, problem: X3CInstance, game, initial, claim, roster):
+    return NamedInstance(
+        f"{kind}(r={len(problem.ground)},s={len(problem.sets)})",
+        game, {"initial": initial}, {}, (claim,), tuple(roster.labels),
+    )
+
+
+def _set_agents(roster: _Roster, problem: X3CInstance, *roles):
+    """Per candidate set: one agent per role, then one per member.
+
+    Returns one ``{set index: id}`` dict per role and the
+    ``{(set index, element): id}`` dict of members.
+    """
+    heads = [{} for _ in roles]
+    member = {}
+    for si, s in enumerate(problem.sets):
+        for head, role in zip(heads, roles):
+            head[si] = roster.add(f"set{si + 1}{role}")
+        for r in s:
+            member[(si, r)] = roster.add(f"set{si + 1}.e{r}")
+    return (*heads, member)
+
+
+def _slot_agents(roster: _Roster, problem: X3CInstance, copies: dict) -> dict:
+    """``copies[r]`` parking agents per element ``r``, keyed ``(r, copy)``."""
+    return {(r, v): roster.add(f"elem{r}.slot{v}")
+            for r in problem.ground for v in range(1, copies[r] + 1)}
+
+
+def _add_ring(roster: _Roster, prefix: str) -> int:
+    """The 15 agents ``{prefix}.a1 .. {prefix}.c5`` of one ring; returns the first."""
+    return [roster.add(f"{prefix}.{role}{t}") for t in range(1, 6) for role in "abc"][0]
 
 
 def _embed_ring(weights, base) -> None:
@@ -992,20 +962,10 @@ def _reduce_x3c_symfhg_exists(problem: X3CInstance, params) -> NamedInstance:
     n = 4 * len(problem.sets) + 15 * sum(copies.values())
     _cap_fhg(n, kind)
 
-    labels = []
-    hub = {}
-    member = {}
-    for si, s in enumerate(problem.sets):
-        hub[si] = len(labels)
-        labels.append(f"set{si + 1}.hub")
-        for r in s:
-            member[(si, r)] = len(labels)
-            labels.append(f"set{si + 1}.e{r}")
-    ring_base = {}
-    for r in problem.ground:
-        for v in range(1, copies[r] + 1):
-            ring_base[(r, v)] = len(labels)
-            labels.extend(_ring_labels(f"elem{r}.c{v}"))
+    roster = _Roster()
+    hub, member = _set_agents(roster, problem, ".hub")
+    ring_base = {(r, v): _add_ring(roster, f"elem{r}.c{v}")
+                 for r in problem.ground for v in range(1, copies[r] + 1)}
 
     weights = [[0] * n for _ in range(n)]
     for base in ring_base.values():
@@ -1019,11 +979,10 @@ def _reduce_x3c_symfhg_exists(problem: X3CInstance, params) -> NamedInstance:
             gate = ring_base[(r, v)]  # the a1 agent of that copy
             weights[mid][gate] = weights[gate][mid] = 304
 
-    game = FractionalGame(weights)
-    starts = {"initial": Partition.singletons(n)}
-    scripts = {}
-    claims = [Claim("fhg-traits", params={"symmetric": True, "nonnegative": True})]
-
+    instance = _x3c_instance(
+        kind, problem, FractionalGame(weights), Partition.singletons(n),
+        Claim("fhg-traits", params={"symmetric": True, "nonnegative": True}), roster,
+    )
     cover = _cover_for_scripts(problem)
     if cover is not None:
         hops = []
@@ -1040,23 +999,11 @@ def _reduce_x3c_symfhg_exists(problem: X3CInstance, params) -> NamedInstance:
         for si in sorted(in_cover):
             ids = [member[(si, r)] for r in problem.sets[si]]
             hops += [(ids[1], ids[0]), (ids[2], ids[0]), (hub[si], ids[0])]
-        settle, settled = _script(
-            starts["initial"], hops,
-            note="rings fold up, spare members pair off with copies, cover sets clump",
-        )
-        scripts["settle"] = settle
-        starts["settled"] = settled
-        claims += [
-            Claim("starts-at", "settle", params={"state": "initial"}),
-            Claim("reaches", "settle", params={"state": "settled"}),
-        ]
+        _reach(instance, "settle", "settled", hops,
+               note="rings fold up, spare members pair off with copies, cover sets clump")
         if n <= _STABLE_CLAIM_CAP:
-            claims.append(Claim("stable", "settled"))
-
-    return NamedInstance(
-        f"{kind}(r={len(problem.ground)},s={len(problem.sets)})",
-        game, starts, scripts, tuple(claims), tuple(labels),
-    )
+            instance.expected += (Claim("stable", "settled"),)
+    return instance
 
 
 def _reduce_x3c_symfhg_converge(problem: X3CInstance, params) -> NamedInstance:
@@ -1070,8 +1017,8 @@ def _reduce_x3c_symfhg_converge(problem: X3CInstance, params) -> NamedInstance:
     default_alpha = Fraction(152) * (
         Fraction(surplus + 1, surplus) + Fraction(surplus + 2, surplus + 1)
     ) / 2
-    chosen = _take_params(kind, params, {"link-weight": default_alpha})
-    alpha = Fraction(chosen["link-weight"])
+    (alpha,) = _scales(kind, params, {"link-weight": default_alpha})
+    alpha = Fraction(alpha)
     _need(alpha > 0, "link-weight must be positive")
     _need(Fraction(surplus, surplus + 1) * alpha < 152,
           f"link-weight {alpha} too large: a {surplus}-tail hold must stay "
@@ -1083,24 +1030,10 @@ def _reduce_x3c_symfhg_converge(problem: X3CInstance, params) -> NamedInstance:
     n = len(problem.ground) + 5 * len(problem.sets) + 15
     _cap_fhg(n, kind)
 
-    labels = []
-    elem = {}
-    for r in problem.ground:
-        elem[r] = len(labels)
-        labels.append(f"elem{r}")
-    core = {}
-    tail = {}
-    member = {}
-    for si, s in enumerate(problem.sets):
-        core[si] = len(labels)
-        labels.append(f"set{si + 1}.core")
-        tail[si] = len(labels)
-        labels.append(f"set{si + 1}.tail")
-        for r in s:
-            member[(si, r)] = len(labels)
-            labels.append(f"set{si + 1}.e{r}")
-    ring = len(labels)
-    labels.extend(_ring_labels("ring"))
+    roster = _Roster()
+    elem = {r: roster.add(f"elem{r}") for r in problem.ground}
+    core, tail, member = _set_agents(roster, problem, ".core", ".tail")
+    ring = _add_ring(roster, "ring")
 
     weights = [[0] * n for _ in range(n)]
     _embed_ring(weights, ring)
@@ -1113,7 +1046,6 @@ def _reduce_x3c_symfhg_converge(problem: X3CInstance, params) -> NamedInstance:
             weights[core[si]][mid] = weights[mid][core[si]] = alpha
             weights[mid][elem[r]] = weights[elem[r]][mid] = 2 * alpha
 
-    game = FractionalGame(weights)
     blocks = [[elem[r]] for r in problem.ground]
     blocks += [[core[si]] + [member[(si, r)] for r in problem.sets[si]]
                for si in range(len(problem.sets))]
@@ -1121,10 +1053,10 @@ def _reduce_x3c_symfhg_converge(problem: X3CInstance, params) -> NamedInstance:
     blocks.append([_ring_agent(ring, "b", 1), _ring_agent(ring, "c", 1)])
     blocks.append([_ring_agent(ring, role, t) for t in (2, 3) for role in "abc"])
     blocks.append([_ring_agent(ring, role, t) for t in (4, 5) for role in "abc"])
-    starts = {"initial": Partition(blocks)}
-    scripts = {}
-    claims = [Claim("fhg-traits", params={"symmetric": True, "nonnegative": True})]
-
+    instance = _x3c_instance(
+        kind, problem, FractionalGame(weights), Partition(blocks),
+        Claim("fhg-traits", params={"symmetric": True, "nonnegative": True}), roster,
+    )
     cover = _cover_for_scripts(problem)
     if cover is not None:
         hops = []
@@ -1134,27 +1066,11 @@ def _reduce_x3c_symfhg_converge(problem: X3CInstance, params) -> NamedInstance:
         for si in sorted(cover):
             hops.append((tail[si], core[si]))
         hops.append((a1, _ring_agent(ring, "b", 1)))
-        stages, staged = _script(
-            starts["initial"], hops,
-            note="cover sets release their members, their tails follow, the ring closes",
-        )
-        scripts["stages"] = stages
-        starts["staged"] = staged
-        loop, loop_end = _script(staged, _ring_rotation_hops(ring),
-                                 note="the freed ring rotates forever")
-        assert loop_end == staged
-        scripts["ring-loop"] = loop
-        claims += [
-            Claim("starts-at", "stages", params={"state": "initial"}),
-            Claim("reaches", "stages", params={"state": "staged"}),
-            Claim("cycle", "ring-loop"),
-            Claim("script-length", "ring-loop", params={"length": 15}),
-        ]
-
-    return NamedInstance(
-        f"{kind}(r={len(problem.ground)},s={len(problem.sets)})",
-        game, starts, scripts, tuple(claims), tuple(labels),
-    )
+        _reach(instance, "stages", "staged", hops,
+               note="cover sets release their members, their tails follow, the ring closes")
+        _loop(instance, "ring-loop", instance.starts["staged"], _ring_rotation_hops(ring),
+              note="the freed ring rotates forever")
+    return instance
 
 
 def _reduce_x3c_asymfhg_exists(problem: X3CInstance, params) -> NamedInstance:
@@ -1166,25 +1082,11 @@ def _reduce_x3c_asymfhg_exists(problem: X3CInstance, params) -> NamedInstance:
     n = sum(copies.values()) + 4 * len(problem.sets) + 3 * surplus
     _cap_fhg(n, kind)
 
-    labels = []
-    slot = {}
-    for r in problem.ground:
-        for v in range(1, copies[r] + 1):
-            slot[(r, v)] = len(labels)
-            labels.append(f"elem{r}.slot{v}")
-    setag = {}
-    member = {}
-    for si, s in enumerate(problem.sets):
-        setag[si] = len(labels)
-        labels.append(f"set{si + 1}")
-        for r in s:
-            member[(si, r)] = len(labels)
-            labels.append(f"set{si + 1}.e{r}")
-    tri = {}
-    for v in range(1, surplus + 1):
-        for t in (1, 2, 3):
-            tri[(v, t)] = len(labels)
-            labels.append(f"tri{v}.{t}")
+    roster = _Roster()
+    slot = _slot_agents(roster, problem, copies)
+    setag, member = _set_agents(roster, problem, "")
+    tri = {(v, t): roster.add(f"tri{v}.{t}")
+           for v in range(1, surplus + 1) for t in (1, 2, 3)}
 
     arcs = {}
     for si, s in enumerate(problem.sets):
@@ -1199,18 +1101,18 @@ def _reduce_x3c_asymfhg_exists(problem: X3CInstance, params) -> NamedInstance:
         arcs[(tri[(v, 2)], tri[(v, 3)])] = 1
         arcs[(tri[(v, 3)], tri[(v, 1)])] = 1
 
-    game = FractionalGame.from_arcs(n, arcs)
     blocks = [[setag[si]] + [member[(si, r)] for r in problem.sets[si]]
               for si in range(len(problem.sets))]
     blocks += [[a] for a in slot.values()]
     blocks += [[a] for a in tri.values()]
-    starts = {"initial": Partition(blocks)}
-    scripts = {}
-    claims = [Claim("fhg-traits", params={
-        "simple": True, "simple_asymmetric": True, "nonnegative": True,
-        "acyclic": surplus == 0,
-    })]
-
+    instance = _x3c_instance(
+        kind, problem, FractionalGame.from_arcs(n, arcs), Partition(blocks),
+        Claim("fhg-traits", params={
+            "simple": True, "simple_asymmetric": True, "nonnegative": True,
+            "acyclic": surplus == 0,
+        }),
+        roster,
+    )
     cover = _cover_for_scripts(problem)
     if cover is not None:
         hops = []
@@ -1225,23 +1127,11 @@ def _reduce_x3c_asymfhg_exists(problem: X3CInstance, params) -> NamedInstance:
             hops.append((setag[si], tri[(v, 1)]))
         for v in range(1, surplus + 1):
             hops.append((tri[(v, 2)], tri[(v, 3)]))
-        settle, settled = _script(
-            starts["initial"], hops,
-            note="spare members park on copies, spare sets feed the triangles",
-        )
-        scripts["settle"] = settle
-        starts["settled"] = settled
-        claims += [
-            Claim("starts-at", "settle", params={"state": "initial"}),
-            Claim("reaches", "settle", params={"state": "settled"}),
-        ]
+        _reach(instance, "settle", "settled", hops,
+               note="spare members park on copies, spare sets feed the triangles")
         if n <= _STABLE_CLAIM_CAP:
-            claims.append(Claim("stable", "settled"))
-
-    return NamedInstance(
-        f"{kind}(r={len(problem.ground)},s={len(problem.sets)})",
-        game, starts, scripts, tuple(claims), tuple(labels),
-    )
+            instance.expected += (Claim("stable", "settled"),)
+    return instance
 
 
 def _reduce_x3c_asymfhg_converge(problem: X3CInstance, params) -> NamedInstance:
@@ -1253,29 +1143,11 @@ def _reduce_x3c_asymfhg_converge(problem: X3CInstance, params) -> NamedInstance:
     n = sum(copies.values()) + 5 * len(problem.sets) + 3 + feeds
     _cap_fhg(n, kind)
 
-    labels = []
-    slot = {}
-    for r in problem.ground:
-        for v in range(1, copies[r] + 1):
-            slot[(r, v)] = len(labels)
-            labels.append(f"elem{r}.slot{v}")
-    core = {}
-    tail = {}
-    member = {}
-    for si, s in enumerate(problem.sets):
-        core[si] = len(labels)
-        labels.append(f"set{si + 1}.core")
-        tail[si] = len(labels)
-        labels.append(f"set{si + 1}.tail")
-        for r in s:
-            member[(si, r)] = len(labels)
-            labels.append(f"set{si + 1}.e{r}")
-    hub1, hub2, hub3 = n - 3 - feeds, n - 2 - feeds, n - 1 - feeds
-    labels += ["hub1", "hub2", "hub3"]
-    feed = {}
-    for v in range(1, feeds + 1):
-        feed[v] = len(labels)
-        labels.append(f"feed{v}")
+    roster = _Roster()
+    slot = _slot_agents(roster, problem, copies)
+    core, tail, member = _set_agents(roster, problem, ".core", ".tail")
+    hub1, hub2, hub3 = (roster.add(f"hub{h}") for h in (1, 2, 3))
+    feed = {v: roster.add(f"feed{v}") for v in range(1, feeds + 1)}
 
     arcs = {(hub1, hub2): 1, (hub2, hub3): 1, (hub3, hub1): 1}
     for si, s in enumerate(problem.sets):
@@ -1288,20 +1160,20 @@ def _reduce_x3c_asymfhg_converge(problem: X3CInstance, params) -> NamedInstance:
     for v in range(1, feeds + 1):
         arcs[(feed[v], hub1)] = 1
 
-    game = FractionalGame.from_arcs(n, arcs)
     blocks = [[a] for a in slot.values()]
     blocks += [[core[si]] + [member[(si, r)] for r in problem.sets[si]]
                for si in range(len(problem.sets))]
     blocks.append([hub1] + [tail[si] for si in range(len(problem.sets))]
                   + [feed[v] for v in range(1, feeds + 1)])
     blocks += [[hub2], [hub3]]
-    starts = {"initial": Partition(blocks)}
-    scripts = {}
-    claims = [Claim("fhg-traits", params={
-        "simple": True, "simple_asymmetric": True, "nonnegative": True,
-        "acyclic": False,
-    })]
-
+    instance = _x3c_instance(
+        kind, problem, FractionalGame.from_arcs(n, arcs), Partition(blocks),
+        Claim("fhg-traits", params={
+            "simple": True, "simple_asymmetric": True, "nonnegative": True,
+            "acyclic": False,
+        }),
+        roster,
+    )
     cover = _cover_for_scripts(problem)
     if cover is not None:
         hops = []
@@ -1315,29 +1187,12 @@ def _reduce_x3c_asymfhg_converge(problem: X3CInstance, params) -> NamedInstance:
                 hops.append((member[(si, r)], slot[(r, taken[r])]))
             hops.append((tail[si], core[si]))
         hops.append((hub1, hub2))
-        stages, staged = _script(
-            starts["initial"], hops,
-            note="spare sets empty out and their tails leave; the hub breaks free",
-        )
-        scripts["stages"] = stages
-        starts["staged"] = staged
-        loop, loop_end = _script(
-            staged, [(hub2, hub3), (hub3, hub1), (hub1, hub2)],
-            note="the freed hub triangle spins forever",
-        )
-        assert loop_end == staged
-        scripts["spin"] = loop
-        claims += [
-            Claim("starts-at", "stages", params={"state": "initial"}),
-            Claim("reaches", "stages", params={"state": "staged"}),
-            Claim("cycle", "spin"),
-            Claim("script-length", "spin", params={"length": 3}),
-        ]
-
-    return NamedInstance(
-        f"{kind}(r={len(problem.ground)},s={len(problem.sets)})",
-        game, starts, scripts, tuple(claims), tuple(labels),
-    )
+        _reach(instance, "stages", "staged", hops,
+               note="spare sets empty out and their tails leave; the hub breaks free")
+        _loop(instance, "spin", instance.starts["staged"],
+              [(hub2, hub3), (hub3, hub1), (hub1, hub2)],
+              note="the freed hub triangle spins forever")
+    return instance
 
 
 def _reduce_x3c_simplefhg_exists(problem: X3CInstance, params) -> NamedInstance:
@@ -1352,25 +1207,16 @@ def _reduce_x3c_simplefhg_exists(problem: X3CInstance, params) -> NamedInstance:
     n = 3 * len(problem.ground) + 6 * len(problem.sets) + 3 * surplus
     _cap_fhg(n, kind)
 
-    labels = []
-    elem = {}
-    for r in problem.ground:
-        for t in (1, 2, 3):
-            elem[(r, t)] = len(labels)
-            labels.append(f"elem{r}.{t}")
+    roster = _Roster()
+    elem = {(r, t): roster.add(f"elem{r}.{t}") for r in problem.ground for t in (1, 2, 3)}
     outer = {}
     inner = {}
     for si, s in enumerate(problem.sets):
         for r in s:
-            outer[(si, r)] = len(labels)
-            labels.append(f"set{si + 1}.e{r}a")
-            inner[(si, r)] = len(labels)
-            labels.append(f"set{si + 1}.e{r}b")
-    team = {}
-    for w in range(1, surplus + 1):
-        for t in (1, 2, 3):
-            team[(w, t)] = len(labels)
-            labels.append(f"team{w}.{t}")
+            outer[(si, r)] = roster.add(f"set{si + 1}.e{r}a")
+            inner[(si, r)] = roster.add(f"set{si + 1}.e{r}b")
+    team = {(w, t): roster.add(f"team{w}.{t}")
+            for w in range(1, surplus + 1) for t in (1, 2, 3)}
 
     arcs = {}
     for r in problem.ground:
@@ -1394,13 +1240,13 @@ def _reduce_x3c_simplefhg_exists(problem: X3CInstance, params) -> NamedInstance:
             for r in s:
                 arcs[(team[(w, 1)], outer[(si, r)])] = 1
 
-    game = FractionalGame.from_arcs(n, arcs)
-    starts = {"initial": Partition.singletons(n)}
-    scripts = {}
-    claims = [Claim("fhg-traits", params={
-        "simple": True, "simple_asymmetric": False, "nonnegative": True,
-    })]
-
+    instance = _x3c_instance(
+        kind, problem, FractionalGame.from_arcs(n, arcs), Partition.singletons(n),
+        Claim("fhg-traits", params={
+            "simple": True, "simple_asymmetric": False, "nonnegative": True,
+        }),
+        roster,
+    )
     cover = _cover_for_scripts(problem)
     if cover is not None:
         owner = {}
@@ -1420,28 +1266,22 @@ def _reduce_x3c_simplefhg_exists(problem: X3CInstance, params) -> NamedInstance:
             hops.append((outer[(si, third)], team[(w, 1)]))
         for w in range(1, surplus + 1):
             hops.append((team[(w, 2)], team[(w, 3)]))
-        settle, settled = _script(
-            starts["initial"], hops,
-            note="cover members dock on their elements, spare sets form team blocks",
-        )
-        scripts["settle"] = settle
-        starts["settled"] = settled
-        claims += [
-            Claim("starts-at", "settle", params={"state": "initial"}),
-            Claim("reaches", "settle", params={"state": "settled"}),
-        ]
+        _reach(instance, "settle", "settled", hops,
+               note="cover members dock on their elements, spare sets form team blocks")
         if n <= _STABLE_CLAIM_CAP:
-            claims.append(Claim("stable", "settled"))
-
-    return NamedInstance(
-        f"{kind}(r={len(problem.ground)},s={len(problem.sets)})",
-        game, starts, scripts, tuple(claims), tuple(labels),
-    )
+            instance.expected += (Claim("stable", "settled"),)
+    return instance
 
 
 # ---------------------------------------------------------------------------
 # approval encodings (dichotomous games)
 # ---------------------------------------------------------------------------
+
+
+def _occurrence_agents(roster: _Roster, slots) -> dict:
+    """One agent per clause slot, keyed by its (variable, polarity, occurrence)."""
+    return {(i, polarity, t): roster.add(f"lit{'+' if polarity else '-'}{i}.{t}")
+            for clause in slots for (i, polarity, t) in clause}
 
 
 def _reduce_sat_dhg_exists(formula: SatFormula, params) -> NamedInstance:
@@ -1451,34 +1291,19 @@ def _reduce_sat_dhg_exists(formula: SatFormula, params) -> NamedInstance:
     m, p = formula.m, formula.num_vars
     slots = formula.clause_slots()
 
-    labels = []
-    gate = {}
-    gate2 = {}
-    gate3 = {}
+    roster = _Roster()
+    gate, gate2, gate3 = {}, {}, {}
     for j in range(1, m + 1):
-        gate[j] = len(labels)
-        labels.append(f"cl{j}")
-        gate2[j] = len(labels)
-        labels.append(f"cl{j}.b")
-        gate3[j] = len(labels)
-        labels.append(f"cl{j}.c")
-    anchor = {}
-    anchor2 = {}
-    anchor3 = {}
+        gate[j] = roster.add(f"cl{j}")
+        gate2[j] = roster.add(f"cl{j}.b")
+        gate3[j] = roster.add(f"cl{j}.c")
+    anchor, anchor2, anchor3 = {}, {}, {}
     for i in range(1, p + 1):
-        anchor[i] = len(labels)
-        labels.append(f"var{i}")
-        anchor2[i] = len(labels)
-        labels.append(f"var{i}.b")
-        anchor3[i] = len(labels)
-        labels.append(f"var{i}.c")
-    lit = {}
-    for j, clause in enumerate(slots, start=1):
-        for (i, polarity, t) in clause:
-            if (i, polarity, t) not in lit:
-                lit[(i, polarity, t)] = len(labels)
-                labels.append(f"lit{'+' if polarity else '-'}{i}.{t}")
-    n = len(labels)
+        anchor[i] = roster.add(f"var{i}")
+        anchor2[i] = roster.add(f"var{i}.b")
+        anchor3[i] = roster.add(f"var{i}.c")
+    lit = _occurrence_agents(roster, slots)
+    n = len(roster.labels)
 
     pos, neg = formula.occurrence_table()
     side = {}
@@ -1506,11 +1331,11 @@ def _reduce_sat_dhg_exists(formula: SatFormula, params) -> NamedInstance:
         cl = (pos if polarity else neg)[i][t - 1]
         approvals[agent].append([agent, gate[cl]])
 
-    game = DichotomousGame(n, approvals)
-    starts = {"initial": Partition.singletons(n)}
-    scripts = {}
-    claims = [Claim("dhg-symmetric", holds=False)]
-
+    instance = NamedInstance(
+        f"{kind}(m={m},p={p})", DichotomousGame(n, approvals),
+        {"initial": Partition.singletons(n)}, {},
+        (Claim("dhg-symmetric", holds=False),), tuple(roster.labels),
+    )
     assignment = brute_force_sat(formula)
     if assignment is not None:
         hops = []
@@ -1538,22 +1363,10 @@ def _reduce_sat_dhg_exists(formula: SatFormula, params) -> NamedInstance:
             hops.append((gate2[j], gate3[j]))
         for i in range(1, p + 1):
             hops.append((anchor2[i], anchor3[i]))
-        settle, settled = _script(
-            starts["initial"], hops,
-            note="clauses adopt a chosen occurrence; variables lock their false side",
-        )
-        scripts["settle"] = settle
-        starts["settled"] = settled
-        claims += [
-            Claim("starts-at", "settle", params={"state": "initial"}),
-            Claim("reaches", "settle", params={"state": "settled"}),
-            Claim("stable", "settled"),
-        ]
-
-    return NamedInstance(
-        f"{kind}(m={m},p={p})",
-        game, starts, scripts, tuple(claims), tuple(labels),
-    )
+        _reach(instance, "settle", "settled", hops,
+               note="clauses adopt a chosen occurrence; variables lock their false side")
+        instance.expected += (Claim("stable", "settled"),)
+    return instance
 
 
 def _subsets_with(universe, required, keep=None):
@@ -1584,21 +1397,13 @@ def _reduce_sat_dhg_converge(formula: SatFormula, params) -> NamedInstance:
             f"the cap of {_DHG_EXTENSIONAL_CAP}"
         )
 
-    labels = []
+    roster = _Roster()
     gate = {}
     latch = {}
     for j in range(1, m + 1):
-        gate[j] = len(labels)
-        labels.append(f"cl{j}.gate")
-        latch[j] = len(labels)
-        labels.append(f"cl{j}.latch")
-    lit = {}
-    for clause in slots:
-        for key in clause:
-            if key not in lit:
-                lit[key] = len(labels)
-                i, polarity, t = key
-                labels.append(f"lit{'+' if polarity else '-'}{i}.{t}")
+        gate[j] = roster.add(f"cl{j}.gate")
+        latch[j] = roster.add(f"cl{j}.latch")
+    lit = _occurrence_agents(roster, slots)
     everyone = list(range(n))
 
     var_agents = {i: [] for i in range(1, p + 1)}
@@ -1633,46 +1438,29 @@ def _reduce_sat_dhg_converge(formula: SatFormula, params) -> NamedInstance:
         )
         approvals[latch[j]] += _subsets_with(everyone, [latch[j], gate[j]])
 
-    game = DichotomousGame(n, approvals)
     blocks = [[gate[j], latch[j]] for j in range(1, m + 1)]
     blocks += [var_agents[i] for i in range(1, p + 1) if var_agents[i]]
-    starts = {"initial": Partition(blocks)}
-    scripts = {}
-    claims = []
-    if n <= 12:
-        claims.append(Claim("dhg-symmetric", holds=False))
-
+    instance = NamedInstance(
+        f"{kind}(m={m},p={p})", DichotomousGame(n, approvals),
+        {"initial": Partition(blocks)}, {},
+        (Claim("dhg-symmetric", holds=False),) if n <= 12 else (),
+        tuple(roster.labels),
+    )
     assignment = brute_force_sat(formula)
     if assignment is not None:
         chosen = {}
         for j, clause in enumerate(slots, start=1):
             key = next(k for k in clause if assignment[k[0]] == k[1])
             chosen[j] = lit[key]
-        reach, base = _script(
-            starts["initial"],
-            [(chosen[j], gate[j]) for j in range(1, m + 1)],
-            note="one true occurrence per clause docks on its gate pair",
-        )
-        scripts["reach"] = reach
-        starts["cycle-base"] = base
+        _reach(instance, "reach", "cycle-base",
+               [(chosen[j], gate[j]) for j in range(1, m + 1)],
+               note="one true occurrence per clause docks on its gate pair")
         loop_hops = [(gate[j], latch[j % m + 1]) for j in range(1, m + 1)]
         loop_hops += [(latch[j], gate[j]) for j in range(1, m + 1)]
         loop_hops += [(chosen[j], latch[j]) for j in range(1, m + 1)]
-        loop, loop_end = _script(base, loop_hops,
-                                 note="gates, latches and occurrences rotate in rounds")
-        assert loop_end == base
-        scripts["loop"] = loop
-        claims += [
-            Claim("starts-at", "reach", params={"state": "initial"}),
-            Claim("reaches", "reach", params={"state": "cycle-base"}),
-            Claim("cycle", "loop"),
-            Claim("script-length", "loop", params={"length": 3 * m}),
-        ]
-
-    return NamedInstance(
-        f"{kind}(m={m},p={p})",
-        game, starts, scripts, tuple(claims), tuple(labels),
-    )
+        _loop(instance, "loop", instance.starts["cycle-base"], loop_hops,
+              note="gates, latches and occurrences rotate in rounds")
+    return instance
 
 
 # ---------------------------------------------------------------------------
@@ -1740,27 +1528,21 @@ def variable_gadget_cycle() -> NamedInstance:
     block2 = list(range(6, 13))
     block3 = list(range(13, 22))
     start = Partition([block1, [1] + block2, [0] + block3])
-    loop, end = _script(
-        start,
-        [(1, 13), (0, 6), (1, 2), (0, 2), (1, 6), (0, 13)],
-        note="each probe's arrival makes the other block more attractive",
-    )
-    assert end == start
-    return NamedInstance(
+    instance = NamedInstance(
         "variable-gadget-cycle",
         game,
         {"initial": start},
-        {"loop": loop},
-        (
-            Claim("cycle", "loop"),
-            Claim("script-length", "loop", params={"length": 6}),
-            Claim("starts-at", "loop", params={"state": "initial"}),
-        ),
+        {},
+        (),
         ("z", "zb")
         + tuple(f"host1.{i}" for i in range(1, 5))
         + tuple(f"host2.{i}" for i in range(1, 8))
         + tuple(f"host3.{i}" for i in range(1, 10)),
     )
+    _loop(instance, "loop", start, [(1, 13), (0, 6), (1, 2), (0, 2), (1, 6), (0, 13)],
+          note="each probe's arrival makes the other block more attractive")
+    instance.expected += (Claim("starts-at", "loop", params={"state": "initial"}),)
+    return instance
 
 
 def toy_formula_catalog() -> tuple[tuple[str, SatFormula], ...]:

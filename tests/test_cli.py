@@ -380,6 +380,12 @@ def test_gen_random_and_flag_validation(tmp_path, capsys):
 
     assert cli.main(["gen", "--random", "fhg", "--n", "6", "--seed", "3",
                      "--restrict", "family=magic"]) == 2
+    for kind, pair in (("fhg", "low=a"), ("ahg", "strict=maybe"),
+                       ("hdg", "reds=true"), ("dhg", "density=true")):
+        assert cli.main(["gen", "--random", kind, "--n", "6", "--seed", "3",
+                         "--restrict", pair]) == 2
+        assert "must be of type" in capsys.readouterr().err
+    assert cli.main(["gen", "--random", "ahg", "--n", "6", "--seed", "-1"]) == 2
     assert cli.main(["gen", "--random", "fhg", "--n", "6"]) == 2
     assert cli.main(["gen", "--bundled", "zzz"]) == 2
     assert cli.main(["gen"]) == 2

@@ -2,8 +2,9 @@
 
 Each mutant changes one field of a valid input: an instance document read
 by ``cli.doc_to_instance``, a trace document read by
-``cli.revalidate_trace_doc``, or a DIMACS or X3C file read by ``hedyn gen
---reduce``.  Whatever the mutant, the program answers with exit code 0, 1
+``cli.revalidate_trace_doc``, a DIMACS or X3C file read by ``hedyn gen
+--reduce``, or the kind, size, seed or restriction of ``hedyn gen
+--random``.  Whatever the mutant, the program answers with exit code 0, 1
 or 2, or raises ``CliUsageError`` or ``CliClaimError``; it never stops on
 any other exception.
 """
@@ -28,6 +29,23 @@ TOKENS = ("0", "-0", "1", "-1", "3", "-4", "99", "x", "1.5", "p", "cnf", "c", "%
 
 DIMACS = "c toy\np cnf 3 2\n1 2 3 0\n-1 -2 -3 0\n"
 X3C = {"ground": [1, 2, 3, 4, 5, 6], "sets": [[1, 2, 3], [4, 5, 6], [1, 2, 4]]}
+EMPTY_X3C = {"ground": [], "sets": []}
+
+#: one valid ``hedyn gen --random`` command per kind: KIND, N, SEED, KEY, VALUE
+RANDOM_GEN = (
+    ("ahg", "5", "1", "strict", "true"),
+    ("hdg", "6", "2", "reds", "2"),
+    ("fhg", "5", "3", "low", "-3"),
+    ("dhg", "4", "4", "density", "50"),
+)
+
+#: tokens a mutated ``gen --random`` field may take
+ARGS = ("ahg", "hdg", "fhg", "dhg", "zzz", "0", "-1", "1", "2", "12", "x", "1.5", "",
+        "true", "false", "maybe", "none", "dag", "general", "=", "a=b")
+
+#: every restriction key of the four kinds, plus an unknown one
+RESTRICTION_KEYS = ("strict", "natural-sp", "reds", "family", "low", "high",
+                    "symmetric", "density", "bogus")
 
 
 def _paths(doc, path=()):
@@ -136,6 +154,38 @@ def test_mutated_x3c_files(tmp_path, capsys):
     for _ in range(200):
         text = json.dumps(mutate_doc(rng, X3C))
         assert _gen_reduce(tmp_path, capsys, rng.choice(kinds), text) in (0, 1, 2), text
+    for kind in kinds:
+        assert _gen_reduce(tmp_path, capsys, kind, json.dumps(EMPTY_X3C)) in (0, 2)
+    for _ in range(40):
+        text = json.dumps(mutate_doc(rng, EMPTY_X3C))
+        assert _gen_reduce(tmp_path, capsys, rng.choice(kinds), text) in (0, 1, 2), text
+
+
+def random_gen_args(kind, n, seed, key, value):
+    return ["gen", "--random", kind, "--n", n, "--seed", seed,
+            "--restrict", f"{key}={value}"]
+
+
+def mutate_random_gen(rng, fields):
+    """The ``gen --random`` arguments of ``fields`` with one field replaced."""
+    fields = list(fields)
+    at = rng.randrange(len(fields))
+    fields[at] = rng.choice(RESTRICTION_KEYS if at == 3 else ARGS)
+    return random_gen_args(*fields)
+
+
+def test_mutated_random_gen_commands(capsys):
+    for fields in RANDOM_GEN:
+        assert cli.main(random_gen_args(*fields)) == 0
+    rng = random.Random("random gen")
+    codes = set()
+    for _ in range(200):
+        args = mutate_random_gen(rng, rng.choice(RANDOM_GEN))
+        code = cli.main(args)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2) and "Traceback" not in err, (args, err)
+        codes.add(code)
+    assert {0, 2} <= codes
 
 
 #: the commands each mutated instance file goes through

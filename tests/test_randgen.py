@@ -99,7 +99,21 @@ def test_rejections():
         ("dhg", 8, {"density": 0}),
         ("dhg", 8, {"density": 101}),
         ("dhg", 8, {"density": "30"}),
+        # each value must have the type of its default; a bool is no int
+        ("fhg", 8, {"low": "a"}),
+        ("fhg", 8, {"high": "zz"}),
+        ("fhg", 8, {"low": True}),
+        ("fhg", 8, {"family": 3}),
+        ("ahg", 8, {"strict": "maybe"}),
+        ("ahg", 8, {"natural-sp": 1}),
+        ("hdg", 8, {"natural-sp": "maybe"}),
+        ("hdg", 8, {"reds": True}),
+        ("dhg", 8, {"symmetric": "maybe"}),
+        ("dhg", 8, {"density": True}),
     ]
     for kind, n, restrictions in cases:
         with pytest.raises(InconsistentRestrictions):
             random(kind, n, seed=0, restrictions=restrictions)
+    for seed in (-1, 1 << 64):
+        with pytest.raises(InconsistentRestrictions, match="seed must fit in 64 bits"):
+            random("ahg", 5, seed)

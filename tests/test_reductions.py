@@ -1,11 +1,13 @@
 """Problem reductions: input validation, constant checks, bundled scripts."""
 
+import hashlib
+import json
 import time
 from fractions import Fraction
 
 import pytest
 
-from hedonic_dynamics import search
+from hedonic_dynamics import cli, search
 from hedonic_dynamics.cli import parse_dimacs
 from hedonic_dynamics.core import (
     StabilityKind,
@@ -496,3 +498,165 @@ def test_membership_weight_exists_verdict_on_yes_instance():
         yes.game, yes.starts["initial"], budget=_roundtrip_budget()
     )
     assert isinstance(answer, search.PathFound)
+
+
+# ---------------------------------------------------------------------------
+# golden builds: every kind's output and one rejection per kind, pinned
+# ---------------------------------------------------------------------------
+
+COVER_NINE = X3CInstance(
+    tuple(range(1, 10)), ((1, 2, 3), (4, 5, 6), (7, 8, 9), (1, 4, 7), (2, 5, 8))
+)
+GAPPY = X3CInstance(tuple(range(1, 7)), ((1, 2, 3),))
+
+#: kind -> (input, params, agent count, sha256 of ``cli.dumps_instance``);
+#: the size and ratio kinds use small scales to keep the builds quick
+GOLDEN_BUILDS = {
+    "sat-to-ahg-exists": (
+        BALANCED,
+        {"clause-scale": 45, "pos-scale": 56, "neg-scale": 39, "gadget-scale": 8},
+        1200, "f9ab4868aaeae1b4a7553813ef0d14fbd4a51df5191076794cb8880d552b1e0a",
+    ),
+    "sat-to-ahg-converge": (
+        BALANCED,
+        {"clause-scale": 15, "pos-scale": 48, "neg-scale": 34, "pos-relay": 4,
+         "neg-relay": 39},
+        988, "83133d45241063cce76db28490751400aa092d4de8f068bb491f444200421a3f",
+    ),
+    "sat-to-hdg-exists": (
+        BALANCED,
+        {"clause-scale": 8, "variable-scale": 80, "gadget-scale": 1476},
+        27092, "a1cbb000dea9f83a156e02fa1c0cb7c0735349e9742b2be850f24b6d995c3fcb",
+    ),
+    "sat-to-hdg-converge": (
+        BALANCED,
+        {"clause-scale": 27, "pos-scale": 202, "neg-scale": 1224,
+         "relay-scale": 11033},
+        70624, "3776820418eb7c9da8cef2d7585e005a160181bdceb9cad6048e7f61de34ae95",
+    ),
+    "x3c-to-symfhg-exists": (
+        COVER_SPARE, None,
+        57, "dde59b4e114b10a88bf5a6d96ff7bfa207ea88849f5d7027a8698f96c794c14a",
+    ),
+    "x3c-to-symfhg-converge": (
+        COVER_NINE, None,
+        49, "fe9859fcd1e48aa40b434c95622f833ed929829860fde046d75851c5743fba92",
+    ),
+    "x3c-to-asymfhg-exists": (
+        COVER_NINE, None,
+        32, "bf00618d6d08315206f9d05b13e3338465f347edd2dd736b56799191fd812df7",
+    ),
+    "x3c-to-asymfhg-converge": (
+        COVER_NINE, None,
+        37, "cd1781b5b20e9589c5558be2ff2f6360086df9ee0b9022407ce2607313262506",
+    ),
+    "x3c-to-simplefhg-exists": (
+        COVER_SPARE, None,
+        39, "9565e7851e2c4d7984a9e6a66ce151f8b4cb59629a0cb3fd085d8d787bd13803",
+    ),
+    "sat-to-dhg-exists": (
+        SatFormula(((1, 1, 2), (-1, -1, 2))), None,
+        18, "69fdb010993729b13d66ebcb399c2b3deba49de855f15d9c5a7b93dd03766bef",
+    ),
+    "sat-to-dhg-converge": (
+        SatFormula(((1, 2), (-1, 2))), None,
+        8, "40e0f9d48d28705cfa8d4e8b6f9b96f7da69fdb021a28d8faceefd6041915c5a",
+    ),
+}
+
+#: kind -> (input, params, exception type, message)
+GOLDEN_ERRORS = {
+    "sat-to-ahg-exists": (
+        BALANCED, {"gadget-scale": 7}, ConstantInequalityViolation,
+        "sat-to-ahg-exists: size 14 belongs to both the gadget and gadget families",
+    ),
+    "sat-to-ahg-converge": (
+        BALANCED, {"pos-relay": True}, ConstantInequalityViolation,
+        "sat-to-ahg-converge parameter 'pos-relay' must be an integer >= 2; got True",
+    ),
+    "sat-to-hdg-exists": (
+        BALANCED, {"clause-scale": 7}, ConstantInequalityViolation,
+        "clause-scale 7 must exceed 2m-1 = 7",
+    ),
+    "sat-to-hdg-converge": (
+        BALANCED, {"clause-scale": 26}, ConstantInequalityViolation,
+        "clause-scale 26 must exceed 6m+2 = 26",
+    ),
+    "x3c-to-symfhg-exists": (
+        COVER_SPARE, {"link-weight": 4}, ReductionError,
+        "x3c-to-symfhg-exists takes no parameters; got ['link-weight']",
+    ),
+    "x3c-to-symfhg-converge": (
+        COVER_SPARE, {"link-weight": 200}, ConstantInequalityViolation,
+        "link-weight 200 too small: a 2-tail hold must stay above the triangle pull 152",
+    ),
+    "x3c-to-asymfhg-exists": (
+        GAPPY, None, FormulaClassViolation,
+        "x3c-to-asymfhg-exists: element(s) [4, 5, 6] appear in no candidate set",
+    ),
+    "x3c-to-asymfhg-converge": (
+        COVER_NINE, {"bogus": 3}, ReductionError,
+        "x3c-to-asymfhg-converge takes no parameters; got ['bogus']",
+    ),
+    "x3c-to-simplefhg-exists": (
+        GAPPY, None, FormulaClassViolation,
+        "x3c-to-simplefhg-exists: 1 sets cannot cover 6 elements",
+    ),
+    "sat-to-dhg-exists": (
+        SatFormula(((1, 2),)), None, FormulaClassViolation,
+        "clause 1 has 2 literals; this encoding needs exactly 3",
+    ),
+    "sat-to-dhg-converge": (
+        SatFormula(tuple((1, 2, 3) for _ in range(4))), None, ReductionTooLarge,
+        "sat-to-dhg-converge stores approval families extensionally; 20 agents "
+        "exceed the cap of 16",
+    ),
+}
+
+
+def _digest(instance):
+    return hashlib.sha256(cli.dumps_instance(instance).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("kind", REDUCTION_KINDS)
+def test_golden_build(kind):
+    problem, params, n, digest = GOLDEN_BUILDS[kind]
+    inst = reduce(kind, problem, params)
+    assert inst.game.n == n
+    assert _digest(inst) == digest
+
+
+@pytest.mark.parametrize("kind", REDUCTION_KINDS)
+def test_golden_rejection(kind):
+    problem, params, error, message = GOLDEN_ERRORS[kind]
+    with pytest.raises(error) as caught:
+        reduce(kind, problem, params)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+def test_golden_gadget_cycle():
+    digest = "defdb95c36c382346cfeb1276ee25fe73b4c7d0403b86c14b00ad2a595736c6e"
+    assert _digest(variable_gadget_cycle()) == digest
+
+
+def test_empty_cover_input(tmp_path, capsys):
+    empty = X3CInstance((), ())
+    for kind in ("x3c-to-symfhg-exists", "x3c-to-asymfhg-exists",
+                 "x3c-to-simplefhg-exists"):
+        with pytest.raises(ReductionError, match=kind):
+            reduce(kind, empty)
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"ground": [], "sets": []}))
+    codes = {}
+    for kind in REDUCTION_KINDS:
+        if kind.startswith("x3c"):
+            codes[kind] = cli.main(["gen", "--reduce", kind, "--input", str(path)])
+            assert "Traceback" not in capsys.readouterr().err
+    assert codes == {
+        "x3c-to-symfhg-exists": 2,
+        "x3c-to-symfhg-converge": 2,
+        "x3c-to-asymfhg-exists": 2,
+        "x3c-to-asymfhg-converge": 0,  # the three hubs still spin
+        "x3c-to-simplefhg-exists": 2,
+    }
