@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 #: Hard cap on supported instance sizes; enough for every bundled instance
@@ -193,9 +194,16 @@ class Partition:
         return f"Partition[{inner}]"
 
 
+@lru_cache(maxsize=1024)
+def _block_text(block: Coalition) -> str:
+    return ",".join(map(str, block))
+
+
 def canonicalize(partition: Partition) -> bytes:
-    """Byte encoding that is equal iff the partitions are equal."""
-    return b"|".join(b",".join(str(a).encode() for a in b) for b in partition.blocks)
+    """Byte encoding that is equal iff the partitions are equal: the blocks'
+    member ids, comma-separated, joined by ``|``.  A search revisits the same
+    few blocks in many states, so each block's text is cached."""
+    return "|".join(map(_block_text, partition.blocks)).encode()
 
 
 def _target_block(partition: Partition, move: DeviationMove) -> Coalition:

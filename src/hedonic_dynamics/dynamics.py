@@ -212,14 +212,14 @@ class _SummaryRules:
     while its own block's key stays the same, the members' welcome once per
     block and mover colour (0 or 1).
 
-    ``value(key)`` is what the orders rank, ``joined(key, colour)`` the value
-    once an agent of that colour joins, and going alone is joining ``empty``.
+    ``ranks[agent](key)`` is the agent's rank of a block key (lower means
+    preferred), ``joined(key, colour)`` the key once an agent of that colour
+    joins, and going alone is joining ``empty``.
     """
 
-    def __init__(self, game, colour, key, value, joined, empty):
-        self.orders = game.orders
+    def __init__(self, game, colour, key, ranks, joined, empty):
+        self.ranks = ranks
         self.colour = colour
-        self.value = value
         self.joined = joined
         self.empty = empty
         self.keys = _Memo(key)
@@ -230,16 +230,16 @@ class _SummaryRules:
 
     def welcome(self, block, colour):
         key = self.keys[block]
-        post, pre = self.joined(key, colour), self.value(key)
-        return all(self.orders[m].rank(post) <= self.orders[m].rank(pre) for m in block)
+        post, ranks = self.joined(key, colour), self.ranks
+        return all(ranks[m](post) <= ranks[m](key) for m in block)
 
     def _mine(self, agent, here):
         """``mine[agent]``, renewed if the agent's own key is no longer ``here``."""
         mine = self.mine[agent]
         if mine is not None and mine[0] == here:
             return mine
-        rank, colour, joined = self.orders[agent].rank, self.colour[agent], self.joined
-        now = rank(self.value(here))
+        rank, colour, joined = self.ranks[agent], self.colour[agent], self.joined
+        now = rank(here)
         # lazy, and never asked about the mover's own block: its key plus
         # one member can fall outside the order's domain (size n + 1)
         gains = _Memo(lambda key: rank(joined(key, colour)) < now)
@@ -264,20 +264,26 @@ def _size_rules(game):
         game,
         colour=(0,) * game.n,  # sizes ignore colour
         key=len,
-        value=lambda size: size,
+        ranks=tuple(order.rank for order in game.orders),
         joined=lambda size, colour: size + 1,
         empty=0,
     )
 
 
 def _ratio_rules(game):
+    """Ratio keys are integer ``(reds, size)`` pairs; each order object ranks
+    a pair's ``Fraction`` once, through one memo shared by its agents."""
     red = tuple(int(c is Color.RED) for c in game.colors)
+    memos = {}
+    for order in game.orders:
+        if id(order) not in memos:
+            memos[id(order)] = _Memo(lambda key, rank=order.rank: rank(Fraction(*key)))
     return _SummaryRules(
         game,
         colour=red,
         key=lambda block: (sum(map(red.__getitem__, block)), len(block)),
-        value=lambda key: Fraction(key[0], key[1]),
-        joined=lambda key, colour: Fraction(key[0] + colour, key[1] + 1),
+        ranks=tuple(memos[id(order)].__getitem__ for order in game.orders),
+        joined=lambda key, colour: (key[0] + colour, key[1] + 1),
         empty=(0, 0),
     )
 

@@ -18,7 +18,9 @@ Preference orders come in three flavors:
 
 Each order ranks a key by one method, ``rank(key)``: a sort key where lower
 means preferred.  Pairwise comparisons, the single-peakedness checks and the
-move engine's size and ratio rule sets all read it.
+move engine's size and ratio rule sets all read it.  The move engine keys a
+two-color block by its integer ``(reds, size)`` pair and ranks each pair
+once per order; orders still take the ``Fraction`` at that boundary.
 """
 
 from __future__ import annotations
@@ -256,39 +258,38 @@ class AxisWalkOrder:
     which keeps huge ratio domains workable.
     """
 
-    __slots__ = ("listed", "domain", "_lo", "_hi", "_went_left")
+    __slots__ = ("listed", "domain", "_spans")
 
     def __init__(self, listed: Sequence, domain):
         listed = tuple(listed)
         if not listed:
             raise GameDefinitionError("need at least a top entry")
-        lo_bounds = []
-        hi_bounds = []
-        went_left = []
+        spans = []
         lo = hi = None
         for key in listed:
             if key not in domain:
                 raise GameDefinitionError(f"listed key {key!r} outside domain {domain!r}")
             if lo is None:
                 lo = hi = key
-                went_left.append(False)
+                went_left = False
             elif key > hi:
                 hi = key
-                went_left.append(False)
+                went_left = False
             elif key < lo:
                 lo = key
-                went_left.append(True)
+                went_left = True
             else:
                 raise GameDefinitionError(
                     f"listed key {key!r} lies inside the already-ranked interval"
                 )
-            lo_bounds.append(lo)
-            hi_bounds.append(hi)
+            low, high = Fraction(lo), Fraction(hi)
+            spans.append((low.numerator, low.denominator,
+                          high.numerator, high.denominator, went_left))
         self.listed = listed
         self.domain = domain
-        self._lo = tuple(lo_bounds)
-        self._hi = tuple(hi_bounds)
-        self._went_left = tuple(went_left)
+        #: per walk step, the span it covers as integer bounds
+        #: ``(lo_num, lo_den, hi_num, hi_den, went_left)``
+        self._spans = tuple(spans)
 
     @property
     def listed_classes(self) -> tuple:
@@ -299,11 +300,14 @@ class AxisWalkOrder:
 
     def rank(self, key) -> tuple:
         """``(walk step, signed key)``: the step whose span first covers the
-        key, read towards that step's new end."""
-        for step, (lo, hi, left) in enumerate(zip(self._lo, self._hi, self._went_left)):
-            if lo <= key <= hi:
+        key, read towards that step's new end.  ``key`` is an int or a
+        ``Fraction``; spans are tested by cross-multiplication."""
+        num, den = key.numerator, key.denominator
+        for step, (lo_num, lo_den, hi_num, hi_den, left) in enumerate(self._spans):
+            if lo_num * den <= num * lo_den and num * hi_den <= hi_num * den:
                 return (step, -key if left else key)
-        if key > self._hi[-1]:
+        _, _, hi_num, hi_den, _ = self._spans[-1]
+        if num * hi_den > hi_num * den:
             return (len(self.listed), key)
         return (len(self.listed) + 1, -key)
 

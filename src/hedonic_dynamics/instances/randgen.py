@@ -43,6 +43,9 @@ _FHG_FAMILIES = ("general", "simple-symmetric", "dag", "symmetric-nonnegative")
 _DHG_GEN_CAP = 14
 #: ratio axes are materialised agent by agent
 _HDG_GEN_CAP = 64
+#: ahg builds n orders of n sizes and fhg an n x n weight matrix, so memory
+#: and time grow with n**2
+_DENSE_GEN_CAP = 2_000
 
 
 def _merge(kind: str, restrictions) -> dict:
@@ -245,6 +248,10 @@ def random(kind: str, n: int, seed: int, restrictions: dict | None = None) -> Na
         rng = SplitMix64(seed)
     except ValueError as exc:
         raise InconsistentRestrictions(f"{exc}; got {seed}") from None
+    if kind in ("ahg", "fhg") and n > _DENSE_GEN_CAP:
+        raise InconsistentRestrictions(
+            f"{kind} generation builds n x n preferences; n must be <= {_DENSE_GEN_CAP}"
+        )
     game, claims = _BUILDERS[kind](n, rng, opts)
     tags = ";".join(f"{k}={v}" for k, v in sorted(opts.items())
                     if v != _DEFAULTS[kind][k])

@@ -279,8 +279,10 @@ def _no_params(kind: str, params) -> None:
 def _scales(kind: str, params, defaults: dict) -> list:
     """The scales in ``defaults`` order, each one overridable by ``params``.
 
-    A scale with an integer default must stay an integer >= 2; a rational
-    one (a weight) is checked by its reducer.
+    A scale with an integer default must stay an integer >= 2.  A rational
+    one (a weight) may be given as an integer, a ``Fraction`` or a string
+    ``Fraction`` parses, and comes back as a ``Fraction``; its bounds are
+    checked by its reducer.
     """
     chosen = dict(defaults)
     for key, value in (params or {}).items():
@@ -296,7 +298,21 @@ def _scales(kind: str, params, defaults: dict) -> list:
             raise ConstantInequalityViolation(
                 f"{kind} parameter {key!r} must be an integer >= 2; got {value!r}"
             )
+        if isinstance(defaults[key], Fraction):
+            chosen[key] = _rational(kind, key, value)
     return list(chosen.values())
+
+
+def _rational(kind: str, key: str, value) -> Fraction:
+    if isinstance(value, (int, Fraction, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):  # a string Fraction rejects
+            pass
+    raise ConstantInequalityViolation(
+        f"{kind} parameter {key!r} must be an integer, a Fraction or a "
+        f"rational string; got {value!r}"
+    )
 
 
 def _listed(domain, *keys) -> ComputedOrder:
@@ -1018,7 +1034,6 @@ def _reduce_x3c_symfhg_converge(problem: X3CInstance, params) -> NamedInstance:
         Fraction(surplus + 1, surplus) + Fraction(surplus + 2, surplus + 1)
     ) / 2
     (alpha,) = _scales(kind, params, {"link-weight": default_alpha})
-    alpha = Fraction(alpha)
     _need(alpha > 0, "link-weight must be positive")
     _need(Fraction(surplus, surplus + 1) * alpha < 152,
           f"link-weight {alpha} too large: a {surplus}-tail hold must stay "

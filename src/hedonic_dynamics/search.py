@@ -422,12 +422,13 @@ def exists_path_to_is(
     meter = _Meter(budget)
     start_key = canonicalize(start)
     parents: dict[bytes, tuple[bytes, object] | None] = {start_key: None}
-    queue: list[tuple[bytes, Partition]] = [(start_key, start)]
+    queue: list[tuple[bytes, Partition] | None] = [(start_key, start)]
     head = 0
     try:
         meter.tick()
         while head < len(queue):
             key, partition = queue[head]
+            queue[head] = None  # the path is rebuilt from `parents` alone
             head += 1
             moves = list(finder.iter_moves(partition))
             if not moves:

@@ -4,10 +4,11 @@ These factories are deliberately independent of the package's own random
 generator so that cross-checks between the two are meaningful.
 """
 
+import hashlib
 import random
 
 from hedonic_dynamics import games
-from hedonic_dynamics.core import Partition
+from hedonic_dynamics.core import NEW_SINGLETON, Partition
 
 
 def rand_weak_order(rng: random.Random, keys, strict=False) -> games.WeakOrder:
@@ -109,6 +110,51 @@ def rand_dhg(rng, n, density=0.3, symmetric=False) -> games.DichotomousGame:
             for a in range(n)
         ]
     return games.DichotomousGame(n, families)
+
+
+def rand_walk_prefix(rng, keys):
+    """A random interval-walk prefix along the sorted ``keys``."""
+    lo = hi = rng.randrange(len(keys))
+    listed = [keys[lo]]
+    while rng.random() < 0.6 and (lo > 0 or hi < len(keys) - 1):
+        if lo > 0 and (hi == len(keys) - 1 or rng.random() < 0.5):
+            lo = rng.randrange(lo)
+            listed.append(keys[lo])
+        else:
+            hi = rng.randrange(hi + 1, len(keys))
+            listed.append(keys[hi])
+    return listed
+
+
+def rand_lazy_game(rng, trial, n):
+    """A size game (even ``trial``) or a two-colour game (odd) whose agents
+    share three lazy orders: an axis walk and a computed order with each
+    completion."""
+    if trial % 2 == 0:
+        domain, colors = games.SizeDomain(n), None
+    else:
+        reds = rng.randint(0, n)
+        domain = games.RatioDomain(reds, n - reds)
+        colors = [games.Color.RED] * reds + [games.Color.BLUE] * (n - reds)
+        rng.shuffle(colors)
+    keys = list(domain.enumerate())
+    pool = [games.AxisWalkOrder(rand_walk_prefix(rng, keys), domain)]
+    for completion in games.Completion:
+        listed = rand_weak_order(rng, rng.sample(keys, rng.randint(1, len(keys))))
+        pool.append(games.ComputedOrder(listed.classes, domain, completion))
+    orders = [rng.choice(pool) for _ in range(n)]
+    if colors is None:
+        return games.AnonymousGame(orders)
+    return games.DiversityGame(colors, orders)
+
+
+def move_digest(moves) -> str:
+    """Short hash of a move list, for golden runs and paths."""
+    text = ";".join(
+        f"{m.agent}>{'new' if m.target is NEW_SINGLETON else ','.join(map(str, m.target))}"
+        for m in moves
+    )
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def rand_game(rng, trial, n):

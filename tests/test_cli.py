@@ -395,6 +395,14 @@ def test_gen_random_and_flag_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_gen_random_dense_kinds_cap_n(capsys):
+    # refused before the n x n preferences are built, so this takes no time
+    for kind in ("ahg", "fhg"):
+        for n in ("2001", "100000"):
+            assert cli.main(["gen", "--random", kind, "--n", n, "--seed", "1"]) == 2
+            assert "n must be <= 2000" in capsys.readouterr().err
+
+
 def test_gen_bundled_output_parses_back(tmp_path, capsys):
     out = tmp_path / "fhg15.json"
     assert cli.main(["gen", "--bundled", "fhg15", "--out", str(out)]) == 0

@@ -75,6 +75,21 @@ def test_canonicalize_equal_iff_equal():
         assert (canonicalize(p) == canonicalize(q)) == (p == q)
 
 
+def test_canonicalize_spells_out_every_member():
+    # the encoding that files and witness tie-breaks rely on, written out
+    # member by member; ids of two and three digits included
+    def spelled(p):
+        return b"|".join(b",".join(str(a).encode() for a in b) for b in p.blocks)
+
+    assert canonicalize(Partition([])) == spelled(Partition([])) == b""
+    rng = random.Random(11)
+    for _ in range(300):
+        p = rand_partition(rng, rng.choice([1, 5, 12, 40, 150]))
+        assert canonicalize(p) == spelled(p)
+    # one cached text per block, for a bounded number of blocks
+    assert core._block_text.cache_info().maxsize == 1024
+
+
 def test_apply_moves_agent_and_drops_empty_block():
     p = Partition([[0, 1], [2]])
     q = apply(p, DeviationMove(1, (2,)))

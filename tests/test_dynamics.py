@@ -47,6 +47,7 @@ from conftest import (
     rand_fhg,
     rand_game,
     rand_hdg,
+    rand_lazy_game,
     rand_partition,
     rand_sp_order,
 )
@@ -67,6 +68,10 @@ def test_move_finder_matches_core_enumeration():
         g = rand_game(rng, trial, rng.randint(2, 7))
         states = [Partition.grand(g.n), Partition.singletons(g.n)]
         cases.append((g, states + [rand_partition(rng, g.n) for _ in range(6)]))
+    for trial in range(80):  # size and ratio games over shared lazy orders
+        g = rand_lazy_game(rng, trial, rng.randint(2, 7))
+        states = [Partition.grand(g.n), Partition.singletons(g.n)]
+        cases.append((g, states + [rand_partition(rng, g.n) for _ in range(6)]))
     # the movers in {0,1,2,3} hold the only block with 2 reds out of 4: one
     # more red there would be ratio 3/5, outside this game's ratio domain
     colors = [R, R, B, B, B]
@@ -75,6 +80,9 @@ def test_move_finder_matches_core_enumeration():
     cases.append((trap, [Partition([[0, 1, 2, 3], [4]])]))
     for g, states in cases:
         finder = MoveFinder(g)
+        if type(g) is DiversityGame:  # one rank memo per distinct order object
+            memos = {id(rank.__self__) for rank in finder._rules.ranks}
+            assert len(memos) == len({id(order) for order in g.orders})
         for p in states:
             fast = list(finder.iter_moves(p))
             reference = core.enumerate_deviations(g, p, IS)

@@ -32,7 +32,7 @@ from hedonic_dynamics.games import (
     single_peaked_check,
 )
 
-from conftest import rand_sp_order, rand_weak_order
+from conftest import rand_sp_order, rand_walk_prefix, rand_weak_order
 
 R, B = Color.RED, Color.BLUE
 
@@ -237,20 +237,6 @@ def test_single_peaked_explicit_axis():
         single_peaked_check(o, ExplicitAxis([1, 2]))
 
 
-def _rand_walk_prefix(rng, keys):
-    """A random interval-walk prefix along the sorted ``keys``."""
-    lo = hi = rng.randrange(len(keys))
-    listed = [keys[lo]]
-    while rng.random() < 0.6 and (lo > 0 or hi < len(keys) - 1):
-        if lo > 0 and (hi == len(keys) - 1 or rng.random() < 0.5):
-            lo = rng.randrange(lo)
-            listed.append(keys[lo])
-        else:
-            hi = rng.randrange(hi + 1, len(keys))
-            listed.append(keys[hi])
-    return listed
-
-
 def test_single_peaked_interval_vs_triples():
     rng = random.Random(41)
     for _ in range(200):
@@ -268,7 +254,7 @@ def test_single_peaked_interval_vs_triples():
         blues = rng.randint(reds == 0, 3)
         domain = rng.choice([SizeDomain(rng.randint(1, 8)), RatioDomain(reds, blues)])
         keys = list(domain.enumerate())
-        orders.append(AxisWalkOrder(_rand_walk_prefix(rng, keys), domain))
+        orders.append(AxisWalkOrder(rand_walk_prefix(rng, keys), domain))
         rng.shuffle(keys)
         listed = rand_weak_order(rng, keys[: rng.randint(1, len(keys))]).classes
         orders.append(ComputedOrder(listed, domain, rng.choice(list(Completion))))
@@ -405,6 +391,15 @@ def test_axis_walk_order_on_ratio_domain():
     assert walk.compare(Fraction(2, 3), Fraction(1)) > 0
     assert Fraction(7, 9) not in dom
     assert Fraction(2, 5) in walk
+    # random walks: ranks sort the domain exactly as the materialized order
+    rng = random.Random(59)
+    for _ in range(150):
+        reds = rng.randint(0, 6)
+        dom = RatioDomain(reds, rng.randint(reds == 0, 6))
+        keys = list(dom.enumerate())
+        walk = AxisWalkOrder(rand_walk_prefix(rng, keys), dom)
+        full = materialize(walk, keys)
+        assert sorted(keys, key=walk.rank) == [k for (k,) in full.classes], walk
 
 
 def test_axis_walk_order_rejects_bad_prefixes():

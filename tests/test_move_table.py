@@ -6,13 +6,12 @@ walks states where the table is updated rather than rebuilt and checks it
 against the ``core`` reference enumeration at every step.
 """
 
-import hashlib
 import random
 
 import pytest
 
 from hedonic_dynamics import core, instances
-from hedonic_dynamics.core import NEW_SINGLETON, Partition, StabilityKind
+from hedonic_dynamics.core import Partition, StabilityKind
 from hedonic_dynamics.dynamics import (
     CycleDetected,
     Filtered,
@@ -24,7 +23,7 @@ from hedonic_dynamics.dynamics import (
 )
 from hedonic_dynamics.games import DichotomousGame
 
-from conftest import rand_game, rand_partition
+from conftest import move_digest, rand_game, rand_lazy_game, rand_partition
 
 IS = StabilityKind.IS
 
@@ -51,14 +50,6 @@ def golden_game(kind: str):
     return instances.random(kind, n, 1000 + n).game
 
 
-def digest(moves) -> str:
-    text = ";".join(
-        f"{m.agent}>{'new' if m.target is NEW_SINGLETON else ','.join(map(str, m.target))}"
-        for m in moves
-    )
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
 def golden_run(kind: str, policy_name: str):
     game = golden_game(kind)
     policy = SeededRandom(77) if policy_name.endswith("seeded") else Lexicographic()
@@ -69,7 +60,7 @@ def golden_run(kind: str, policy_name: str):
         policy = Filtered(policy)  # from a mixed start, where the filter bites
     out = run(game, start, policy, RunConfig(max_steps=150))
     trace = out.witness if isinstance(out, CycleDetected) else out.trace
-    return type(out).__name__, len(trace), digest(trace.moves)
+    return type(out).__name__, len(trace), move_digest(trace.moves)
 
 
 #: (outcome, steps, move digest) of each run, recorded before the move table
@@ -93,8 +84,10 @@ def test_golden_traces(kind, policy_name):
 
 
 def incremental_games():
-    """Two games of each class at n 20-40, where a move leaves most blocks
-    alone and the finder updates its table instead of rebuilding it."""
+    """Two games of each class at n 20-40, plus two size and two two-colour
+    games over lazy orders shared by several agents, where a move leaves
+    most blocks alone and the finder updates its table instead of
+    rebuilding it."""
     rng = random.Random(211)
     for trial in range(8):
         n = rng.randint(20, 40)
@@ -102,6 +95,8 @@ def incremental_games():
             yield club_dhg(n, trial), rng
         else:
             yield rand_game(rng, trial, n), rng
+    for trial in range(4):
+        yield rand_lazy_game(rng, trial, rng.randint(20, 40)), rng
 
 
 def check_against_core(finder, state):

@@ -242,6 +242,17 @@ def test_link_weight_bracket():
     reduce("x3c-to-symfhg-converge", COVER_SPARE, {"link-weight": 300})
 
 
+def test_link_weight_types():
+    for value in (300, Fraction(300), "300", "900/3"):
+        inst = reduce("x3c-to-symfhg-converge", COVER_SPARE, {"link-weight": value})
+        a1 = inst.labels.index("ring.a1")
+        weight = inst.game.weights[a1][inst.labels.index("set1.tail")]
+        assert weight == 300 and type(weight) is Fraction
+    for value in (True, None, [1], "abc", "1/0", 300.0):
+        with pytest.raises(ConstantInequalityViolation, match="'link-weight'"):
+            reduce("x3c-to-symfhg-converge", COVER_SPARE, {"link-weight": value})
+
+
 def test_population_caps():
     with pytest.raises(ReductionTooLarge):
         reduce("sat-to-hdg-converge", BALANCED)  # default scales: 1.6M agents

@@ -12,7 +12,7 @@ from hedonic_dynamics.core import (
     canonicalize,
     relabel_partition,
 )
-from hedonic_dynamics.instances import build
+from hedonic_dynamics.instances import build, reduce, toy_formula_catalog
 from hedonic_dynamics.search import (
     BudgetExhausted,
     CapExceeded,
@@ -35,6 +35,7 @@ from hedonic_dynamics.search import (
 )
 
 from conftest import (
+    move_digest,
     rand_ahg,
     rand_dhg,
     rand_fhg,
@@ -383,6 +384,23 @@ def test_path_search_finds_a_shortest_path():
     assert isinstance(out, PathFound)
     assert len(out.trace) == 3
     assert out.trace.final == Partition.grand(4)
+
+
+#: (steps, move digest) of the shortest path found from the bundled start of
+#: `sat-to-dhg-exists` on two toy formulas, recorded before the cached block
+#: text and the ratio rank memo
+REACH_GOLDEN = {
+    "two-clause-chain": (8, "f349a89fb95b1b4f"),
+    "two-clause-opposed": (9, "e613687ff888f33f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REACH_GOLDEN))
+def test_path_search_golden_on_toy_reductions(name):
+    inst = reduce("sat-to-dhg-exists", dict(toy_formula_catalog())[name])
+    out = exists_path_to_is(inst.game, inst.starts["initial"])
+    assert isinstance(out, PathFound)
+    assert (len(out.trace), move_digest(out.trace.moves)) == REACH_GOLDEN[name]
 
 
 def test_path_search_single_agent():
