@@ -232,7 +232,7 @@ def _order_to_doc(order, dump_key) -> dict:
         return {"classes": [[dump_key(k) for k in cls] for cls in order.classes]}
     if isinstance(order, ComputedOrder):
         return {
-            "listed": [[dump_key(k) for k in cls] for cls in order.listed_classes],
+            "listed": [[dump_key(k) for k in cls] for cls in order.prefix.classes],
             "completion": order.completion.value,
         }
     if isinstance(order, AxisWalkOrder):

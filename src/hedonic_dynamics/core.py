@@ -44,12 +44,6 @@ class InvalidTarget(CoreError):
     or a target already containing the deviator."""
 
 
-class Ordering(enum.Enum):
-    PREFER = 1
-    INDIFFERENT = 0
-    DISPREFER = -1
-
-
 class StabilityKind(enum.Enum):
     NASH = "nash"
     IS = "is"

@@ -33,6 +33,7 @@ from .games import (
     DichotomousGame,
     DiversityGame,
     FractionalGame,
+    distinct_orders,
 )
 from .prng import SplitMix64
 
@@ -274,10 +275,10 @@ def _ratio_rules(game):
     """Ratio keys are integer ``(reds, size)`` pairs; each order object ranks
     a pair's ``Fraction`` once, through one memo shared by its agents."""
     red = tuple(int(c is Color.RED) for c in game.colors)
-    memos = {}
-    for order in game.orders:
-        if id(order) not in memos:
-            memos[id(order)] = _Memo(lambda key, rank=order.rank: rank(Fraction(*key)))
+    memos = {
+        id(order): _Memo(lambda key, rank=order.rank: rank(Fraction(*key)))
+        for order in distinct_orders(game)
+    }
     return _SummaryRules(
         game,
         colour=red,

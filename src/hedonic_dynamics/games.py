@@ -7,20 +7,23 @@ floats anywhere.
 
 Preference orders come in three flavors:
 
-- :class:`WeakOrder` — fully materialized ranked indifference classes.
-- :class:`ComputedOrder` — a listed top segment plus a completion rule for
-  the rest of the domain, evaluated lazily.  This is what makes the big
-  generated instances (tens of thousands of agents, millions of feasible
-  ratios) workable: the domain is a descriptor with a membership test, not
-  a materialized list.
+- :class:`WeakOrder` — a rank table over an explicit key set: each key maps
+  to the index of its indifference class.  The classes themselves are
+  derived from the table on request (for files and reprs), never stored.
+- :class:`ComputedOrder` — a listed top segment, itself a ``WeakOrder``,
+  plus a completion rule for the rest of the domain, evaluated lazily.
+  This is what makes the big generated instances (tens of thousands of
+  agents, millions of feasible ratios) workable: the domain is a
+  descriptor with a membership test, not a materialized list.
 - :class:`AxisWalkOrder` — a strict order fixed by a walk along the numeric
   axis, also evaluated lazily.
 
 Each order ranks a key by one method, ``rank(key)``: a sort key where lower
-means preferred.  Pairwise comparisons, the single-peakedness checks and the
-move engine's size and ratio rule sets all read it.  The move engine keys a
-two-color block by its integer ``(reds, size)`` pair and ranks each pair
-once per order; orders still take the ``Fraction`` at that boundary.
+means preferred.  Pairwise comparisons, the single-peakedness checks, the
+ascent-credit monitor and the move engine's size and ratio rule sets all
+read it.  The move engine keys a two-color block by its integer
+``(reds, size)`` pair and ranks each pair once per order; orders still
+take the ``Fraction`` at that boundary.
 """
 
 from __future__ import annotations
@@ -58,31 +61,38 @@ def _compare(order, a, b) -> int:
 
 
 class WeakOrder:
-    """Total preorder over a finite key set, as ranked indifference classes.
+    """Total preorder over a finite key set, stored as a rank table.
 
-    ``classes[0]`` is the most-preferred class.  Keys may be ints (sizes) or
-    Fractions (ratios); within a class they are stored sorted so equal orders
-    are structurally identical.
+    The one stored form is the table from each key to the index of its
+    indifference class; class 0 is the most preferred.  Keys may be ints
+    (sizes) or Fractions (ratios).  ``classes`` is derived from the table,
+    each class sorted, so two orders are equal iff they rank every key the
+    same, however their classes were listed.
     """
 
-    __slots__ = ("classes", "_level")
+    __slots__ = ("_level",)
 
     def __init__(self, classes: Iterable[Iterable]):
-        normalized = []
         level = {}
         for rank, cls in enumerate(classes):
-            keys = tuple(sorted(cls))
-            if not keys:
-                raise GameDefinitionError("empty indifference class")
-            for k in keys:
+            before = len(level)
+            for k in sorted(cls):
                 if k in level:
                     raise GameDefinitionError(f"key {k} appears in two classes")
                 level[k] = rank
-            normalized.append(keys)
+            if len(level) == before:
+                raise GameDefinitionError("empty indifference class")
         if not level:
             raise GameDefinitionError("order must rank at least one key")
-        self.classes = tuple(normalized)
         self._level = level
+
+    @property
+    def classes(self) -> tuple:
+        """The indifference classes in rank order, each sorted ascending."""
+        grouped = [[] for _ in range(max(self._level.values()) + 1)]
+        for key, rank in self._level.items():
+            grouped[rank].append(key)
+        return tuple(tuple(sorted(c)) for c in grouped)
 
     @property
     def domain(self) -> frozenset:
@@ -102,13 +112,15 @@ class WeakOrder:
 
     @property
     def is_strict(self) -> bool:
-        return all(len(c) == 1 for c in self.classes)
+        return max(self._level.values()) + 1 == len(self._level)
 
     def __eq__(self, other):
-        return isinstance(other, WeakOrder) and self.classes == other.classes
+        return isinstance(other, WeakOrder) and self._level == other._level
 
     def __hash__(self):
-        return hash(self.classes)
+        # keys go in class by class, each class ascending, so equal orders
+        # hold their keys in the same order
+        return hash(tuple(self._level))
 
     def __repr__(self):
         body = " > ".join(
@@ -184,21 +196,23 @@ class Completion(enum.Enum):
 class ComputedOrder:
     """Order given by listed top classes plus a completion rule, lazily.
 
-    Equality treats two computed orders as equal when they list the same
-    classes over the same domain with the same rule.
+    The listed classes are one :class:`WeakOrder`, ``prefix``.  Two computed
+    orders are equal when their prefixes are equal over the same domain
+    with the same rule.
     """
 
-    __slots__ = ("listed_classes", "_level", "completion", "domain")
+    __slots__ = ("prefix", "completion", "domain", "_tail")
 
     def __init__(self, listed_classes: Iterable[Iterable], domain, completion: Completion):
-        materialized = WeakOrder(listed_classes)
-        for key in materialized._level:
+        prefix = WeakOrder(listed_classes)
+        for key in prefix._level:
             if key not in domain:
                 raise GameDefinitionError(f"listed key {key!r} outside domain {domain!r}")
-        self.listed_classes = materialized.classes
-        self._level = materialized._level
+        self.prefix = prefix
         self.completion = completion
         self.domain = domain
+        #: the class index every unlisted key shares: one past the listed
+        self._tail = max(prefix._level.values()) + 1
 
     def __contains__(self, key) -> bool:
         return key in self.domain
@@ -207,22 +221,22 @@ class ComputedOrder:
         """``(class index, 0)`` for a listed key.  Unlisted keys rank below
         every listed class: all tied (bottom) or smaller key first
         (ascending)."""
-        level = self._level.get(key)
+        level = self.prefix._level.get(key)
         if level is not None:
             return (level, 0)
         tie = 0 if self.completion is Completion.BOTTOM else key
-        return (len(self.listed_classes), tie)
+        return (self._tail, tie)
 
     compare = _compare
 
     @property
     def is_strict(self) -> bool:
-        if any(len(c) > 1 for c in self.listed_classes):
+        if not self.prefix.is_strict:
             return False
         if self.completion is Completion.ASCENDING:
             return True
         try:
-            unlisted = len(self.domain) - len(self._level)
+            unlisted = len(self.domain) - len(self.prefix._level)
         except TypeError:
             return False
         return unlisted <= 1
@@ -230,17 +244,17 @@ class ComputedOrder:
     def __eq__(self, other):
         return (
             isinstance(other, ComputedOrder)
-            and self.listed_classes == other.listed_classes
+            and self.prefix == other.prefix
             and self.completion is other.completion
             and self.domain == other.domain
         )
 
     def __hash__(self):
-        return hash((self.listed_classes, self.completion, self.domain))
+        return hash((self.prefix, self.completion, self.domain))
 
     def __repr__(self):
         return (
-            f"ComputedOrder({len(self.listed_classes)} listed classes, "
+            f"ComputedOrder({self._tail} listed classes, "
             f"{self.completion.value} tail over {self.domain!r})"
         )
 
@@ -291,10 +305,6 @@ class AxisWalkOrder:
         #: ``(lo_num, lo_den, hi_num, hi_den, went_left)``
         self._spans = tuple(spans)
 
-    @property
-    def listed_classes(self) -> tuple:
-        return tuple((k,) for k in self.listed)
-
     def __contains__(self, key) -> bool:
         return key in self.domain
 
@@ -339,8 +349,8 @@ def materialize(order, keys: Iterable) -> WeakOrder:
     keys = list(keys)
     if isinstance(order, AxisWalkOrder):
         return complete_strict_on_axis(order.listed, sorted(keys))
-    listed = [list(c) for c in order.listed_classes]
-    unlisted = sorted(k for k in keys if k not in order._level)
+    listed = [list(c) for c in order.prefix.classes]
+    unlisted = sorted(k for k in keys if k not in order.prefix)
     if not unlisted:
         return WeakOrder(listed)
     if order.completion is Completion.BOTTOM:
@@ -452,6 +462,12 @@ def _check_order_domain(order, expected) -> None:
         )
 
 
+def distinct_orders(game) -> list:
+    """Each order object of ``game`` once, in agent order: agents often
+    share one object, and whatever is derived per order need not repeat."""
+    return list({id(order): order for order in game.orders}.values())
+
+
 class AnonymousGame:
     """Hedonic game where agents only care about their coalition's size."""
 
@@ -464,11 +480,7 @@ class AnonymousGame:
         if self.n == 0:
             raise GameDefinitionError("need at least one agent")
         expected = SizeDomain(self.n)
-        checked = set()
-        for order in self.orders:
-            if id(order) in checked:
-                continue
-            checked.add(id(order))
+        for order in distinct_orders(self):
             _check_order_domain(order, expected)
 
     def prefers(self, agent: int, a: Coalition, b: Coalition) -> int:
@@ -494,11 +506,7 @@ class DiversityGame:
         self.blues = self.n - self.reds
         self.ratio_domain = RatioDomain(self.reds, self.blues)
         self._ratio_memo = {}
-        checked = set()
-        for order in self.orders:
-            if id(order) in checked:
-                continue
-            checked.add(id(order))
+        for order in distinct_orders(self):
             _check_order_domain(order, self.ratio_domain)
 
     def ratio_of(self, coalition_: Coalition) -> Fraction:
@@ -774,14 +782,7 @@ def single_peaked_brute(order, axis=NATURAL) -> bool:
 
 def naturally_single_peaked(game) -> bool:
     """Convenience: every agent's order is single-peaked on the natural axis."""
-    checked = set()
-    for order in game.orders:
-        if id(order) in checked:
-            continue
-        checked.add(id(order))
-        if not single_peaked_check(order, NATURAL).ok:
-            return False
-    return True
+    return all(single_peaked_check(order, NATURAL).ok for order in distinct_orders(game))
 
 
 def is_strict_game(game) -> bool:

@@ -161,8 +161,6 @@ def _check_restriction(instance, claim):
                 raise ClaimFailed(f"claim '{claim.describe()}': trait {name} is {got}")
     elif kind == "dhg-symmetric":
         _require(claim, dhg_is_symmetric(game), "approval symmetry mismatch")
-    else:  # pragma: no cover - guarded by CLAIM_CHECKERS
-        raise ClaimFailed(f"unknown restriction {kind}")
 
 
 def _check_script(instance, claim):
@@ -212,8 +210,15 @@ def _check_script(instance, claim):
                     f"found {available}"
                 )
             state = apply(state, move)
-    else:  # pragma: no cover
-        raise ClaimFailed(f"unknown script claim {kind}")
+
+
+#: path claims: kind -> (name of the ``search`` function, wanted answer type)
+_PATH_CLAIMS = {
+    "no-path": ("exists_path_to_is", search.NoPath),
+    "path-found": ("exists_path_to_is", search.PathFound),
+    "cycle-reachable": ("all_paths_converge", search.CycleReachable),
+    "converges": ("all_paths_converge", search.ConvergesAlways),
+}
 
 
 def _check_search(instance, claim):
@@ -248,21 +253,10 @@ def _check_search(instance, claim):
         if not isinstance(answer, search.NoStablePartition):
             raise ClaimFailed(f"claim '{claim.describe()}': got {type(answer).__name__}")
         return
+    # looked up on ``search`` at call time, so a wrapped function is the one run
+    find, wanted = _PATH_CLAIMS[kind]
     start = instance.starts[claim.subject]
-    if kind == "no-path":
-        answer = search.exists_path_to_is(game, start, search.SearchBudget())
-        wanted = search.NoPath
-    elif kind == "path-found":
-        answer = search.exists_path_to_is(game, start, search.SearchBudget())
-        wanted = search.PathFound
-    elif kind == "cycle-reachable":
-        answer = search.all_paths_converge(game, start, search.SearchBudget())
-        wanted = search.CycleReachable
-    elif kind == "converges":
-        answer = search.all_paths_converge(game, start, search.SearchBudget())
-        wanted = search.ConvergesAlways
-    else:  # pragma: no cover
-        raise ClaimFailed(f"unknown search claim {kind}")
+    answer = getattr(search, find)(game, start, search.SearchBudget())
     if not isinstance(answer, wanted):
         raise ClaimFailed(f"claim '{claim.describe()}': got {type(answer).__name__}")
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import DeviationMove, Ordering, Partition, apply
+from .core import DeviationMove, Partition, apply
 from .games import (
     AnonymousGame,
     Color,
@@ -130,11 +130,6 @@ def require_strict_natural_sp(game) -> None:
         raise PreconditionViolated(
             "ascent credit needs naturally single-peaked preferences"
         )
-
-
-def _peak(order) -> int:
-    classes = order.classes if hasattr(order, "classes") else order.listed_classes
-    return classes[0][0]
 
 
 def ascent_credit_init(start: Partition, game=None) -> AscentCreditState:
@@ -295,10 +290,13 @@ def _assert_credit_invariants(state: AscentCreditState, game, partition: Partiti
                     f"invariant (3) broke: agent {j} strictly prefers her credit "
                     f"size {vj} to her coalition size {size}"
                 )
-            if _peak(order) <= vj:
+            # strict and naturally single-peaked: vj lies below the peak
+            # iff size vj + 1 is preferred to vj
+            if vj >= game.n or order.compare(vj + 1, vj) <= 0:
+                peak = min(range(1, game.n + 1), key=order.rank)
                 raise MonitorInvariantViolation(
                     f"invariant (3) broke: agent {j} has credit {vj} not strictly "
-                    f"below her peak {_peak(order)}"
+                    f"below her peak {peak}"
                 )
 
 
@@ -403,26 +401,11 @@ def lex_potential(partition: Partition, sigma: Sequence[int]) -> LexPotential:
     return LexPotential(tuple(tops), tuple(sizes))
 
 
-def lex_compare(a: Sequence[int], b: Sequence[int]) -> Ordering:
-    """Lexicographic comparison; with one vector a proper prefix of the
-    other, the longer vector is the greater one."""
-    for x, y in zip(a, b):
-        if x != y:
-            return Ordering.PREFER if x > y else Ordering.DISPREFER
-    if len(a) != len(b):
-        return Ordering.PREFER if len(a) > len(b) else Ordering.DISPREFER
-    return Ordering.INDIFFERENT
-
-
 def lex_pair_decreased(pre: LexPotential, post: LexPotential) -> bool:
     """The combined order in which every deviation must make progress:
-    top scores drop, or stay equal while the size vector rises."""
-    top = lex_compare(post.top_scores, pre.top_scores)
-    if top is Ordering.DISPREFER:
-        return True
-    if top is Ordering.INDIFFERENT:
-        return lex_compare(post.sizes, pre.sizes) is Ordering.PREFER
-    return False
+    top scores drop, or stay equal while the size vector rises.  Both are
+    tuple comparisons, where a proper prefix is the smaller vector."""
+    return (post.top_scores, pre.sizes) < (pre.top_scores, post.sizes)
 
 
 class LexPotentialMonitor:

@@ -52,6 +52,53 @@ def test_weak_order_basics():
         WeakOrder([[1], []])
 
 
+def test_weak_order_equality_reads_the_rank_table():
+    a = WeakOrder([[3, 1], [2], [5, 4]])
+    b = WeakOrder([(1, 3), {2}, [4, 5]])
+    assert a == b and hash(a) == hash(b)
+    assert a.classes == b.classes == ((1, 3), (2,), (4, 5))
+    assert a != WeakOrder([[1], [3], [2], [4, 5]])
+    assert a != WeakOrder([[1, 3], [2], [4]])
+
+
+def test_classes_round_trip_random_orders():
+    """``classes`` lists the order back: ranked, each class sorted, every key
+    once; rebuilding from it (members shuffled) gives an equal order."""
+    rng = random.Random(2024)
+    for trial in range(200):
+        n = rng.randint(1, 12)
+        if trial % 2:
+            keys = list(RatioDomain(rng.randint(0, n), n).enumerate())
+        else:
+            keys = list(range(1, n + 1))
+        o = rand_weak_order(rng, keys, strict=rng.random() < 0.3)
+        classes = o.classes
+        assert all(list(c) == sorted(c) for c in classes)
+        assert sorted(k for c in classes for k in c) == sorted(keys)
+        for rank, cls in enumerate(classes):
+            assert all(o.rank(k) == rank for k in cls)
+        assert o.is_strict == all(len(c) == 1 for c in classes)
+        shuffled = [rng.sample(c, len(c)) for c in classes]
+        again = WeakOrder(shuffled)
+        assert again == o and hash(again) == hash(o)
+        assert again.classes == classes
+
+
+def test_computed_order_equality_goes_through_its_prefix():
+    dom = SizeDomain(6)
+    a = ComputedOrder([[4, 2], [3]], dom, Completion.BOTTOM)
+    b = ComputedOrder([[2, 4], [3]], dom, Completion.BOTTOM)
+    assert a.prefix == WeakOrder([[2, 4], [3]])
+    assert a == b and hash(a) == hash(b)
+    assert a != ComputedOrder([[2, 4], [3]], dom, Completion.ASCENDING)
+    assert a != ComputedOrder([[2, 4], [3]], SizeDomain(7), Completion.BOTTOM)
+    assert a != ComputedOrder([[2], [4], [3]], dom, Completion.BOTTOM)
+    # unlisted keys rank one class below the listed ones
+    assert a.rank(2) == (0, 0) and a.rank(3) == (1, 0) and a.rank(6) == (2, 0)
+    asc = ComputedOrder([[4, 2], [3]], dom, Completion.ASCENDING)
+    assert asc.rank(1) == (2, 1) and asc.rank(6) == (2, 6)
+
+
 def test_size_domain():
     d = SizeDomain(4)
     assert 1 in d and 4 in d
@@ -373,7 +420,7 @@ def test_axis_walk_order_matches_materialized_completion():
                 assert walk.compare(a, b) == full.compare(a, b)
         assert walk.is_strict
         assert single_peaked_check(walk).ok
-        assert walk.listed_classes[0][0] == peak
+        assert walk.listed[0] == peak
 
 
 def test_axis_walk_order_on_ratio_domain():

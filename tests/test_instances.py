@@ -129,6 +129,11 @@ def test_claim_checker_rejects_a_wrong_claim():
         check_claim(inst, Claim("stable", "grand"))
 
 
+def test_check_claim_refuses_unknown_kinds():
+    with pytest.raises(ClaimFailed, match="unknown claim kind 'no-such-kind'"):
+        check_claim(build("ahg7"), Claim("no-such-kind", "grand"))
+
+
 # --- pinned facts about individual entries ------------------------------------
 
 

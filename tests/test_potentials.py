@@ -18,7 +18,6 @@ from hedonic_dynamics.potentials import (
     ascent_credit_init,
     ascent_credit_step,
     count_internal_pairs,
-    lex_compare,
     lex_pair_decreased,
     lex_potential,
     minority_anchor_level,
@@ -134,6 +133,32 @@ def test_ascent_credit_new_singleton_is_a_shrink_move():
     assert step.readings["lambda"] == {"value": 0, "growth": False, "case": "i"}
 
 
+@pytest.mark.parametrize("order", [
+    games.WeakOrder([[2], [1], [3]]),
+    games.ComputedOrder([[2], [1]], games.SizeDomain(3), games.Completion.BOTTOM),
+    games.AxisWalkOrder([2, 1], games.SizeDomain(3)),
+])
+def test_ascent_credit_flags_credit_at_the_peak(order):
+    """Every agent peaks at size 2.  Credit 2 inside a pair breaks nothing
+    but invariant (3): credit must stay strictly below the peak."""
+    game = games.AnonymousGame([order] * 3)
+    partition = Partition([(0, 1), (2,)])
+    at_peak = potentials.AscentCreditState(
+        agent_values=(2, 2, 0),
+        coalition_values={(0, 1): 0, (2,): 0},
+        last_entrants={(0, 1): None, (2,): None},
+    )
+    with pytest.raises(MonitorInvariantViolation,
+                       match=r"invariant \(3\).*credit 2 not strictly below her peak 2"):
+        potentials._assert_credit_invariants(at_peak, game, partition)
+    below = potentials.AscentCreditState(
+        agent_values=(1, 1, 0),
+        coalition_values={(0, 1): 1, (2,): 0},
+        last_entrants={(0, 1): 0, (2,): None},
+    )
+    potentials._assert_credit_invariants(below, game, partition)
+
+
 def test_ascent_credit_monotone_on_random_runs():
     """Strictly single-peaked size games: the credit total never drops, rises
     on every growth move, and stays within n^2.  The per-step assertions live
@@ -212,16 +237,35 @@ def test_require_topological_rejects_bad_scores():
         lex_potential(Partition.singletons(3), (0, 1, 2))
 
 
+def _lex_less(a, b):
+    """Lexicographic a < b written out: the first difference decides, and
+    a proper prefix is the smaller vector."""
+    for x, y in zip(a, b):
+        if x != y:
+            return x < y
+    return len(a) < len(b)
+
+
 def test_lex_compare_prefix_rule_and_tuple_agreement():
-    assert lex_compare((3, 2), (3, 1, 4)).value == 1
-    assert lex_compare((3, 1), (3, 1, 4)).value == -1
-    assert lex_compare((2,), (2,)).value == 0
+    """`lex_pair_decreased` agrees with the written-out lexicographic order:
+    top scores drop, or stay equal while the size vector rises."""
+    mk = potentials.LexPotential
+    assert lex_pair_decreased(mk((3, 2), (1,)), mk((3, 1, 4), (1,)))
+    assert not lex_pair_decreased(mk((3, 1), (1,)), mk((3, 1, 4), (1,)))
+    assert not lex_pair_decreased(mk((2,), (1,)), mk((2,), (1,)))
     rng = random.Random(424242)
+
+    def vec():
+        return tuple(rng.randint(0, 4) for _ in range(rng.randint(0, 5)))
+
     for _ in range(300):
-        a = tuple(rng.randint(0, 4) for _ in range(rng.randint(0, 5)))
-        b = tuple(rng.randint(0, 4) for _ in range(rng.randint(0, 5)))
-        expected = 0 if a == b else (1 if a > b else -1)
-        assert lex_compare(a, b).value == expected
+        pre, post = mk(vec(), vec()), mk(vec(), vec())
+        if rng.random() < 0.5:
+            post = mk(pre.top_scores, post.sizes)
+        expected = _lex_less(post.top_scores, pre.top_scores) or (
+            post.top_scores == pre.top_scores and _lex_less(pre.sizes, post.sizes)
+        )
+        assert lex_pair_decreased(pre, post) == expected
 
 
 def test_lex_pair_decreased_cases():
@@ -230,6 +274,14 @@ def test_lex_pair_decreased_cases():
     assert lex_pair_decreased(mk((5, 3), (1, 2)), mk((5, 3), (1, 3)))
     assert not lex_pair_decreased(mk((5, 3), (1, 2)), mk((5, 3), (1, 2)))
     assert not lex_pair_decreased(mk((5, 3), (1, 2)), mk((5, 4), (1, 1)))
+    # a proper prefix is the smaller vector; otherwise the first difference
+    # decides, whatever the lengths
+    assert lex_pair_decreased(mk((5, 3, 1), (1, 1, 2)), mk((5, 3), (1, 3)))
+    assert not lex_pair_decreased(mk((5, 3), (1, 3)), mk((5, 3, 1), (1, 1, 2)))
+    assert lex_pair_decreased(mk((5, 3), (1, 2, 4)), mk((5, 3), (1, 3)))
+    assert not lex_pair_decreased(mk((5, 3), (1, 3)), mk((5, 3), (1, 2, 4)))
+    assert lex_pair_decreased(mk((5, 3), (1, 2)), mk((5, 3), (1, 2, 4)))
+    assert not lex_pair_decreased(mk((5, 3), (1, 2, 4)), mk((5, 3), (1, 2)))
 
 
 def test_lex_monitor_preconditions():

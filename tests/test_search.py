@@ -202,6 +202,25 @@ def test_pruned_requires_weighted_average_game():
         exists_is_partition(loner_game(3), PrunedFHG())
 
 
+def test_orders_listed_apart_form_one_type():
+    """Equal rank tables are one type, however each order's classes were
+    listed and whichever object holds them."""
+    orders = [
+        games.WeakOrder([[3, 1], [4, 2]]),
+        games.WeakOrder([[2, 4], [1, 3]]),
+        games.WeakOrder([[1, 3], [2, 4]]),
+        games.WeakOrder([{3, 1}, (4, 2)]),
+    ]
+    assert search._agent_types(games.AnonymousGame(orders)) == [[0, 2, 3], [1]]
+    colors = [games.Color.RED, games.Color.BLUE, games.Color.RED]
+    half, two_thirds = games.Fraction(1, 2), games.Fraction(2, 3)
+    orders = [games.WeakOrder(c) for c in ([[0, half], [1, two_thirds]],
+                                           [[half, 0], [two_thirds, 1]],
+                                           [[half, 0], [two_thirds, 1]])]
+    game = games.DiversityGame(colors, orders)
+    assert search._agent_types(game) == [[0, 2], [1]]
+
+
 def test_stability_depends_only_on_type_counts():
     """Permuting interchangeable agents never changes IS-status."""
     rng = random.Random(314)
