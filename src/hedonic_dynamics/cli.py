@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -591,25 +590,29 @@ def _read_text(path: str) -> str:
         raise CliUsageError(f"cannot read {path}: {exc}") from None
 
 
-def _load_instance_file(path: str) -> NamedInstance:
-    text = _read_text(path)
+def _open_out(path: str):
     try:
-        doc = json.loads(text)
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise CliUsageError(f"cannot write {path}: {exc}") from None
+
+
+def _parse_json(text: str, where: str):
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliUsageError(
-            f"{path}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            f"{where}: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
-    return doc_to_instance(doc)
+
+
+def _load_instance_file(path: str) -> NamedInstance:
+    return doc_to_instance(_parse_json(_read_text(path), path))
 
 
 def _pick_start(instance: NamedInstance, args, flag="--start") -> Partition:
     if getattr(args, "inline", None) is not None:
-        try:
-            doc = json.loads(args.inline)
-        except json.JSONDecodeError as exc:
-            raise CliUsageError(
-                f"--inline: parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from None
+        doc = _parse_json(args.inline, "--inline")
         return doc_to_partition(doc, instance.game.n, "--inline")
     name = getattr(args, "partition", None) or getattr(args, "start", None)
     if name is None:
@@ -636,30 +639,17 @@ def _emit(args, human_lines, machine_doc) -> None:
 
 
 def _search_budget(args) -> SearchBudget:
-    states = None
-    seconds = None
+    kwargs = {}
     if args.budget:
         head, _, tail = args.budget.partition(":")
         try:
-            states = int(head)
+            kwargs["max_states"] = int(head)
             if tail:
-                seconds = int(tail)
+                kwargs["max_seconds"] = int(tail)
         except ValueError:
             raise CliUsageError(
                 f"--budget: expected STATES or STATES:SECONDS, got {args.budget!r}"
             ) from None
-    if seconds is None:
-        env = os.environ.get("HD_BUDGET_SECONDS")
-        if env is not None:
-            try:
-                seconds = int(env)
-            except ValueError:
-                raise CliUsageError(f"HD_BUDGET_SECONDS: not an integer: {env!r}") from None
-    kwargs = {}
-    if states is not None:
-        kwargs["max_states"] = states
-    if seconds is not None:
-        kwargs["max_seconds"] = seconds
     try:
         return SearchBudget(**kwargs)
     except ValueError as exc:
@@ -780,7 +770,7 @@ def _cmd_run(args) -> int:
     trace = outcome.trace if not isinstance(outcome, CycleDetected) else outcome.witness
     doc = _outcome_doc(outcome)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+        with _open_out(args.out) as handle:
             json.dump(trace_to_doc(trace, doc), handle, indent=2)
             handle.write("\n")
     human = [f"outcome: {doc['type']}"]
@@ -893,13 +883,7 @@ def _cmd_gen(args) -> int:
         if kind.startswith("sat"):
             problem = parse_dimacs(text)
         else:
-            try:
-                problem = parse_x3c_doc(json.loads(text))
-            except json.JSONDecodeError as exc:
-                raise CliUsageError(
-                    f"{args.input}: parse error at line {exc.lineno} "
-                    f"column {exc.colno}: {exc.msg}"
-                ) from None
+            problem = parse_x3c_doc(_parse_json(text, args.input))
         try:
             instance = reduce_problem(kind, problem, params)
         except UnknownReductionKind:
@@ -918,7 +902,7 @@ def _cmd_gen(args) -> int:
             raise CliUsageError(f"--random: {exc}") from None
     text = dumps_instance(instance)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+        with _open_out(args.out) as handle:
             handle.write(text)
         print(f"wrote {instance.id} (n={instance.game.n}) to {args.out}")
     else:
@@ -1032,7 +1016,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--restrict", nargs="+", metavar="KEY=VALUE",
                        help="generator restrictions, e.g. strict=true family=dag")
     p_gen.add_argument("--out", help="write here instead of stdout")
-    common(p_gen)
     p_gen.set_defaults(handler=_cmd_gen)
 
     p_verify = sub.add_parser("verify",

@@ -29,9 +29,12 @@ take the ``Fraction`` at that boundary.
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
+from math import gcd
 from typing import Iterable, Sequence
 
 from .core import Coalition, coalition
@@ -141,6 +144,9 @@ class SizeDomain:
     def enumerate(self):
         return range(1, self.n + 1)
 
+    def __iter__(self):
+        return iter(self.enumerate())
+
     def __len__(self):
         return self.n
 
@@ -173,14 +179,18 @@ class RatioDomain:
         p, q = f.numerator, f.denominator
         return p <= self.reds and q - p <= self.blues and q <= self.n
 
+    def __iter__(self):
+        """The feasible ratios lazily, each once (in lowest terms), by
+        growing denominator: a reducible p/q is met at its lowest terms."""
+        for q in range(1, self.n + 1):
+            for p in range(max(0, q - self.blues), min(q, self.reds) + 1):
+                if gcd(p, q) == 1:
+                    yield Fraction(p, q)
+
     @lru_cache(maxsize=8)
     def enumerate(self) -> tuple[Fraction, ...]:
         """The feasible ratios, ascending; built and sorted once per domain."""
-        seen = set()
-        for q in range(1, self.n + 1):
-            for p in range(max(0, q - self.blues), min(q, self.reds) + 1):
-                seen.add(Fraction(p, q))
-        return tuple(sorted(seen))
+        return tuple(sorted(self))
 
 
 class Completion(enum.Enum):
@@ -235,11 +245,10 @@ class ComputedOrder:
             return False
         if self.completion is Completion.ASCENDING:
             return True
-        try:
-            unlisted = len(self.domain) - len(self.prefix._level)
-        except TypeError:
-            return False
-        return unlisted <= 1
+        # the tied tail is strict iff it holds at most one key; count the
+        # domain no further than that, as it may be huge
+        room = len(self.prefix._level) + 1
+        return sum(1 for _ in islice(self.domain, room + 1)) <= room
 
     def __eq__(self, other):
         return (
@@ -581,17 +590,15 @@ def fhg_utility(game: FractionalGame, agent: int, coalition_: Iterable[int]) -> 
     return Fraction(game.member_sum(agent, members), len(members))
 
 
+@dataclass(frozen=True)
 class FhgTraits:
     """Structural flags of a fractional game's weight digraph."""
 
-    __slots__ = ("symmetric", "simple", "simple_asymmetric", "nonnegative", "_acyclic")
-
-    def __init__(self, symmetric, simple, simple_asymmetric, nonnegative, acyclic):
-        self.symmetric = symmetric
-        self.simple = simple
-        self.simple_asymmetric = simple_asymmetric
-        self.nonnegative = nonnegative
-        self._acyclic = acyclic
+    symmetric: bool
+    simple: bool
+    simple_asymmetric: bool
+    nonnegative: bool
+    _acyclic: bool | None
 
     @property
     def acyclic(self) -> bool:
@@ -601,40 +608,34 @@ class FhgTraits:
             )
         return self._acyclic
 
-    def __repr__(self):
-        parts = [
-            f"symmetric={self.symmetric}",
-            f"simple={self.simple}",
-            f"simple_asymmetric={self.simple_asymmetric}",
-            f"nonnegative={self.nonnegative}",
-            f"acyclic={self._acyclic}",
-        ]
-        return "FhgTraits(" + ", ".join(parts) + ")"
 
+def arc_scores(game: FractionalGame) -> tuple[int, ...] | None:
+    """Scores 1..n increasing along every arc, smallest agent id first
+    (Kahn's algorithm), or ``None`` when the arcs close a cycle.
 
-def _digraph_has_cycle(n: int, adjacency: Sequence[Sequence[int]]) -> bool:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = [WHITE] * n
-    for root in range(n):
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(adjacency[root]))]
-        color[root] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GRAY:
-                    return True
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, iter(adjacency[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-    return False
+    Arc i→j (weight 1: agent i likes agent j) forces score(i) < score(j).
+    """
+    n = game.n
+    w = game.weights
+    indegree = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if w[i][j] == 1:
+                indegree[j] += 1
+    ready = [i for i in range(n) if indegree[i] == 0]
+    heapq.heapify(ready)
+    scores = [0] * n
+    rank = 0
+    while ready:
+        node = heapq.heappop(ready)
+        rank += 1
+        scores[node] = rank
+        for j in range(n):
+            if w[node][j] == 1:
+                indegree[j] -= 1
+                if indegree[j] == 0:
+                    heapq.heappush(ready, j)
+    return tuple(scores) if rank == n else None
 
 
 def classify_fhg(game: FractionalGame) -> FhgTraits:
@@ -647,10 +648,7 @@ def classify_fhg(game: FractionalGame) -> FhgTraits:
         not (w[i][j] == 1 and w[j][i] == 1) for i in range(n) for j in range(i + 1, n)
     )
     nonnegative = all(w[i][j] >= 0 for i in range(n) for j in range(n))
-    acyclic = None
-    if asym:
-        adjacency = [[j for j in range(n) if w[i][j] == 1] for i in range(n)]
-        acyclic = not _digraph_has_cycle(n, adjacency)
+    acyclic = arc_scores(game) is not None if asym else None
     return FhgTraits(symmetric, simple, asym, nonnegative, acyclic)
 
 
@@ -787,4 +785,4 @@ def naturally_single_peaked(game) -> bool:
 
 def is_strict_game(game) -> bool:
     """Convenience: every agent's order is strict."""
-    return all(order.is_strict for order in game.orders)
+    return all(order.is_strict for order in distinct_orders(game))

@@ -21,7 +21,6 @@ partition: it depends on the starting partition and the whole move history.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -32,6 +31,7 @@ from .games import (
     Color,
     DiversityGame,
     FractionalGame,
+    arc_scores,
     classify_fhg,
     is_strict_game,
     naturally_single_peaked,
@@ -351,33 +351,12 @@ class LexPotential:
 
 
 def topological_scores(game: FractionalGame) -> tuple[int, ...]:
-    """Scores 1..n increasing along every arc, smallest agent id first.
-
-    Arc i→j (agent i likes agent j) forces score(i) < score(j).
-    """
-    n = game.n
-    w = game.weights
-    indegree = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i != j and w[i][j] == 1:
-                indegree[j] += 1
-    ready = [i for i in range(n) if indegree[i] == 0]
-    heapq.heapify(ready)
-    scores = [0] * n
-    rank = 0
-    while ready:
-        node = heapq.heappop(ready)
-        rank += 1
-        scores[node] = rank
-        for j in range(n):
-            if j != node and w[node][j] == 1:
-                indegree[j] -= 1
-                if indegree[j] == 0:
-                    heapq.heappush(ready, j)
-    if rank != n:
+    """Scores 1..n increasing along every arc, smallest agent id first
+    (see ``games.arc_scores``)."""
+    scores = arc_scores(game)
+    if scores is None:
         raise NotTopological("the digraph has a cycle; no topological order exists")
-    return tuple(scores)
+    return scores
 
 
 def require_topological(game: FractionalGame, sigma: Sequence[int]) -> None:

@@ -83,8 +83,8 @@ class PrunedFHG:
     lowest free agent.  A block is rejected when it clashes with a block
     already placed: a member of either strictly gains by joining the other
     and every member there weakly approves.  Each pair's verdict is computed
-    once per search, and only clash-free complete covers, which are exactly
-    the stable partitions, reach the stability check.
+    once per search, and the clash-free complete covers are exactly the
+    stable partitions.
     """
 
 
@@ -225,22 +225,19 @@ def exists_is_partition(
     if isinstance(strategy, TypeReduced):
         types = _agent_types(game)
         shapes = _type_reduced_shapes(game, types, meter)
-        candidates = (Partition(_fill_shape(types, shape)) for shape in shapes)
+        stable = (Partition(_fill_shape(types, shape)) for shape in shapes)
     elif isinstance(strategy, PrunedFHG):
-        candidates = _pruned_fhg_candidates(game, meter)
+        stable = _pruned_fhg_candidates(game, meter)
     else:
-        candidates = enumerate_partitions(game.n)
+        stable = _plain_stable(game, meter)
 
-    finder = MoveFinder(game)
     best: Partition | None = None
     best_key: bytes | None = None
     try:
-        for partition in candidates:
-            meter.tick()
-            if not finder.has_move(partition):
-                key = canonicalize(partition)
-                if best_key is None or key < best_key:
-                    best, best_key = partition, key
+        for partition in stable:
+            key = canonicalize(partition)
+            if best_key is None or key < best_key:
+                best, best_key = partition, key
     except _BudgetOver as over:
         if best is not None:
             return StableExists(best)
@@ -248,6 +245,16 @@ def exists_is_partition(
     if best is not None:
         return StableExists(best)
     return NoStablePartition(meter.states)
+
+
+def _plain_stable(game, meter: _Meter):
+    """The stable partitions among all labeled ones; each candidate ticks
+    ``meter``."""
+    finder = MoveFinder(game)
+    for partition in enumerate_partitions(game.n):
+        meter.tick()
+        if not finder.has_move(partition):
+            yield partition
 
 
 def _clash(game, a, b) -> bool:
@@ -267,12 +274,13 @@ def _covers(first, options, clash, meter: _Meter):
 
     ``options(rest)`` lists the blocks that may be placed while ``rest`` is
     left to cover, each with what is left after it (``None`` once covered).
-    Each placed block ticks ``meter``.
+    Each placed block and each complete cover ticks ``meter``.
     """
     placed: list = []
 
     def extend(rest):
         if rest is None:
+            meter.tick()
             yield tuple(placed)
             return
         for block, left in options(rest):

@@ -148,6 +148,32 @@ def test_parse_error_reports_line_and_column(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_parse_errors_name_their_source(tmp_path, capsys):
+    game = _write(tmp_path, "dhg3.json", build("dhg3"))
+    assert cli.main(["check", game, "--inline", "[[0, 1],\n [2"]) == 2
+    assert "--inline: parse error at line 2 column" in capsys.readouterr().err
+    cover = tmp_path / "cover.json"
+    cover.write_text("{oops")
+    assert cli.main(["gen", "--reduce", "x3c-to-symfhg-exists",
+                     "--input", str(cover)]) == 2
+    assert f"{cover}: parse error at line 1 column 2" in capsys.readouterr().err
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    path = _write(tmp_path, "ahg7.json", build("ahg7"))
+    for out in (tmp_path / "missing" / "t.json", tmp_path):
+        assert cli.main(["run", path, "--policy", "script:cycle", "--out", str(out)]) == 2
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert cli.main(["gen", "--bundled", "ahg7", "--out", str(out)]) == 2
+        assert f"cannot write {out}" in capsys.readouterr().err
+
+
+def test_gen_has_no_report_style(capsys):
+    # gen writes an instance file, never a report
+    assert cli.main(["gen", "--bundled", "ahg7", "--json-style"]) == 2
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # run
 # ---------------------------------------------------------------------------
@@ -276,14 +302,7 @@ def test_search_flag_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_budget_seconds_from_environment(monkeypatch):
-    args = argparse.Namespace(budget=None)
-    monkeypatch.setenv("HD_BUDGET_SECONDS", "7")
-    assert cli._search_budget(args).max_seconds == 7
-    monkeypatch.setenv("HD_BUDGET_SECONDS", "soon")
-    with pytest.raises(cli.CliUsageError):
-        cli._search_budget(args)
-    monkeypatch.delenv("HD_BUDGET_SECONDS")
+def test_budget_seconds_from_environment():
     assert cli._search_budget(argparse.Namespace(budget="100:9")).max_seconds == 9
     assert cli._search_budget(argparse.Namespace(budget="100")).max_states == 100
 

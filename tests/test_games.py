@@ -170,6 +170,25 @@ def test_computed_order_on_ratio_domain():
         ComputedOrder([[Fraction(7, 2)]], dom, Completion.BOTTOM)
 
 
+def test_computed_order_strictness_matches_materialized():
+    # ratio domains have no length: strictness of a tied tail counts keys
+    rng = random.Random(4242)
+    for _ in range(200):
+        reds = rng.randint(0, 4)
+        dom = RatioDomain(reds, rng.randint(reds == 0, 4))
+        keys = dom.enumerate()
+        size = rng.choice([len(keys), len(keys) - 1, rng.randint(1, len(keys))])
+        listed = rand_weak_order(rng, rng.sample(keys, max(size, 1)), rng.random() < 0.7)
+        for completion in Completion:
+            order = ComputedOrder(listed.classes, dom, completion)
+            assert order.is_strict == materialize(order, keys).is_strict
+    keys = RatioDomain(1, 1).enumerate()
+    for listed in (keys, keys[:2]):
+        order = ComputedOrder([[k] for k in listed], RatioDomain(1, 1), Completion.BOTTOM)
+        assert order.is_strict
+        assert games.is_strict_game(DiversityGame([R, B], [order, order]))
+
+
 def test_ahg_rank_and_domain_validation():
     g = AnonymousGame([WeakOrder([[2], [1], [3]])] * 3)
     assert g.orders[0].rank(2) == 0

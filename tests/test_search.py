@@ -1,5 +1,6 @@
 """Exhaustive decision procedures."""
 
+import hashlib
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from hedonic_dynamics.core import (
     relabel_partition,
 )
 from hedonic_dynamics.instances import build, reduce, toy_formula_catalog
+from hedonic_dynamics.instances import random as random_instance
 from hedonic_dynamics.search import (
     BudgetExhausted,
     CapExceeded,
@@ -346,6 +348,87 @@ def test_type_reduced_budget_counts_parts_and_covers():
         no_is, TypeReduced(), SearchBudget(max_states=full.states_checked - 1)
     )
     assert short == BudgetExhausted("states", full.states_checked - 1)
+
+
+#: seeded ``random(kind, n, 7n + 1)`` games, every strategy each class
+#: accepts: (answer, ticks of the full scan, answer under a budget of one
+#: tick less, answer under half the ticks), an answer being the witness's
+#: digest, ``("none", states)`` or ``(limit, states)``; recorded before the
+#: cover strategies stopped re-testing their covers for moves
+EXISTENCE_GOLDEN = {
+    ("ahg", 4, Plain): ("6cd6fd7cc26e", 15, "6cd6fd7cc26e", "6cd6fd7cc26e"),
+    ("ahg", 4, TypeReduced): ("6cd6fd7cc26e", 15, "6cd6fd7cc26e", "6cd6fd7cc26e"),
+    ("ahg", 5, Plain): ("b09de8b672bd", 52, "b09de8b672bd", ("states", 26)),
+    ("ahg", 5, TypeReduced): ("b09de8b672bd", 13, "b09de8b672bd", "b09de8b672bd"),
+    ("ahg", 6, Plain): ("1d3c31ea5a81", 203, "1d3c31ea5a81", ("states", 101)),
+    ("ahg", 6, TypeReduced): ("1d3c31ea5a81", 41, "1d3c31ea5a81", "1d3c31ea5a81"),
+    ("ahg", 7, Plain): ("c242871c65b5", 877, "c242871c65b5", "c242871c65b5"),
+    ("ahg", 7, TypeReduced): ("c242871c65b5", 200, "c242871c65b5", "c242871c65b5"),
+    ("ahg", 8, Plain): ("db7e29fada0e", 4140, "db7e29fada0e", "db7e29fada0e"),
+    ("ahg", 8, TypeReduced): ("db7e29fada0e", 330, "db7e29fada0e", "db7e29fada0e"),
+    ("ahg", 9, Plain): ("7674e85374b4", 21147, "7674e85374b4", "7674e85374b4"),
+    ("ahg", 9, TypeReduced): ("7674e85374b4", 684, "7674e85374b4", "7674e85374b4"),
+    ("hdg", 4, Plain): ("6cd6fd7cc26e", 15, "6cd6fd7cc26e", "6cd6fd7cc26e"),
+    ("hdg", 4, TypeReduced): ("6cd6fd7cc26e", 13, "6cd6fd7cc26e", "6cd6fd7cc26e"),
+    ("hdg", 5, Plain): ("549b7c70dcda", 52, "549b7c70dcda", "549b7c70dcda"),
+    ("hdg", 5, TypeReduced): ("549b7c70dcda", 37, "549b7c70dcda", "549b7c70dcda"),
+    ("hdg", 6, Plain): ("aeac62c81d95", 203, "aeac62c81d95", "aeac62c81d95"),
+    ("hdg", 6, TypeReduced): ("aeac62c81d95", 57, "aeac62c81d95", "aeac62c81d95"),
+    ("hdg", 7, Plain): ("e6cee67c856a", 877, "e6cee67c856a", "e6cee67c856a"),
+    ("hdg", 7, TypeReduced): ("e6cee67c856a", 298, "e6cee67c856a", "e6cee67c856a"),
+    ("hdg", 8, Plain): ("6a457007b729", 4140, "6a457007b729", "6a457007b729"),
+    ("hdg", 8, TypeReduced): ("6a457007b729", 534, "6a457007b729", "6a457007b729"),
+    ("hdg", 9, Plain): ("f6e7dce58b64", 21147, "f6e7dce58b64", "f6e7dce58b64"),
+    ("hdg", 9, TypeReduced): ("f6e7dce58b64", 1585, "f6e7dce58b64", "f6e7dce58b64"),
+    ("fhg", 4, Plain): ("22d472d8f7da", 15, "22d472d8f7da", ("states", 7)),
+    ("fhg", 4, PrunedFHG): ("22d472d8f7da", 15, ("states", 14), ("states", 7)),
+    ("fhg", 5, Plain): ("a372cc366359", 52, "a372cc366359", ("states", 26)),
+    ("fhg", 5, PrunedFHG): ("a372cc366359", 32, "a372cc366359", ("states", 16)),
+    ("fhg", 6, Plain): ("0b98ed2ffcef", 203, "0b98ed2ffcef", "0b98ed2ffcef"),
+    ("fhg", 6, PrunedFHG): ("0b98ed2ffcef", 61, "0b98ed2ffcef", ("states", 30)),
+    ("fhg", 7, Plain): ("a02e195be3d7", 877, "a02e195be3d7", "a02e195be3d7"),
+    ("fhg", 7, PrunedFHG): ("a02e195be3d7", 249, "a02e195be3d7", ("states", 124)),
+    ("fhg", 8, Plain): ("eae76203df33", 4140, "eae76203df33", "eae76203df33"),
+    ("fhg", 8, PrunedFHG): ("eae76203df33", 368, "eae76203df33", ("states", 184)),
+    ("fhg", 9, Plain): ("f97f5df7381e", 21147, "f97f5df7381e", ("states", 10573)),
+    ("fhg", 9, PrunedFHG): ("f97f5df7381e", 332, "f97f5df7381e", ("states", 166)),
+    ("dhg", 4, Plain): ("458d2bb698c3", 15, "458d2bb698c3", ("states", 7)),
+    ("dhg", 5, Plain): ("6484c68c0c85", 52, "6484c68c0c85", "6484c68c0c85"),
+    ("dhg", 6, Plain): ("4ab0c84bff39", 203, "4ab0c84bff39", "4ab0c84bff39"),
+    ("dhg", 7, Plain): ("36ba80dfe034", 877, "36ba80dfe034", "36ba80dfe034"),
+    ("dhg", 8, Plain): ("52322b243955", 4140, "52322b243955", "52322b243955"),
+    ("dhg", 9, Plain): ("52682d06497a", 21147, "52682d06497a", "52682d06497a"),
+}
+
+
+def _existence_summary(answer):
+    if isinstance(answer, StableExists):
+        return hashlib.sha256(canonicalize(answer.witness)).hexdigest()[:12]
+    if isinstance(answer, NoStablePartition):
+        return ("none", answer.states_checked)
+    return (answer.limit, answer.states_explored)
+
+
+def test_existence_golden_sweep(monkeypatch):
+    meters = []
+
+    class CountingMeter(search._Meter):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            meters.append(self)
+
+    monkeypatch.setattr(search, "_Meter", CountingMeter)
+    for (kind, n, strategy), golden in EXISTENCE_GOLDEN.items():
+        game = random_instance(kind, n, 7 * n + 1).game
+        full = _existence_summary(exists_is_partition(game, strategy()))
+        states = meters[-1].states
+        cut, half = (
+            _existence_summary(
+                exists_is_partition(game, strategy(), SearchBudget(max_states=s))
+            )
+            for s in (states - 1, states // 2)
+        )
+        assert (full, states, cut, half) == golden, (kind, n, strategy)
 
 
 def test_forbidden_pairs_and_tolerable_pool():
