@@ -17,7 +17,10 @@ budget), and 2 for usage errors and unparseable input.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
+import stat
 import sys
 from fractions import Fraction
 
@@ -590,11 +593,52 @@ def _read_text(path: str) -> str:
         raise CliUsageError(f"cannot read {path}: {exc}") from None
 
 
+@contextlib.contextmanager
 def _open_out(path: str):
+    """A text handle whose contents replace ``path`` when the block ends.
+
+    Entering checks that ``path`` can be written and opens a temporary file
+    beside it, so a bad path is reported before any work.  A clean exit
+    moves the temporary file onto ``path`` in one step; an exception
+    removes it and leaves ``path`` as it was.  The file keeps the mode
+    (and, through a symlink, the place) that ``open(path, "w")`` would
+    give it.  A pipe or device (say ``/dev/stdout``) is not a file to
+    replace, so it is written in place.
+    """
+    temp = None
     try:
-        return open(path, "w", encoding="utf-8")
+        try:
+            info = os.stat(path)
+        except FileNotFoundError:
+            info = None
+        if info is not None and not stat.S_ISREG(info.st_mode):
+            handle = open(path, "w", encoding="utf-8")
+        else:
+            target = os.path.realpath(path)
+            if info is not None:
+                # the file must be writable, as open(path, "w") needs
+                os.close(os.open(target, os.O_WRONLY | os.O_APPEND))
+            folder, name = os.path.split(target)
+            temp = os.path.join(folder, f".{name}.{os.urandom(4).hex()}.tmp")
+            # created with the mode open(path, "w") gives a new file
+            handle = open(temp, "x", encoding="utf-8")
     except OSError as exc:
         raise CliUsageError(f"cannot write {path}: {exc}") from None
+    moved = False
+    try:
+        with handle:
+            yield handle
+        if temp is not None:
+            if info is not None:
+                os.chmod(temp, stat.S_IMODE(info.st_mode))
+            os.replace(temp, target)
+        moved = True
+    except OSError as exc:
+        raise CliUsageError(f"cannot write {path}: {exc}") from None
+    finally:
+        if temp is not None and not moved:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(temp)
 
 
 def _parse_json(text: str, where: str):
@@ -760,17 +804,17 @@ def _cmd_run(args) -> int:
         config = RunConfig(max_steps=args.max_steps, monitors=tuple(monitors))
     except ValueError as exc:
         raise CliUsageError(f"--max-steps: {exc}") from None
-    try:
-        outcome = run(instance.game, start, policy, config)
-    except PreconditionViolated as exc:
-        raise CliUsageError(f"monitor precondition: {exc}") from None
-    except (MonitorInvariantViolation, FilterStarvation, DynamicsError) as exc:
-        raise CliClaimError(f"{type(exc).__name__}: {exc}") from None
+    with _open_out(args.out) if args.out else contextlib.nullcontext() as handle:
+        try:
+            outcome = run(instance.game, start, policy, config)
+        except PreconditionViolated as exc:
+            raise CliUsageError(f"monitor precondition: {exc}") from None
+        except (MonitorInvariantViolation, FilterStarvation, DynamicsError) as exc:
+            raise CliClaimError(f"{type(exc).__name__}: {exc}") from None
 
-    trace = outcome.trace if not isinstance(outcome, CycleDetected) else outcome.witness
-    doc = _outcome_doc(outcome)
-    if args.out:
-        with _open_out(args.out) as handle:
+        trace = outcome.trace if not isinstance(outcome, CycleDetected) else outcome.witness
+        doc = _outcome_doc(outcome)
+        if handle is not None:
             json.dump(trace_to_doc(trace, doc), handle, indent=2)
             handle.write("\n")
     human = [f"outcome: {doc['type']}"]

@@ -8,8 +8,11 @@ floats anywhere.
 Preference orders come in three flavors:
 
 - :class:`WeakOrder` — a rank table over an explicit key set: each key maps
-  to the index of its indifference class.  The classes themselves are
-  derived from the table on request (for files and reprs), never stored.
+  to the index of its indifference class.  When the keys are exactly the
+  sizes ``1..m`` the table is one integer array indexed by size (slot 0
+  unused), otherwise a dict; the key set alone decides, and both forms
+  answer alike.  The classes themselves are derived from the table on
+  request (for files and reprs), never stored.
 - :class:`ComputedOrder` — a listed top segment, itself a ``WeakOrder``,
   plus a completion rule for the rest of the domain, evaluated lazily.
   This is what makes the big generated instances (tens of thousands of
@@ -30,6 +33,8 @@ from __future__ import annotations
 
 import enum
 import heapq
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -63,17 +68,92 @@ def _compare(order, a, b) -> int:
     return (ra < rb) - (ra > rb)
 
 
+#: array typecodes for rank tables, narrowest first, with the bound each holds
+_RANK_CODES = tuple((1 << 8 * array(code).itemsize, code) for code in "BHIL")
+
+
+class _SizeRanks(Mapping):
+    """Read-only rank table over the sizes ``1..m``: one array slot per
+    size, slot 0 unused, the narrowest integer type the ranks fit.
+
+    It answers every mapping query as the dict ``{size: rank}`` would: a key
+    equal to an int in ``1..m`` (``True``, ``Fraction(2)``, ``2.0``) is
+    found, any other key (``0``, ``-1``, ``m + 1``, ``"2"``) is not and
+    never wraps around.  Iteration lists the keys class by class, each
+    class ascending, which is the dict's insertion order.
+    """
+
+    __slots__ = ("ranks",)
+
+    def __init__(self, ranks_by_size: Sequence[int]):
+        """``ranks_by_size[k - 1]`` is the class index of size ``k``."""
+        top = max(ranks_by_size)
+        code = next(c for bound, c in _RANK_CODES if top < bound)
+        ranks = array(code, (0,))
+        ranks.extend(ranks_by_size)
+        self.ranks = ranks
+
+    def slot(self, key):
+        """The array index of ``key``, or ``None`` when it is no size 1..m."""
+        if type(key) is not int:
+            try:
+                whole = int(key)
+            except (TypeError, ValueError, OverflowError):
+                return None
+            if whole != key:
+                return None
+            key = whole
+        return key if 0 < key < len(self.ranks) else None
+
+    def __getitem__(self, key):
+        at = self.slot(key)
+        if at is None:
+            raise KeyError(key)
+        return self.ranks[at]
+
+    def get(self, key, default=None):
+        at = self.slot(key)
+        return default if at is None else self.ranks[at]
+
+    def __contains__(self, key) -> bool:
+        return self.slot(key) is not None
+
+    def __len__(self) -> int:
+        return len(self.ranks) - 1
+
+    def __iter__(self):
+        ranks = self.ranks
+        return iter(sorted(range(1, len(ranks)), key=ranks.__getitem__))
+
+    def items(self):
+        ranks = self.ranks
+        return [(key, ranks[key]) for key in self]
+
+    def values(self):
+        return sorted(islice(self.ranks, 1, None))
+
+    def __eq__(self, other):
+        if isinstance(other, _SizeRanks):
+            return self.ranks == other.ranks
+        return Mapping.__eq__(self, other)
+
+
 class WeakOrder:
     """Total preorder over a finite key set, stored as a rank table.
 
     The one stored form is the table from each key to the index of its
     indifference class; class 0 is the most preferred.  Keys may be ints
-    (sizes) or Fractions (ratios).  ``classes`` is derived from the table,
-    each class sorted, so two orders are equal iff they rank every key the
-    same, however their classes were listed.
+    (sizes) or Fractions (ratios).  When the keys are exactly the ints
+    ``1..m`` the table is one integer array indexed by size, otherwise a
+    dict; which one depends only on the key set, and both answer every
+    query alike.  ``classes`` is derived from the table, each class sorted,
+    so two orders are equal iff they rank every key the same, however their
+    classes were listed.
     """
 
-    __slots__ = ("_level",)
+    #: ``_sizes`` is the array of a size table, read directly by ``rank``,
+    #: and ``None`` for a dict table
+    __slots__ = ("_level", "_sizes")
 
     def __init__(self, classes: Iterable[Iterable]):
         level = {}
@@ -87,7 +167,32 @@ class WeakOrder:
                 raise GameDefinitionError("empty indifference class")
         if not level:
             raise GameDefinitionError("order must rank at least one key")
-        self._level = level
+        m = len(level)
+        if all(type(k) is int and 0 < k <= m for k in level):
+            self._set_sizes([level[k] for k in range(1, m + 1)])
+        else:
+            self._level, self._sizes = level, None
+
+    @classmethod
+    def over_sizes(cls, ranks_by_size: Sequence[int]) -> "WeakOrder":
+        """The order over the sizes ``1..len(ranks_by_size)`` that puts size
+        ``k`` in class ``ranks_by_size[k - 1]``; the class indices used must
+        be exactly ``0..c-1``.  This builds the size table without a dict."""
+        if not ranks_by_size:
+            raise GameDefinitionError("order must rank at least one key")
+        order = cls.__new__(cls)
+        try:
+            used = set(ranks_by_size)
+            if min(used) != 0 or max(used) != len(used) - 1:
+                raise GameDefinitionError("empty indifference class")
+            order._set_sizes(ranks_by_size)
+        except TypeError:
+            raise GameDefinitionError("class indices must be integers") from None
+        return order
+
+    def _set_sizes(self, ranks_by_size) -> None:
+        self._level = _SizeRanks(ranks_by_size)
+        self._sizes = self._level.ranks
 
     @property
     def classes(self) -> tuple:
@@ -106,6 +211,15 @@ class WeakOrder:
 
     def rank(self, key) -> int:
         """Index of the key's class: lower means preferred."""
+        sizes = self._sizes
+        if sizes is not None:
+            # the direct read for a size 1..m; any other key (a Fraction,
+            # m + 1) falls through to the table, which answers as a dict
+            try:
+                if key > 0:
+                    return sizes[key]
+            except (TypeError, IndexError):
+                pass
         try:
             return self._level[key]
         except KeyError:
@@ -638,15 +752,24 @@ def arc_scores(game: FractionalGame) -> tuple[int, ...] | None:
     return tuple(scores) if rank == n else None
 
 
+def is_simple_asymmetric(game: FractionalGame) -> bool:
+    """Every weight is 0 or 1 and no two agents both like each other: the
+    arcs (weight 1) form a simple one-directional digraph."""
+    n = game.n
+    w = game.weights
+    return all(
+        (w[i][j], w[j][i]) in ((0, 0), (0, 1), (1, 0))
+        for i in range(n) for j in range(i + 1, n)
+    )
+
+
 def classify_fhg(game: FractionalGame) -> FhgTraits:
     """Compute the structural flags; acyclicity only when simple asymmetric."""
     n = game.n
     w = game.weights
     symmetric = all(w[i][j] == w[j][i] for i in range(n) for j in range(i + 1, n))
     simple = all(w[i][j] in (0, 1) for i in range(n) for j in range(n) if i != j)
-    asym = simple and all(
-        not (w[i][j] == 1 and w[j][i] == 1) for i in range(n) for j in range(i + 1, n)
-    )
+    asym = is_simple_asymmetric(game)
     nonnegative = all(w[i][j] >= 0 for i in range(n) for j in range(n))
     acyclic = arc_scores(game) is not None if asym else None
     return FhgTraits(symmetric, simple, asym, nonnegative, acyclic)

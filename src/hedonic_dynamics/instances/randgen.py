@@ -17,7 +17,6 @@ from ..games import (
     DiversityGame,
     FractionalGame,
     RatioDomain,
-    SizeDomain,
     WeakOrder,
 )
 from ..prng import SplitMix64
@@ -43,10 +42,11 @@ _FHG_FAMILIES = ("general", "simple-symmetric", "dag", "symmetric-nonnegative")
 _DHG_GEN_CAP = 14
 #: ratio axes are materialised agent by agent
 _HDG_GEN_CAP = 64
-#: ahg builds n rank tables of n sizes and fhg an n x n weight matrix, so
-#: memory and time grow with n**2; ahg holds 7.8 / 49.6 / 212 MB (tracemalloc)
-#: at n = 400 / 1000 / 2000 and takes 0.4 / 3.2 / 11.6 s (2-core Xeon VM,
-#: Python 3.11.7), most of that time in the seeded draws
+#: ahg builds n rank arrays of n sizes and fhg an n x n weight matrix, so
+#: memory and time grow with n**2; ahg holds 0.44 / 2.4 / 9.2 MB
+#: (tracemalloc) at n = 400 / 1000 / 2000 and takes 0.3 / 2.2 / 10.1 s
+#: (2-core Xeon VM, Python 3.11.7), nearly all of that time in the seeded
+#: draws
 _DENSE_GEN_CAP = 2_000
 
 
@@ -76,55 +76,56 @@ def _merge(kind: str, restrictions) -> dict:
     return merged
 
 
-def _shuffled_classes(rng: SplitMix64, keys, strict: bool):
-    """A uniformly shuffled order; when not strict, neighbours may tie."""
-    pool = list(keys)
+def _tied_ranks(rng: SplitMix64, best_first, strict: bool) -> list[int]:
+    """Class indices for keys ``0..m-1`` listed best first: each key after
+    the first opens a new class, or, when not strict, ties with the one
+    before it with probability 3/10."""
+    ranks = [0] * len(best_first)
+    rank = -1
+    for i in best_first:
+        if rank < 0 or strict or not rng.chance(3, 10):
+            rank += 1
+        ranks[i] = rank
+    return ranks
+
+
+def _shuffled_ranks(rng: SplitMix64, m: int, strict: bool) -> list[int]:
+    """Class indices of ``m`` keys in a uniformly shuffled order; when not
+    strict, neighbours may tie."""
+    pool = list(range(m))
     rng.shuffle(pool)
-    classes = []
-    for key in pool:
-        if classes and not strict and rng.chance(3, 10):
-            classes[-1].append(key)
-        else:
-            classes.append([key])
-    return classes
+    return _tied_ranks(rng, pool, strict)
 
 
-def _hill_classes(rng: SplitMix64, keys, strict: bool):
-    """An order that rises to a random peak and falls, along the given axis.
+def _hill_ranks(rng: SplitMix64, m: int, strict: bool) -> list[int]:
+    """Class indices of ``m`` keys along an axis, rising to a random peak
+    and falling.
 
     Built by merging the two slopes from the best key downward; ties (when
     allowed) only glue neighbouring entries of the merged sequence, which
     keeps the hill shape intact.
     """
-    keys = list(keys)
-    peak = rng.below(len(keys))
-    left = list(range(peak, -1, -1))
-    right = list(range(peak + 1, len(keys)))
+    peak = rng.below(m)
+    left = range(peak, -1, -1)
+    right = range(peak + 1, m)
     merged = []
     li = ri = 0
     while li < len(left) or ri < len(right):
         take_left = ri >= len(right) or (li < len(left) and rng.chance(1, 2))
         if take_left:
-            merged.append(keys[left[li]])
+            merged.append(left[li])
             li += 1
         else:
-            merged.append(keys[right[ri]])
+            merged.append(right[ri])
             ri += 1
-    classes = [[merged[0]]]
-    for key in merged[1:]:
-        if not strict and rng.chance(3, 10):
-            classes[-1].append(key)
-        else:
-            classes.append([key])
-    return classes
+    return _tied_ranks(rng, merged, strict)
 
 
 def _random_ahg(n: int, rng: SplitMix64, opts: dict):
     strict, hill = opts["strict"], opts["natural-sp"]
-    dom = SizeDomain(n)
-    keys = list(dom.enumerate())
-    make = _hill_classes if hill else _shuffled_classes
-    orders = [WeakOrder(make(rng, keys, strict)) for _ in range(n)]
+    make = _hill_ranks if hill else _shuffled_ranks
+    # key i of the generator is size i + 1, so its ranks are the size table
+    orders = [WeakOrder.over_sizes(make(rng, n, strict)) for _ in range(n)]
     game = AnonymousGame(orders)
     claims = []
     if strict:
@@ -146,8 +147,14 @@ def _random_hdg(n: int, rng: SplitMix64, opts: dict):
     colors = [Color.RED] * reds + [Color.BLUE] * (n - reds)
     rng.shuffle(colors)
     keys = sorted(RatioDomain(reds, n - reds).enumerate())
-    make = _hill_classes if hill else _shuffled_classes
-    orders = [WeakOrder(make(rng, keys, strict)) for _ in range(n)]
+    make = _hill_ranks if hill else _shuffled_ranks
+    orders = []
+    for _ in range(n):
+        ranks = make(rng, len(keys), strict)
+        classes = [[] for _ in range(max(ranks) + 1)]
+        for key, rank in zip(keys, ranks):
+            classes[rank].append(key)
+        orders.append(WeakOrder(classes))
     game = DiversityGame(colors, orders)
     claims = []
     if strict:

@@ -32,7 +32,7 @@ from .games import (
     DiversityGame,
     FractionalGame,
     arc_scores,
-    classify_fhg,
+    is_simple_asymmetric,
     is_strict_game,
     naturally_single_peaked,
 )
@@ -393,13 +393,13 @@ class LexPotentialMonitor:
     def __init__(self, game, start: Partition):
         if not isinstance(game, FractionalGame):
             raise PreconditionViolated("lex potential is for weighted-average games")
-        traits = classify_fhg(game)
-        if not traits.simple_asymmetric or not traits.acyclic:
+        # arc_scores orders every arc, so its scores need no re-check
+        scores = arc_scores(game) if is_simple_asymmetric(game) else None
+        if scores is None:
             raise PreconditionViolated(
                 "lex potential needs a simple, one-directional, acyclic digraph"
             )
-        self.sigma = topological_scores(game)
-        require_topological(game, self.sigma)
+        self.sigma = scores
         self.current = lex_potential(start, self.sigma)
 
     def _reading(self):

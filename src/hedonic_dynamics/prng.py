@@ -29,14 +29,24 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) via rejection sampling (no modulo bias)."""
+        """Uniform integer in [0, bound) via rejection sampling (no modulo bias).
+
+        ``next_raw`` is inlined with the state in a local: this is the draw
+        every generator and seeded policy makes, so the call and attribute
+        traffic per draw is worth saving.  The stream is unchanged.
+        """
         if bound <= 0:
             raise ValueError("bound must be positive")
         limit = (1 << 64) - ((1 << 64) % bound)
+        state = self.state
         while True:
-            r = self.next_raw()
-            if r < limit:
-                return r % bound
+            state = (state + _GAMMA) & _MASK
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+            z ^= z >> 31
+            if z < limit:
+                self.state = state
+                return z % bound
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi] inclusive."""
@@ -52,7 +62,18 @@ class SplitMix64:
         return seq[self.below(len(seq))]
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher–Yates."""
+        """In-place Fisher–Yates, drawing as ``below(i + 1)`` would."""
+        state = self.state
         for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+            bound = i + 1
+            limit = (1 << 64) - ((1 << 64) % bound)
+            while True:
+                state = (state + _GAMMA) & _MASK
+                z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+                z ^= z >> 31
+                if z < limit:
+                    break
+            j = z % bound
             items[i], items[j] = items[j], items[i]
+        self.state = state

@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import os
+import stat
+import threading
 from fractions import Fraction
 
 import pytest
@@ -166,6 +169,59 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
         assert f"cannot write {out}" in capsys.readouterr().err
         assert cli.main(["gen", "--bundled", "ahg7", "--out", str(out)]) == 2
         assert f"cannot write {out}" in capsys.readouterr().err
+
+
+def test_unwritable_out_is_reported_before_the_run(tmp_path, capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run started although --out cannot be written")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    path = _write(tmp_path, "ahg7.json", build("ahg7"))
+    out = tmp_path / "missing" / "t.json"
+    assert cli.main(["run", path, "--start", "singletons", "--out", str(out)]) == 2
+    assert f"cannot write {out}" in capsys.readouterr().err
+
+
+def test_failed_run_leaves_out_untouched(tmp_path, capsys):
+    doc = json.loads(cli.dumps_instance(build("ahg7")))
+    doc["scripts"]["broken"] = {
+        "start": doc["starts"]["singletons"],
+        "moves": [{"agent": 0, "target": "new-singleton"}],
+    }
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "t.json"
+    out.write_bytes(b"earlier trace\n")
+    out.chmod(0o640)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    failing = (
+        (["--policy", "script:broken"], 1),  # the run rejects a move
+        (["--start", "singletons", "--monitors", "lambda"], 2),  # monitor refuses
+    )
+    for flags, code in failing:
+        assert cli.main(["run", str(path), *flags, "--out", str(out)]) == code
+        assert out.read_bytes() == b"earlier trace\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+    capsys.readouterr()
+    assert cli.main(["run", str(path), "--start", "singletons", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["outcome"]["type"] == "cycle-detected"
+    assert out.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_out_to_a_pipe_is_written_in_place(tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert cli.main(["gen", "--bundled", "ahg7", "--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert got == [cli.dumps_instance(build("ahg7")).encode()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]
+    capsys.readouterr()
 
 
 def test_gen_has_no_report_style(capsys):

@@ -84,6 +84,76 @@ def test_classes_round_trip_random_orders():
         assert again.classes == classes
 
 
+def _same_answer(ask):
+    """What ``ask()`` returns, or the type of the error it raises."""
+    try:
+        return ask()
+    except GameDefinitionError as exc:
+        return type(exc)
+
+
+def test_size_tables_answer_like_dict_tables():
+    """Keys ``1..m`` are stored as one array indexed by size; the same order
+    over ``Fraction`` keys keeps a dict.  Both answer every query alike,
+    out-of-domain ints (never wrapping round) and ``True`` included."""
+    rng = random.Random(413)
+    for trial in range(150):
+        m = rng.randint(1, 300 if trial % 10 == 0 else 12)
+        dense = rand_weak_order(rng, range(1, m + 1), strict=rng.random() < 0.3)
+        table = dense._sizes
+        assert table is not None and len(table) == m + 1
+        loose = WeakOrder([[Fraction(k) for k in c] for c in dense.classes])
+        assert loose._sizes is None
+        assert dense == loose and loose == dense and hash(dense) == hash(loose)
+        assert dense.classes == loose.classes and dense.domain == loose.domain
+        assert dense.is_strict == loose.is_strict
+        # the dict form's hash: keys class by class, each class ascending
+        assert hash(dense) == hash(tuple(k for c in dense.classes for k in c))
+        probes = [0, -1, m + 1, m + 2, True, False, 1, m, Fraction(m),
+                  float(m), Fraction(1, 2), 2.5, "1", None, *range(1, m + 1)]
+        for key in probes:
+            assert (key in dense) == (key in loose), key
+            assert _same_answer(lambda: dense.rank(key)) == \
+                _same_answer(lambda: loose.rank(key)), key
+        for key in (0, -1, m + 1):
+            assert key not in dense
+            with pytest.raises(GameDefinitionError):
+                dense.rank(key)
+        assert dense.rank(True) == dense.rank(1)
+        other = WeakOrder.over_sizes([dense.rank(k) for k in range(1, m + 1)])
+        assert other == dense and hash(other) == hash(dense)
+        assert other._sizes is not None
+
+
+def test_size_table_storage_depends_only_on_the_key_set():
+    assert WeakOrder([[2], [3, 1]])._sizes is not None
+    assert WeakOrder([[2], [3]])._sizes is None  # 1 missing: a dict
+    assert WeakOrder([[True], [2]])._sizes is None  # a bool is no size
+    grown = materialize(ComputedOrder([[3]], SizeDomain(4), Completion.BOTTOM),
+                        range(1, 5))
+    assert grown._sizes is not None
+    assert grown == WeakOrder([[3], [1, 2, 4]])
+    assert complete_strict_on_axis([2, 1], [1, 2, 3])._sizes is not None
+    # classes must number 0..c-1 with none empty, indices must be ints
+    for bad in ([], [1], [0, 2], [0, Fraction(1)], [0, "1"], [-1, 0]):
+        with pytest.raises(GameDefinitionError):
+            WeakOrder.over_sizes(bad)
+
+
+def test_computed_order_reads_a_size_table_prefix():
+    dom = SizeDomain(7)
+    for completion in Completion:
+        dense = ComputedOrder([[2], [3, 1]], dom, completion)
+        loose = ComputedOrder([[5], [3, 7]], dom, completion)
+        assert dense.prefix._sizes is not None and loose.prefix._sizes is None
+        assert [dense.rank(k)[0] for k in range(1, 8)] == [1, 0, 1, 2, 2, 2, 2]
+        assert [loose.rank(k)[0] for k in range(1, 8)] == [2, 2, 1, 2, 0, 2, 1]
+        assert dense == ComputedOrder([[2], [1, 3]], dom, completion)
+        assert hash(dense) == hash(ComputedOrder([[2], [1, 3]], dom, completion))
+        assert not dense.is_strict
+        assert materialize(dense, range(1, 8)).classes[:2] == ((2,), (1, 3))
+
+
 def test_computed_order_equality_goes_through_its_prefix():
     dom = SizeDomain(6)
     a = ComputedOrder([[4, 2], [3]], dom, Completion.BOTTOM)

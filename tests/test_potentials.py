@@ -312,6 +312,27 @@ def test_lex_monitor_on_random_acyclic_runs():
         assert len(out.trace) <= n**4
 
 
+def test_lex_monitor_scores_the_digraph_once(monkeypatch):
+    calls = []
+    arc_scores = games.arc_scores
+
+    def counted(game):
+        calls.append(game)
+        return arc_scores(game)
+
+    # classify_fhg would reach arc_scores through games, the monitor directly
+    monkeypatch.setattr(potentials, "arc_scores", counted)
+    monkeypatch.setattr(games, "arc_scores", counted)
+    game = rand_dag_fhg(random.Random(77), 12)
+    monitor = LexPotentialMonitor(game, Partition.singletons(12))
+    assert len(calls) == 1
+    require_topological(game, monitor.sigma)
+    cyclic = games.FractionalGame.from_arcs(3, {(0, 1): 1, (1, 2): 1, (2, 0): 1})
+    with pytest.raises(PreconditionViolated, match="acyclic digraph"):
+        LexPotentialMonitor(cyclic, Partition.singletons(3))
+    assert len(calls) == 2
+
+
 def test_lex_monitor_flags_a_non_deviation_transition():
     game = games.FractionalGame.from_arcs(3, {(0, 1): 1, (1, 2): 1})
     monitor = LexPotentialMonitor(game, Partition([(0, 1), (2,)]))

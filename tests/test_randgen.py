@@ -1,13 +1,16 @@
 """Seeded instance generation: determinism, restrictions, rejection paths."""
 
+import hashlib
 import tracemalloc
 
 import pytest
 
+from hedonic_dynamics import cli
 from hedonic_dynamics.games import dhg_is_symmetric, is_strict_game
 from hedonic_dynamics.instances import (
     GENERATOR_KINDS,
     InconsistentRestrictions,
+    build,
     random,
     verify_instance,
 )
@@ -122,14 +125,56 @@ def test_rejections():
 
 
 def test_dense_size_orders_stay_compact():
-    """An ahg order is one rank table: 200 agents' orders over 200 sizes
-    peak at about 1.9 MB under tracemalloc.  The bound sits below the
-    3.5 MB they take when each order also keeps its class tuples."""
+    """An ahg order is one array of ranks indexed by size: 400 agents'
+    orders over 400 sizes peak at about 0.5 MB under tracemalloc, against
+    7.8 MB as one dict per order."""
     tracemalloc.start()
     try:
-        instance = random("ahg", 200, seed=1)
+        instance = random("ahg", 400, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert instance.game.n == 200
-    assert peak < 2_700_000, peak
+    assert instance.game.n == 400
+    assert peak < 1_000_000, peak
+
+
+def test_generated_bundled_and_loaded_size_orders_are_arrays():
+    """The key set alone picks the table: generated, bundled and loaded ahg
+    orders all hold the size array, and an hdg order over ratios a dict."""
+    generated = random("ahg", 6, seed=2)
+    loaded = cli.loads_instance(cli.dumps_instance(generated))
+    for instance in (generated, build("ahg7"), loaded):
+        assert all(o._sizes is not None for o in instance.game.orders), instance.id
+    assert loaded.game.orders == generated.game.orders
+    assert all(o._sizes is None for o in random("hdg", 6, seed=2).game.orders)
+
+
+#: sha256 of ``hedyn gen --random KIND --n N --seed S [--restrict ...]``,
+#: recorded before ahg orders were stored as size arrays
+GOLDEN_GENERATED = [
+    ("ahg", 30, 1, [], "da86dbe4dadb335f9679af4121066aed03d63e84fec70af1232085af3274bdde"),
+    ("ahg", 30, 2, [], "f86b2b5174f1776f6edbd8d294d2d8a40db0f33ffc877f86cd23935b2c1ff7c6"),
+    ("ahg", 300, 3, [], "a0083624b05d3ad1da304be68321452f7bf53fcde794610ce175f0aee1d80fae"),
+    ("ahg", 30, 4, ["strict=true"],
+     "ad51f639500c1e810061a6f2245d137935823421433592fea43b148036ba9d14"),
+    ("ahg", 30, 5, ["natural-sp=true"],
+     "b7499afdb4583bf57635361d950ff195a3d177f3d1afa12e5a2b48581ceec428"),
+    ("ahg", 300, 6, ["strict=true", "natural-sp=true"],
+     "cd7e7dedd2b0675f23625b144610847001c926b50a796328ec87999c66159904"),
+    ("ahg", 1, 7, [], "b6c7dd7bbcb950777aece4bbc4a8efaf9ce12433b645c22fe508db4c9535a749"),
+    ("hdg", 9, 1, [], "c68a14297cb4c3588d1d4858c5c0159b5fe63be2c3d19abb428b9df0fc4a6aee"),
+    ("hdg", 12, 2, ["natural-sp=true"],
+     "285efa47ac081659a5a3a363c81131a27c899396862f9baa969211743efd9c1e"),
+]
+
+
+@pytest.mark.parametrize("kind,n,seed,restrict,digest", GOLDEN_GENERATED)
+def test_generated_files_are_golden(tmp_path, capsys, kind, n, seed, restrict, digest):
+    out = tmp_path / "instance.json"
+    argv = ["gen", "--random", kind, "--n", str(n), "--seed", str(seed),
+            "--out", str(out)]
+    if restrict:
+        argv += ["--restrict", *restrict]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
