@@ -154,7 +154,7 @@ def _fraction_key(doc, where: str) -> Fraction:
 
 
 def partition_to_doc(partition: Partition) -> list:
-    return sorted([list(block) for block in partition.blocks])
+    return [list(block) for block in partition.blocks]
 
 
 def _is_int_list(doc) -> bool:
@@ -450,6 +450,13 @@ def doc_to_instance(doc) -> NamedInstance:
 
 def dumps_instance(instance: NamedInstance) -> str:
     return json.dumps(instance_to_doc(instance), indent=2) + "\n"
+
+
+def dump_instance(instance: NamedInstance, handle) -> None:
+    """``dumps_instance(instance)`` written to ``handle`` piece by piece, so
+    the whole text is never held at once."""
+    json.dump(instance_to_doc(instance), handle, indent=2)
+    handle.write("\n")
 
 
 def loads_instance(text: str) -> NamedInstance:
@@ -944,13 +951,12 @@ def _cmd_gen(args) -> int:
             instance = random_instance(args.random, args.n, args.seed, restrictions)
         except InconsistentRestrictions as exc:
             raise CliUsageError(f"--random: {exc}") from None
-    text = dumps_instance(instance)
     if args.out:
         with _open_out(args.out) as handle:
-            handle.write(text)
+            dump_instance(instance, handle)
         print(f"wrote {instance.id} (n={instance.game.n}) to {args.out}")
     else:
-        sys.stdout.write(text)
+        dump_instance(instance, sys.stdout)
     return _EXIT_OK
 
 

@@ -14,6 +14,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import compress, repeat
+from operator import add, and_, ge, gt, mul
 from typing import Iterator, Sequence
 
 from . import core
@@ -207,7 +209,34 @@ class _Memo(dict):
         return value
 
 
-class _SummaryRules:
+class _PerAgentRules:
+    """The table queries of ``MoveFinder._patch``, answered by the rule
+    set's per-agent target test: a born block is put to every agent whose
+    own block stayed, one agent at a time."""
+
+    def settle(self, gone, fresh):
+        """The finder's table is moving to a partition that lost the blocks
+        ``gone`` and gained the blocks ``fresh`` (``{block: key}``)."""
+
+    def row(self, agent, cur, here, blocks, keys):
+        """The blocks of ``blocks`` that ``agent`` may join, in order."""
+        return tuple(self.targets(agent, cur, here, blocks, keys))
+
+    def joiners(self, blocks, keys, fresh):
+        """Per block of ``fresh``, in order, the agents outside the blocks of
+        ``fresh`` that may join it."""
+        found = {block: [] for block in fresh}
+        new, new_keys = list(fresh), list(fresh.values())
+        targets = self.targets
+        for cur, here in zip(blocks, keys):
+            if cur not in fresh:
+                for agent in cur:
+                    for block in targets(agent, cur, here, new, new_keys):
+                        found[block].append(agent)
+        return found.values()
+
+
+class _SummaryRules(_PerAgentRules):
     """Anonymous and diversity games rank a coalition only by a summary of
     it, its block key: the mover's gain is evaluated once per distinct key
     while its own block's key stays the same, the members' welcome once per
@@ -291,11 +320,26 @@ def _ratio_rules(game):
 
 class _AverageRules:
     """Fractional games: the block key is each member's weight sum toward the
-    block. Gains hang on the mover's own weights, so they are tested inline."""
+    block. Gains hang on the mover's own weights, so they are tested inline.
+
+    For the finder's table it keeps two vectors per live block, indexed by
+    agent: the agent's weight sum toward the block, and whether every member
+    keeps its average when the agent joins (a ``bytes`` flag); and per agent
+    the size of its own block and its weight sum toward it. A born block is
+    then tested against all agents at once, column by column, and a born
+    block's members read their sums instead of adding weights.
+    """
 
     def __init__(self, game):
         self.weights = game.weights
         self.keys = _Memo(self.key)
+        #: columns[x][a] is agent a's weight toward agent x
+        self.columns = tuple(zip(*game.weights))
+        self.sums = {}
+        self.welcomes = {}
+        # filled by `settle` for every agent the first time the table is built
+        self.size = [0] * game.n
+        self.have = [0] * game.n
 
     def key(self, block):
         return tuple(sum(map(self.weights[m].__getitem__, block)) for m in block)
@@ -324,8 +368,51 @@ class _AverageRules:
     def alone(self, agent, cur, here):
         return here[bisect_left(cur, agent)] < 0
 
+    def settle(self, gone, fresh):
+        sums, welcomes, weights = self.sums, self.welcomes, self.weights
+        for block in gone:
+            del sums[block], welcomes[block]
+        for block in fresh:
+            s = len(block)
+            col = self.columns[block[0]]
+            for x in block[1:]:
+                col = list(map(add, col, self.columns[x]))
+            sums[block] = col
+            # member m keeps its average iff s * w(m, agent) >= its sum
+            flags = None
+            for m in block:
+                keeps = map(ge, map(mul, weights[m], repeat(s)), repeat(col[m]))
+                flags = bytes(keeps) if flags is None else bytes(map(and_, flags, keeps))
+            welcomes[block] = flags
+            for agent in block:
+                self.size[agent], self.have[agent] = s, col[agent]
 
-class _ApprovalRules:
+    def row(self, agent, cur, here, blocks, keys):
+        size, have = self.size[agent], self.have[agent]
+        sums, welcomes = self.sums, self.welcomes
+        return tuple(
+            b for b in blocks
+            if b is not cur
+            and welcomes[b][agent]
+            and sums[b][agent] * size > have * (len(b) + 1)
+        )
+
+    def joiners(self, blocks, keys, fresh):
+        moved = {agent for block in fresh for agent in block}
+        everyone = range(len(self.size))
+        found = []
+        for block in fresh:
+            # strict gain, for every agent at once: sum * size > have * (len + 1)
+            gains = map(gt, map(mul, self.sums[block], self.size),
+                        map(mul, self.have, repeat(len(block) + 1)))
+            found.append([
+                agent for agent in compress(everyone, map(and_, self.welcomes[block], gains))
+                if agent not in moved
+            ])
+        return found
+
+
+class _ApprovalRules(_PerAgentRules):
     """Dichotomous games: the block key is the members who approve the block,
     the only ones who can object to a newcomer."""
 
@@ -356,7 +443,7 @@ class _ApprovalRules:
         return (agent,) in self.approvals[agent] and agent not in here
 
 
-class _VerdictRules:
+class _VerdictRules(_PerAgentRules):
     """Any other game type, a subclass included (it may override ``prefers``):
     each (agent, block) pair is put to ``core.deviation_verdict``."""
 
@@ -444,9 +531,11 @@ class MoveFinder:
     whether an agent may join a block depends on its own block and that
     block only. So the finder keeps the :class:`MoveTable` of the last
     partition it listed and, for the next one, rebuilds only the rows of
-    agents whose block is new and tests every other agent against the new
-    blocks alone. A partition with no block in common with the last one has
-    every row rebuilt, which is a fresh build. The output must equal
+    agents whose block is new; every other row loses the vanished blocks and
+    gains each new block the rule set admits it to, the rule set being asked
+    once per new block which agents outside the new blocks may join it. A
+    partition with no block in common with the last one has every row
+    rebuilt, which is a fresh build. The output must equal
     ``core.iter_deviations(game, partition, IS)``; a property test checks it.
     """
 
@@ -486,19 +575,20 @@ class MoveFinder:
     def _patch(self, p, last, gone, born) -> MoveTable:
         """``last`` (``None``: an empty table) brought to ``p``, whose blocks
         differ from ``last``'s by the blocks ``gone`` and ``born``."""
-        targets, alone, key_of = self._rules.targets, self._rules.alone, self._rules.keys
+        rules = self._rules
+        key_of = rules.keys
         blocks = p.blocks
         keys = [key_of[b] for b in blocks]
         rows = [()] * p.n if last is None else list(last.rows)
         lone = [False] * p.n if last is None else list(last.alone)
-        fresh = sorted(born)
-        fresh_keys = [key_of[b] for b in fresh]
+        fresh = {b: key_of[b] for b in born}
+        rules.settle(gone, fresh)
         for cur, here in zip(blocks, keys):
-            if cur in born:
+            if cur in fresh:
                 # the agent's own block is new: its whole row changes
                 for agent in cur:
-                    rows[agent] = tuple(targets(agent, cur, here, blocks, keys))
-                    lone[agent] = alone(agent, cur, here)
+                    rows[agent] = rules.row(agent, cur, here, blocks, keys)
+                    lone[agent] = rules.alone(agent, cur, here)
                 continue
             for agent in cur:
                 row = rows[agent]
@@ -508,10 +598,13 @@ class MoveFinder:
                     at = bisect_left(row, block)
                     if at < len(row) and row[at] == block:
                         row = row[:at] + row[at + 1:]
-                for block in targets(agent, cur, here, fresh, fresh_keys):
-                    at = bisect_left(row, block)
-                    row = row[:at] + (block,) + row[at:]
                 rows[agent] = row
+        # every other row gains a born block only where the rules admit it
+        for block, agents in zip(fresh, rules.joiners(blocks, keys, fresh)):
+            for agent in agents:
+                row = rows[agent]
+                at = bisect_left(row, block)
+                rows[agent] = row[:at] + (block,) + row[at:]
         return MoveTable(p, rows, lone)
 
 

@@ -7,6 +7,7 @@ against the ``core`` reference enumeration at every step.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,9 +22,9 @@ from hedonic_dynamics.dynamics import (
     SeededRandom,
     run,
 )
-from hedonic_dynamics.games import DichotomousGame
+from hedonic_dynamics.games import DichotomousGame, FractionalGame
 
-from conftest import move_digest, rand_game, rand_lazy_game, rand_partition
+from conftest import move_digest, rand_fhg, rand_game, rand_lazy_game, rand_partition
 
 IS = StabilityKind.IS
 
@@ -83,11 +84,18 @@ def test_golden_traces(kind, policy_name):
     assert golden_run(kind, policy_name) == GOLDEN[kind, policy_name]
 
 
+def fraction_fhg(rng, n) -> FractionalGame:
+    """Fractional game whose weights are negative, zero and positive
+    ``Fraction``s with small denominators, so that averages tie now and then."""
+    weights = rand_fhg(rng, n, -3, 3).weights
+    return FractionalGame([[Fraction(w, rng.choice((1, 2, 3))) for w in row] for row in weights])
+
+
 def incremental_games():
-    """Two games of each class at n 20-40, plus two size and two two-colour
-    games over lazy orders shared by several agents, where a move leaves
-    most blocks alone and the finder updates its table instead of
-    rebuilding it."""
+    """Two games of each class at n 20-40, two fractional games with
+    ``Fraction`` weights, plus two size and two two-colour games over lazy
+    orders shared by several agents, where a move leaves most blocks alone
+    and the finder updates its table instead of rebuilding it."""
     rng = random.Random(211)
     for trial in range(8):
         n = rng.randint(20, 40)
@@ -95,6 +103,8 @@ def incremental_games():
             yield club_dhg(n, trial), rng
         else:
             yield rand_game(rng, trial, n), rng
+    for _ in range(2):
+        yield fraction_fhg(rng, rng.randint(20, 40)), rng
     for trial in range(4):
         yield rand_lazy_game(rng, trial, rng.randint(20, 40)), rng
 
@@ -108,27 +118,44 @@ def check_against_core(finder, state):
     assert [table.nth(k) for k in range(table.count)] == reference
     with pytest.raises(IndexError):
         table.nth(table.count)
-    assert finder.has_move(state) == bool(reference)
+    assert finder.has_move(state) == bool(reference) == bool(table.count)
     return reference
+
+
+def spy_on_patches(finder):
+    """Wraps the rule set's table queries; returns ``patched(state)``, which
+    tells whether the finder's last update to ``state`` kept some agent's
+    row and put only the blocks born since to the rules' per-block query,
+    and then forgets what it saw. A full rebuild of every row fails it."""
+    rules = finder._rules
+    asked, rebuilt = [], []
+    joiners, row = rules.joiners, rules.row
+    rules.joiners = lambda blocks, keys, fresh: asked.append(len(fresh)) or joiners(blocks, keys, fresh)
+    rules.row = lambda agent, *args: rebuilt.append(agent) or row(agent, *args)
+
+    def patched(state):
+        seen = bool(asked) and max(asked) < len(state.blocks) and len(rebuilt) < state.n
+        asked.clear()
+        rebuilt.clear()
+        return seen
+
+    return patched
 
 
 def test_table_updates_match_core_along_walks_and_jumps():
     for game, rng in incremental_games():
         finder = MoveFinder(game)
-        # the rules' target test, recording how many blocks it is shown
-        shown, targets = [], finder._rules.targets
-        finder._rules.targets = lambda *args: shown.append(len(args[3])) or targets(*args)
+        patched_to = spy_on_patches(finder)
         state = Partition.singletons(game.n) if rng.random() < 0.5 else rand_partition(rng, game.n)
         suspended = None
         patched = 0
         for _ in range(30):
             reference = core.enumerate_deviations(game, state, IS)
-            shown.clear()
             assert list(finder.iter_moves(state)) == reference, (game.kind, state)
-            # some agent was tested against the new blocks only
-            patched += min(shown, default=len(state.blocks)) < len(state.blocks)
+            patched += patched_to(state)
             table = finder.table(state)
             assert table.count == len(reference)
+            assert finder.has_move(state) == bool(table.count)
             for k in rng.sample(range(len(reference)), min(5, len(reference))):
                 assert table.nth(k) == reference[k]
             if suspended is None and len(reference) > 1:
@@ -170,14 +197,12 @@ def test_table_of_an_unknown_class_lists_core():
     for trial in range(8):
         game = subclass_of(rand_game(rng, trial, rng.randint(8, 12)), trial >= 4)
         finder = MoveFinder(game)
-        shown, targets = [], finder._rules.targets
-        finder._rules.targets = lambda *args: shown.append(len(args[3])) or targets(*args)
+        patched_to = spy_on_patches(finder)
         state = rand_partition(rng, game.n)
         moves = patched = 0
         for _ in range(40):
-            shown.clear()
             reference = check_against_core(finder, state)
-            patched += min(shown, default=len(state.blocks)) < len(state.blocks)
+            patched += patched_to(state)
             if moves >= 10:
                 break
             if reference:
@@ -188,3 +213,29 @@ def test_table_of_an_unknown_class_lists_core():
         assert moves >= 10 and patched, type(game).__name__
         for _ in range(3):  # jumps to unrelated partitions
             check_against_core(finder, rand_partition(rng, game.n))
+
+
+def test_fractional_vectors_follow_the_live_blocks():
+    # after a long walk the per-block vectors are those of the last table's
+    # blocks only, each equal to a fresh computation
+    rng = random.Random(401)
+    game = fraction_fhg(rng, 40)
+    finder = MoveFinder(game)
+    state = Partition.singletons(game.n)
+    for _ in range(300):
+        table = finder.table(state)
+        state = (core.apply(state, table.nth(rng.randrange(table.count))) if table.count
+                 else rand_partition(rng, game.n))
+    finder.table(state)
+    rules = finder._rules
+    assert set(rules.sums) == set(rules.welcomes) == set(state.blocks)
+    weights = game.weights
+    for block in state.blocks:
+        s = len(block)
+        assert list(rules.sums[block]) == [game.member_sum(a, block) for a in range(game.n)]
+        assert list(rules.welcomes[block]) == [
+            all(s * weights[m][a] >= game.member_sum(m, block) for m in block)
+            for a in range(game.n)
+        ]
+        for a in block:
+            assert (rules.size[a], rules.have[a]) == (s, game.member_sum(a, block))

@@ -171,10 +171,12 @@ GOLDEN_GENERATED = [
 @pytest.mark.parametrize("kind,n,seed,restrict,digest", GOLDEN_GENERATED)
 def test_generated_files_are_golden(tmp_path, capsys, kind, n, seed, restrict, digest):
     out = tmp_path / "instance.json"
-    argv = ["gen", "--random", kind, "--n", str(n), "--seed", str(seed),
-            "--out", str(out)]
+    argv = ["gen", "--random", kind, "--n", str(n), "--seed", str(seed)]
     if restrict:
         argv += ["--restrict", *restrict]
-    assert cli.main(argv) == 0
+    assert cli.main(argv + ["--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    # the document streamed to standard output is the same text
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
