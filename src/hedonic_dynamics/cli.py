@@ -80,6 +80,7 @@ from .instances import (
     random as random_instance,
     reduce as reduce_problem,
 )
+from .instances.catalog import CLAIM_CHECKERS
 from .potentials import MONITORS_BY_NAME, MonitorInvariantViolation, PreconditionViolated
 from .search import (
     BudgetExhausted,
@@ -378,10 +379,17 @@ def claim_to_doc(claim: Claim) -> dict:
 def doc_to_claim(doc, where: str) -> Claim:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise CliUsageError(f"{where}: expected {{'kind': ...}}")
-    params = doc.get("params", {})
+    kind, subject = doc["kind"], doc.get("subject", "")
+    holds, params = doc.get("holds", True), doc.get("params", {})
+    if not isinstance(kind, str) or kind not in CLAIM_CHECKERS:
+        raise CliUsageError(f"{where}.kind: unknown claim kind {kind!r}")
+    if not isinstance(subject, str):
+        raise CliUsageError(f"{where}.subject: expected a string, got {subject!r}")
+    if not isinstance(holds, bool):
+        raise CliUsageError(f"{where}.holds: expected true or false, got {holds!r}")
     if not isinstance(params, dict):
         raise CliUsageError(f"{where}.params: expected an object, got {params!r}")
-    return Claim(doc["kind"], doc.get("subject", ""), doc.get("holds", True), dict(params))
+    return Claim(kind, subject, holds, dict(params))
 
 
 def instance_to_doc(instance: NamedInstance) -> dict:

@@ -26,9 +26,11 @@ from ..core import (
     enumerate_deviations,
     is_stable,
 )
-from ..dynamics import Script, passes_filter, replay
+from ..dynamics import Script, ScriptedMoveInvalid, passes_filter, replay
 from ..games import (
+    AcyclicQueriedOnNonSimpleAsymmetric,
     AnonymousGame,
+    AxisDomainMismatch,
     AxisWalkOrder,
     Color,
     ComputedOrder,
@@ -135,163 +137,202 @@ def _script(start: Partition, hops, note: str = "") -> tuple[Script, Partition]:
 # ---------------------------------------------------------------------------
 # claim checking
 # ---------------------------------------------------------------------------
+#
+# Each claim kind is one predicate ``(instance, claim) -> (outcome, detail)``:
+# the outcome decides the fact the claim states, and the detail explains a
+# mismatch.  Only ``check_claim`` compares the outcome with ``claim.holds``.
 
 
-def _require(claim: Claim, outcome: bool, detail: str) -> None:
-    if outcome != claim.holds:
-        raise ClaimFailed(f"claim '{claim.describe()}': {detail}")
+class _NoVerdict(Exception):
+    """The claim cannot be decided, so it fails whichever way ``holds`` points:
+    its own inputs are broken or its search ran out of budget."""
 
 
-def _check_restriction(instance, claim):
-    game = instance.game
-    kind = claim.kind
-    if kind == "strict":
-        _require(claim, is_strict_game(game), "strictness mismatch")
-    elif kind == "natural-sp":
-        _require(claim, naturally_single_peaked(game), "natural single-peakedness mismatch")
-    elif kind == "sp-on-axis":
-        axis = ExplicitAxis(claim.params["axis"])
-        ok = all(single_peaked_check(order, axis).ok for order in game.orders)
-        _require(claim, ok, f"single-peakedness on axis {claim.params['axis']} mismatch")
-    elif kind == "fhg-traits":
-        traits = classify_fhg(game)
-        for name, want in claim.params.items():
+def _lookup(table, key, what: str):
+    try:
+        return table[key]
+    except (KeyError, TypeError):
+        raise _NoVerdict(f"no {what} {key!r}") from None
+
+
+def _game(instance, classes):
+    if not isinstance(instance.game, classes):
+        raise _NoVerdict(f"does not apply to a {type(instance.game).__name__}")
+    return instance.game
+
+
+def _goal(instance, claim) -> Partition:
+    return _lookup(instance.starts, _lookup(claim.params, "state", "param"), "start")
+
+
+def _trace(instance, claim):
+    # a script that does not replay raises ScriptedMoveInvalid
+    script = _lookup(instance.scripts, claim.subject, "script")
+    return replay(instance.game, script.start, script.moves)
+
+
+def _answer(answer, wanted) -> tuple[bool, str]:
+    if isinstance(answer, search.BudgetExhausted):
+        raise _NoVerdict(f"search ran out of {answer.limit}")
+    return isinstance(answer, wanted), f"got {type(answer).__name__}"
+
+
+_ORDERED = (AnonymousGame, DiversityGame)
+
+
+def _strict(instance, claim):
+    return is_strict_game(_game(instance, _ORDERED)), "strictness mismatch"
+
+
+def _natural_sp(instance, claim):
+    return naturally_single_peaked(_game(instance, _ORDERED)), "single-peakedness mismatch"
+
+
+def _sp_on_axis(instance, claim):
+    game = _game(instance, _ORDERED)
+    keys = _lookup(claim.params, "axis", "param")
+    try:
+        ok = all(single_peaked_check(order, ExplicitAxis(keys)).ok for order in game.orders)
+    except AxisDomainMismatch as exc:
+        raise _NoVerdict(f"axis {keys!r}: {exc}") from None
+    return ok, f"single-peakedness on axis {keys} mismatch"
+
+
+def _fhg_traits(instance, claim):
+    traits = classify_fhg(_game(instance, FractionalGame))
+    for name, want in claim.params.items():
+        try:
             got = getattr(traits, name)
-            if got != want:
-                raise ClaimFailed(f"claim '{claim.describe()}': trait {name} is {got}")
-    elif kind == "dhg-symmetric":
-        _require(claim, dhg_is_symmetric(game), "approval symmetry mismatch")
+        except (AttributeError, AcyclicQueriedOnNonSimpleAsymmetric) as exc:
+            raise _NoVerdict(f"trait {name}: {exc}") from None
+        if got != want:
+            return False, f"trait {name} is {got}"
+    return True, "every listed trait matches"
 
 
-def _check_script(instance, claim):
-    game = instance.game
-    script = instance.scripts[claim.subject]
-    kind = claim.kind
-    if kind == "script-length":
-        want = claim.params["length"]
-        if len(script.moves) != want:
-            raise ClaimFailed(
-                f"claim '{claim.describe()}': script has {len(script.moves)} moves"
-            )
-        return
-    if kind == "starts-at":
-        _require(
-            claim,
-            script.start == instance.starts[claim.params["state"]],
-            "script start differs from the named partition",
-        )
-        return
-    if kind == "filtered":
-        verdicts = [passes_filter(game, m) for m in script.moves]
-        _require(
-            claim,
-            all(verdicts),
-            f"{verdicts.count(False)} move(s) fail the solitary-homogeneity filter",
-        )
-        return
-    trace = replay(game, script.start, script.moves)  # raises on an invalid move
-    if kind == "replays":
-        return
-    if kind == "cycle":
-        _require(claim, trace.final == script.start, "script does not close its loop")
-    elif kind == "reaches":
-        goal = instance.starts[claim.params["state"]]
-        _require(claim, trace.final == goal, "script ends elsewhere")
-    elif kind == "visits":
-        goal = instance.starts[claim.params["state"]]
-        _require(claim, goal in trace.states(), "script never passes the named state")
-    elif kind == "forced":
-        state = script.start
-        for move in trace.moves:
-            available = enumerate_deviations(game, state, StabilityKind.IS)
-            if available != [move]:
-                raise ClaimFailed(
-                    f"claim '{claim.describe()}': expected only {move}, "
-                    f"found {available}"
-                )
-            state = apply(state, move)
+def _dhg_symmetric(instance, claim):
+    return dhg_is_symmetric(_game(instance, DichotomousGame)), "approval symmetry mismatch"
 
 
-#: path claims: kind -> (name of the ``search`` function, wanted answer type)
-_PATH_CLAIMS = {
-    "no-path": ("exists_path_to_is", search.NoPath),
-    "path-found": ("exists_path_to_is", search.PathFound),
-    "cycle-reachable": ("all_paths_converge", search.CycleReachable),
-    "converges": ("all_paths_converge", search.ConvergesAlways),
-}
+def _replays(instance, claim):
+    try:
+        _trace(instance, claim)
+    except ScriptedMoveInvalid as exc:
+        return False, str(exc)
+    return True, "the script replays"
 
 
-def _check_search(instance, claim):
-    game = instance.game
-    kind = claim.kind
-    if kind == "stable":
-        part = instance.starts[claim.subject]
-        _require(claim, is_stable(game, part, StabilityKind.IS), "stability mismatch")
-        return
-    if kind == "unique-stable":
-        stable = [
-            p
-            for p in search.enumerate_partitions(game.n)
-            if is_stable(game, p, StabilityKind.IS)
-        ]
-        want = instance.starts[claim.subject]
-        if stable != [want]:
-            raise ClaimFailed(
-                f"claim '{claim.describe()}': stable set has {len(stable)} member(s)"
-            )
-        total = claim.params.get("total")
-        if total is not None:
-            count = sum(1 for _ in search.enumerate_partitions(game.n))
-            if count != total:
-                raise ClaimFailed(
-                    f"claim '{claim.describe()}': scanned {count} partitions"
-                )
-        return
-    if kind == "no-is":
-        strategy = search.STRATEGIES[claim.params.get("strategy", "plain")]()
-        answer = search.exists_is_partition(game, strategy, search.SearchBudget())
-        if not isinstance(answer, search.NoStablePartition):
-            raise ClaimFailed(f"claim '{claim.describe()}': got {type(answer).__name__}")
-        return
-    # looked up on ``search`` at call time, so a wrapped function is the one run
-    find, wanted = _PATH_CLAIMS[kind]
-    start = instance.starts[claim.subject]
-    answer = getattr(search, find)(game, start, search.SearchBudget())
-    if not isinstance(answer, wanted):
-        raise ClaimFailed(f"claim '{claim.describe()}': got {type(answer).__name__}")
+def _cycle(instance, claim):
+    trace = _trace(instance, claim)
+    return trace.final == trace.start, "loop closure mismatch"
 
 
+def _reaches(instance, claim):
+    return _trace(instance, claim).final == _goal(instance, claim), "end state mismatch"
+
+
+def _visits(instance, claim):
+    return _goal(instance, claim) in _trace(instance, claim).states(), "visit mismatch"
+
+
+def _starts_at(instance, claim):
+    return _trace(instance, claim).start == _goal(instance, claim), "start state mismatch"
+
+
+def _filtered(instance, claim):
+    game = _game(instance, DiversityGame)
+    failing = sum(not passes_filter(game, m) for m in _trace(instance, claim).moves)
+    return failing == 0, f"{failing} move(s) fail the solitary-homogeneity filter"
+
+
+def _forced(instance, claim):
+    trace = _trace(instance, claim)
+    for state, move in zip(trace.states(), trace.moves):
+        available = enumerate_deviations(instance.game, state, StabilityKind.IS)
+        if available != [move]:
+            return False, f"expected only {move}, found {available}"
+    return True, "each state admits only its scripted move"
+
+
+def _script_length(instance, claim):
+    moves = len(_trace(instance, claim))
+    return moves == _lookup(claim.params, "length", "param"), f"script has {moves} moves"
+
+
+def _stable(instance, claim):
+    start = _lookup(instance.starts, claim.subject, "start")
+    return is_stable(instance.game, start, StabilityKind.IS), "stability mismatch"
+
+
+def _unique_stable(instance, claim):
+    want = _lookup(instance.starts, claim.subject, "start")
+    stable, count = [], 0
+    for count, part in enumerate(search.enumerate_partitions(instance.game.n), 1):
+        if is_stable(instance.game, part, StabilityKind.IS):
+            stable.append(part)
+    total = claim.params.get("total", count)
+    if count != total:
+        raise _NoVerdict(f"scanned {count} partitions, not {total}")
+    return stable == [want], f"stable set has {len(stable)} member(s)"
+
+
+def _no_is(instance, claim):
+    strategy = _lookup(search.STRATEGIES, claim.params.get("strategy", "plain"), "strategy")
+    try:
+        answer = search.exists_is_partition(instance.game, strategy(), search.SearchBudget())
+    except ValueError as exc:  # the strategy does not fit the game
+        raise _NoVerdict(str(exc)) from None
+    return _answer(answer, search.NoStablePartition)
+
+
+def _path_claim(find: str, wanted):
+    # ``find`` is looked up on ``search`` at call time, so a wrapped function
+    # is the one run
+    def predicate(instance, claim):
+        start = _lookup(instance.starts, claim.subject, "start")
+        answer = getattr(search, find)(instance.game, start, search.SearchBudget())
+        return _answer(answer, wanted)
+
+    return predicate
+
+
+#: claim kind -> predicate ``(instance, claim) -> (outcome, detail)``
 CLAIM_CHECKERS = {
-    "strict": _check_restriction,
-    "natural-sp": _check_restriction,
-    "sp-on-axis": _check_restriction,
-    "fhg-traits": _check_restriction,
-    "dhg-symmetric": _check_restriction,
-    "replays": _check_script,
-    "cycle": _check_script,
-    "reaches": _check_script,
-    "visits": _check_script,
-    "starts-at": _check_script,
-    "filtered": _check_script,
-    "forced": _check_script,
-    "script-length": _check_script,
-    "stable": _check_search,
-    "unique-stable": _check_search,
-    "no-is": _check_search,
-    "no-path": _check_search,
-    "path-found": _check_search,
-    "cycle-reachable": _check_search,
-    "converges": _check_search,
+    "strict": _strict,
+    "natural-sp": _natural_sp,
+    "sp-on-axis": _sp_on_axis,
+    "fhg-traits": _fhg_traits,
+    "dhg-symmetric": _dhg_symmetric,
+    "replays": _replays,
+    "cycle": _cycle,
+    "reaches": _reaches,
+    "visits": _visits,
+    "starts-at": _starts_at,
+    "filtered": _filtered,
+    "forced": _forced,
+    "script-length": _script_length,
+    "stable": _stable,
+    "unique-stable": _unique_stable,
+    "no-is": _no_is,
+    "no-path": _path_claim("exists_path_to_is", search.NoPath),
+    "path-found": _path_claim("exists_path_to_is", search.PathFound),
+    "cycle-reachable": _path_claim("all_paths_converge", search.CycleReachable),
+    "converges": _path_claim("all_paths_converge", search.ConvergesAlways),
 }
 
 
 def check_claim(instance: NamedInstance, claim: Claim) -> str:
-    """Re-verify one claim; returns its description, raises ClaimFailed."""
+    """Re-verify one claim and return its description; raise :class:`ClaimFailed`
+    if its outcome is not ``claim.holds``, or either way if it cannot be decided."""
+    predicate = CLAIM_CHECKERS.get(claim.kind)
+    if predicate is None:
+        raise ClaimFailed(f"unknown claim kind {claim.kind!r}")
     try:
-        checker = CLAIM_CHECKERS[claim.kind]
-    except KeyError:
-        raise ClaimFailed(f"unknown claim kind {claim.kind!r}") from None
-    checker(instance, claim)
+        outcome, detail = predicate(instance, claim)
+    except (_NoVerdict, ScriptedMoveInvalid) as exc:
+        outcome, detail = not claim.holds, str(exc)
+    if outcome != claim.holds:
+        raise ClaimFailed(f"claim '{claim.describe()}': {detail}")
     return claim.describe()
 
 

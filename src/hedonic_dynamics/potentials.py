@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import DeviationMove, Partition, apply
+from .core import DeviationMove, Partition
 from .games import (
     AnonymousGame,
     Color,
@@ -132,10 +132,8 @@ def require_strict_natural_sp(game) -> None:
         )
 
 
-def ascent_credit_init(start: Partition, game=None) -> AscentCreditState:
+def ascent_credit_init(start: Partition) -> AscentCreditState:
     """All-zero account; no coalition has a recorded last entrant yet."""
-    if game is not None:
-        require_strict_natural_sp(game)
     return AscentCreditState(
         agent_values=(0,) * start.n,
         coalition_values={c: 0 for c in start.blocks},
@@ -148,7 +146,7 @@ def ascent_credit_step(
     game: AnonymousGame,
     pre: Partition,
     move: DeviationMove,
-    post: Partition | None = None,
+    post: Partition,
 ) -> AscentCreditState:
     """Advance the account over one deviation and assert all its invariants.
 
@@ -156,8 +154,6 @@ def ascent_credit_step(
     than the one abandoned (ties are impossible here: with size-based
     preferences an equal-size move is never an improvement).
     """
-    if post is None:
-        post = apply(pre, move)
     mover = move.agent
     abandoned = pre.coalition_of(mover)
     joined = post.coalition_of(mover)

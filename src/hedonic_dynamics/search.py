@@ -369,7 +369,7 @@ def forbidden_pairs(game: FractionalGame) -> set[tuple[int, int]]:
     return bad
 
 
-def tolerable_coalitions(game: FractionalGame, meter: _Meter | None = None):
+def tolerable_coalitions(game: FractionalGame, meter: _Meter):
     """All coalitions in which every member's weight sum is nonnegative.
 
     Coalitions containing a forbidden pair are cut off before expansion;
@@ -382,8 +382,7 @@ def tolerable_coalitions(game: FractionalGame, meter: _Meter | None = None):
     out: list[tuple[int, ...]] = []
 
     def extend(members: list[int], sums: list[int]):
-        if meter is not None:
-            meter.tick()
+        meter.tick()
         if members and all(s >= 0 for s in sums):
             out.append(tuple(members))
         last = members[-1] if members else -1

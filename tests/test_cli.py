@@ -85,8 +85,13 @@ def test_document_validation_errors():
         (("scripts", "cycle", "moves", 0, "agent"), "x"),
         (("scripts", "cycle", "moves", 0, "agent"), True),
         (("starts", "pair-12"), [[True], [0], [2]]),
+        (("expected", 0, "kind"), 5),
+        (("expected", 0, "kind"), "no-such-kind"),
+        (("expected", 0, "subject"), ["x"]),
+        (("expected", 0, "holds"), "no"),
     ],
-    ids=["starts-list", "labels-int", "params-list", "agent-str", "agent-bool", "start-bool"],
+    ids=["starts-list", "labels-int", "params-list", "agent-str", "agent-bool", "start-bool",
+         "kind-int", "kind-unknown", "subject-list", "holds-str"],
 )
 def test_mistyped_fields_are_usage_errors(tmp_path, capsys, path, value):
     doc = json.loads(cli.dumps_instance(build("dhg3")))

@@ -108,9 +108,11 @@ def test_mutated_instance_documents(instance_id, mutants):
     doc = json.loads(cli.dumps_instance(build(instance_id)))
     for _ in range(mutants):
         try:
-            cli.doc_to_instance(mutate_doc(rng, doc))
+            instance = cli.doc_to_instance(mutate_doc(rng, doc))
         except cli.CliUsageError:
-            pass
+            continue
+        for claim in instance.expected:
+            claim.describe()
 
 
 def test_mutated_trace_documents(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Bundled instance catalog: builds, scripts, claims."""
 
+import dataclasses
+import re
+
 import pytest
 
 from hedonic_dynamics import dynamics
@@ -132,6 +135,87 @@ def test_claim_checker_rejects_a_wrong_claim():
 def test_check_claim_refuses_unknown_kinds():
     with pytest.raises(ClaimFailed, match="unknown claim kind 'no-such-kind'"):
         check_claim(build("ahg7"), Claim("no-such-kind", "grand"))
+
+
+def test_negated_bundled_claims_fail():
+    accepted = []
+    for iid in catalog_ids():
+        inst = build(iid)
+        for claim in inst.expected:
+            negated = dataclasses.replace(claim, holds=not claim.holds)
+            try:
+                check_claim(inst, negated)
+            except ClaimFailed:
+                continue
+            accepted.append(f"{iid}: {negated.describe()}")
+    assert accepted == []
+
+
+# a claim whose own inputs are broken fails whichever way ``holds`` points
+FIXTURE_ERRORS = [
+    ("ahg7", Claim("cycle", "nope")),
+    ("ahg7", Claim("reaches", "reach-from-singletons")),
+    ("ahg7", Claim("reaches", "reach-from-singletons", params={"state": "nope"})),
+    ("ahg7", Claim("sp-on-axis")),
+    ("ahg7", Claim("sp-on-axis", params={"axis": [1, 2, 3]})),
+    ("ahg7", Claim("no-is", params={"strategy": "zzz"})),
+    ("ahg7", Claim("no-is", params={"strategy": "pruned-fhg"})),
+    ("ahg7", Claim("fhg-traits", params={"simple": True})),
+    ("fhg-triangle", Claim("fhg-traits", params={"bogus": True})),
+    ("fhg15", Claim("fhg-traits", params={"acyclic": False})),
+    ("ahg7", Claim("script-length", "cycle")),
+    ("ahg7", Claim("filtered", "cycle")),
+    ("ahg7", Claim("stable", "nope")),
+    ("dhg3", Claim("strict")),
+    ("dhg3", Claim("unique-stable", "grand", params={"total": 6})),
+    ("dhg3", Claim("no-path", "nope")),
+]
+
+
+@pytest.mark.parametrize("holds", [True, False])
+@pytest.mark.parametrize(
+    "iid, claim", FIXTURE_ERRORS, ids=[f"{i}:{c.describe()}" for i, c in FIXTURE_ERRORS]
+)
+def test_fixture_errors_fail_the_claim(iid, claim, holds):
+    claim = dataclasses.replace(claim, holds=holds)
+    with pytest.raises(ClaimFailed, match=re.escape(claim.describe())):
+        check_claim(build(iid), claim)
+
+
+def _with_broken_script():
+    inst = build("hdg26-sp-strict-solitary")
+    cycle = inst.scripts["cycle"]
+    broken = dynamics.Script(cycle.start, cycle.moves[1:])
+    with pytest.raises(dynamics.ScriptedMoveInvalid):
+        dynamics.replay(inst.game, broken.start, broken.moves)
+    inst.scripts["broken"] = broken
+    return inst
+
+
+@pytest.mark.parametrize("holds", [True, False])
+@pytest.mark.parametrize("kind, params", [
+    ("cycle", {}),
+    ("reaches", {"state": "cycle-start"}),
+    ("visits", {"state": "cycle-start"}),
+    ("starts-at", {"state": "cycle-start"}),
+    ("filtered", {}),
+    ("forced", {}),
+    ("script-length", {"length": 7}),
+])
+def test_a_script_that_does_not_replay_fails_every_script_claim(kind, params, holds):
+    claim = Claim(kind, "broken", holds, params)
+    with pytest.raises(ClaimFailed, match="invalid"):
+        check_claim(_with_broken_script(), claim)
+
+
+def test_replays_decides_whether_the_script_replays():
+    inst = _with_broken_script()
+    check_claim(inst, Claim("replays", "broken", holds=False))
+    check_claim(inst, Claim("replays", "cycle"))
+    with pytest.raises(ClaimFailed, match="invalid"):
+        check_claim(inst, Claim("replays", "broken"))
+    with pytest.raises(ClaimFailed):
+        check_claim(inst, Claim("replays", "cycle", holds=False))
 
 
 # --- pinned facts about individual entries ------------------------------------

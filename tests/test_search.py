@@ -440,12 +440,12 @@ def test_forbidden_pairs_and_tolerable_pool():
     ]
     game = games.FractionalGame(rows)
     assert forbidden_pairs(game) == {(0, 1)}
-    pool = tolerable_coalitions(game)
+    pool = tolerable_coalitions(game, search._Meter(SearchBudget()))
     assert all(not {0, 1} <= set(c) for c in pool)
     assert (0, 2, 3) in pool and (2, 3) in pool and (0,) in pool
 
     hostile = games.FractionalGame([[0, -1, 0], [-1, 0, 0], [0, 0, 0]])
-    pool = tolerable_coalitions(hostile)
+    pool = tolerable_coalitions(hostile, search._Meter(SearchBudget()))
     assert sorted(pool) == [(0,), (0, 2), (1,), (1, 2), (2,)]
 
 
