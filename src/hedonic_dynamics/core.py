@@ -26,7 +26,7 @@ import enum
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 #: Hard cap on supported instance sizes; enough for every bundled instance
 #: and generated gadget while keeping id arithmetic obviously safe.
@@ -323,8 +323,3 @@ def is_stable(game, partition, kind: StabilityKind) -> bool:
     for _ in iter_deviations(game, partition, kind):
         return False
     return True
-
-
-def relabel_partition(partition: Partition, perm: Sequence[int]) -> Partition:
-    """Apply an agent relabeling (``new_id = perm[old_id]``)."""
-    return Partition([[perm[a] for a in b] for b in partition.blocks])

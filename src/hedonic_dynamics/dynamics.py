@@ -318,95 +318,70 @@ def _ratio_rules(game):
     )
 
 
-class _AverageRules:
-    """Fractional games: the block key is each member's weight sum toward the
-    block. Gains hang on the mover's own weights, so they are tested inline.
+class _AverageRules(_PerAgentRules):
+    """Fractional games: a block's key is its record ``(sums, flags)``,
+    indexed by agent: ``sums[a]`` is agent a's weight sum toward the block,
+    and ``flags[a]`` (a ``bytes`` flag) whether every member keeps its
+    average when a joins. ``has_move`` and the finder's table read the same
+    records, so an (agent, block) pair is one lookup in each vector; the
+    records of blocks that leave the table are dropped by ``settle``.
 
-    For the finder's table it keeps two vectors per live block, indexed by
-    agent: the agent's weight sum toward the block, and whether every member
-    keeps its average when the agent joins (a ``bytes`` flag); and per agent
-    the size of its own block and its weight sum toward it. A born block is
-    then tested against all agents at once, column by column, and a born
-    block's members read their sums instead of adding weights.
+    Per agent it also keeps the size of its own block and its weight sum
+    toward it, so a born block is tested against all agents at once,
+    column by column.
     """
 
     def __init__(self, game):
         self.weights = game.weights
-        self.keys = _Memo(self.key)
         #: columns[x][a] is agent a's weight toward agent x
         self.columns = tuple(zip(*game.weights))
-        self.sums = {}
-        self.welcomes = {}
+        self.keys = _Memo(self.record)
         # filled by `settle` for every agent the first time the table is built
         self.size = [0] * game.n
         self.have = [0] * game.n
 
-    def key(self, block):
-        return tuple(sum(map(self.weights[m].__getitem__, block)) for m in block)
-
-    def welcome(self, agent, block, key):
-        # member m keeps its average iff len(block) * w(m, agent) >= its sum
+    def record(self, block):
         s = len(block)
-        weights = self.weights
-        for m, base in zip(block, key):
-            if s * weights[m][agent] < base:
-                return False
-        return True
+        sums = self.columns[block[0]]
+        for x in block[1:]:
+            sums = list(map(add, sums, self.columns[x]))
+        # member m keeps its average iff s * w(m, agent) >= its sum
+        flags = None
+        for m in block:
+            keeps = map(ge, map(mul, self.weights[m], repeat(s)), repeat(sums[m]))
+            flags = bytes(keeps) if flags is None else bytes(map(and_, flags, keeps))
+        return sums, flags
 
     def targets(self, agent, cur, here, blocks, keys):
-        row = self.weights[agent].__getitem__
-        size, have = len(cur), here[bisect_left(cur, agent)]
-        welcome = self.welcome
+        size, have = len(cur), here[0][agent]
         # strict gain: sum over b / (len(b) + 1) > have / size
         return (
-            b for b, key in zip(blocks, keys)
+            b for b, (sums, flags) in zip(blocks, keys)
             if b is not cur
-            and sum(map(row, b)) * size > have * (len(b) + 1)
-            and welcome(agent, b, key)
+            and flags[agent]
+            and sums[agent] * size > have * (len(b) + 1)
         )
 
     def alone(self, agent, cur, here):
-        return here[bisect_left(cur, agent)] < 0
+        return here[0][agent] < 0
 
     def settle(self, gone, fresh):
-        sums, welcomes, weights = self.sums, self.welcomes, self.weights
         for block in gone:
-            del sums[block], welcomes[block]
-        for block in fresh:
-            s = len(block)
-            col = self.columns[block[0]]
-            for x in block[1:]:
-                col = list(map(add, col, self.columns[x]))
-            sums[block] = col
-            # member m keeps its average iff s * w(m, agent) >= its sum
-            flags = None
-            for m in block:
-                keeps = map(ge, map(mul, weights[m], repeat(s)), repeat(col[m]))
-                flags = bytes(keeps) if flags is None else bytes(map(and_, flags, keeps))
-            welcomes[block] = flags
+            del self.keys[block]
+        for block, (sums, _) in fresh.items():
             for agent in block:
-                self.size[agent], self.have[agent] = s, col[agent]
-
-    def row(self, agent, cur, here, blocks, keys):
-        size, have = self.size[agent], self.have[agent]
-        sums, welcomes = self.sums, self.welcomes
-        return tuple(
-            b for b in blocks
-            if b is not cur
-            and welcomes[b][agent]
-            and sums[b][agent] * size > have * (len(b) + 1)
-        )
+                self.size[agent], self.have[agent] = len(block), sums[agent]
 
     def joiners(self, blocks, keys, fresh):
         moved = {agent for block in fresh for agent in block}
         everyone = range(len(self.size))
         found = []
-        for block in fresh:
+        for block, (sums, flags) in fresh.items():
             # strict gain, for every agent at once: sum * size > have * (len + 1)
-            gains = map(gt, map(mul, self.sums[block], self.size),
+            gains = map(gt, map(mul, sums, self.size),
                         map(mul, self.have, repeat(len(block) + 1)))
             found.append([
-                agent for agent in compress(everyone, map(and_, self.welcomes[block], gains))
+                agent for agent in compress(everyone, map(and_, flags, gains))
                 if agent not in moved
             ])
         return found
@@ -527,7 +502,9 @@ class MoveFinder:
     (exact type; any other type asks ``core.deviation_verdict``): a block
     key cached across steps, the blocks a mover gains by joining and whose
     members welcome it, and the go-alone test (false for a singleton, whose
-    fresh singleton is the block it is in). Since preferences are hedonic,
+    fresh singleton is the block it is in). A weight game's key is the
+    block's record of weight sums and welcome flags over all agents, read
+    alike by ``has_move`` and the table. Since preferences are hedonic,
     whether an agent may join a block depends on its own block and that
     block only. So the finder keeps the :class:`MoveTable` of the last
     partition it listed and, for the next one, rebuilds only the rows of
@@ -731,18 +708,16 @@ def run(game, start: Partition, policy: Policy, config: RunConfig = RunConfig())
     return Converged(state, len(steps), trace())
 
 
-def replay(game, start: Partition, moves: Sequence[DeviationMove], monitors=()) -> Trace:
+def replay(game, start: Partition, moves: Sequence[DeviationMove]) -> Trace:
     """Validate and apply a move list; raises :class:`ScriptedMoveInvalid`
     at the first move that is not an IS deviation, naming the violated
     condition and the agent it fails for."""
-    mons = [factory(game, start) for factory in monitors]
-    start_readings = {m.name: m.initial_reading() for m in mons}
     state = start
     steps = []
     for step_index, move in enumerate(moves):
-        steps.append(_step(game, state, move, step_index, mons))
+        steps.append(_step(game, state, move, step_index))
         state = steps[-1].result
-    return Trace(start, tuple(steps), start_readings)
+    return Trace(start, tuple(steps))
 
 
 def validate_trace(game, trace: Trace) -> None:

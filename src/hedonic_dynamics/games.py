@@ -696,14 +696,6 @@ class FractionalGame:
         return (delta > 0) - (delta < 0)
 
 
-def fhg_utility(game: FractionalGame, agent: int, coalition_: Iterable[int]) -> Fraction:
-    """Exact average weight of the agent toward her coalition (0 for singletons)."""
-    members = coalition(coalition_)
-    if agent not in members:
-        raise GameDefinitionError(f"agent {agent} not in {members}")
-    return Fraction(game.member_sum(agent, members), len(members))
-
-
 @dataclass(frozen=True)
 class FhgTraits:
     """Structural flags of a fractional game's weight digraph."""

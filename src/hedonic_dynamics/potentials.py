@@ -346,28 +346,6 @@ class LexPotential:
     sizes: tuple[int, ...]
 
 
-def topological_scores(game: FractionalGame) -> tuple[int, ...]:
-    """Scores 1..n increasing along every arc, smallest agent id first
-    (see ``games.arc_scores``)."""
-    scores = arc_scores(game)
-    if scores is None:
-        raise NotTopological("the digraph has a cycle; no topological order exists")
-    return scores
-
-
-def require_topological(game: FractionalGame, sigma: Sequence[int]) -> None:
-    n = game.n
-    if sorted(sigma) != list(range(1, n + 1)):
-        raise NotTopological("scores must be a bijection onto 1..n")
-    for i in range(n):
-        for j in range(n):
-            if i != j and game.weights[i][j] == 1 and not sigma[i] < sigma[j]:
-                raise NotTopological(
-                    f"arc {i}→{j} demands score({i}) < score({j}), "
-                    f"got {sigma[i]} ≥ {sigma[j]}"
-                )
-
-
 def lex_potential(partition: Partition, sigma: Sequence[int]) -> LexPotential:
     if sorted(sigma) != list(range(1, partition.n + 1)):
         raise NotTopological("scores must be a bijection onto 1..n")

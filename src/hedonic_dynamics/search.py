@@ -182,12 +182,13 @@ class _Meter:
 # --- partition enumeration --------------------------------------------------
 
 
-def enumerate_partitions(n: int, cap: int = PARTITION_CAP):
+def enumerate_partitions(n: int):
     """All partitions of agents 0..n-1, by restricted growth strings."""
     if n < 1:
         raise ValueError("need at least one agent")
-    if n > cap:
-        raise CapExceeded(f"enumerating partitions of {n} agents exceeds the cap {cap}")
+    if n > PARTITION_CAP:
+        raise CapExceeded(
+            f"enumerating partitions of {n} agents exceeds the cap {PARTITION_CAP}")
     labels = [0] * n
     ceiling = [1] * n  # ceiling[i] = 1 + max(labels[:i]); labels[i] may reach it
     while True:

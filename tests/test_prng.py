@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from hedonic_dynamics.dynamics import SeededRandom
 from hedonic_dynamics.prng import SplitMix64
 
 
@@ -19,6 +20,11 @@ def test_seed_range_enforced():
         SplitMix64(-1)
     with pytest.raises(ValueError):
         SplitMix64(1 << 64)
+    # the seeded policy refuses an out-of-range seed itself, before any run
+    assert SeededRandom((1 << 64) - 1).seed == (1 << 64) - 1
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError):
+            SeededRandom(seed)
 
 
 def test_below_is_unbiased_over_small_range():
