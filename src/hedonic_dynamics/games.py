@@ -10,9 +10,10 @@ Preference orders come in three flavors:
 - :class:`WeakOrder` — a rank table over an explicit key set: each key maps
   to the index of its indifference class.  When the keys are exactly the
   sizes ``1..m`` the table is one integer array indexed by size (slot 0
-  unused), otherwise a dict; the key set alone decides, and both forms
-  answer alike.  The classes themselves are derived from the table on
-  request (for files and reprs), never stored.
+  unused), otherwise a dict; the key set alone decides, and two private
+  readers (a key's rank, the (key, rank) pairs) make both forms answer
+  alike.  The classes themselves are derived from the table on request
+  (for files and reprs), never stored.
 - :class:`ComputedOrder` — a listed top segment, itself a ``WeakOrder``,
   plus a completion rule for the rest of the domain, evaluated lazily.
   This is what makes the big generated instances (tens of thousands of
@@ -22,9 +23,9 @@ Preference orders come in three flavors:
   axis, also evaluated lazily.
 
 Each order ranks a key by one method, ``rank(key)``: a sort key where lower
-means preferred.  Pairwise comparisons, the single-peakedness checks, the
-ascent-credit monitor and the move engine's size and ratio rule sets all
-read it.  The move engine keys a two-color block by its integer
+means preferred.  Pairwise comparisons, the single-peakedness check (a
+bool per order and axis), the ascent-credit monitor and the move engine's
+size and ratio rule sets all read it.  The move engine keys a two-color block by its integer
 ``(reds, size)`` pair and ranks each pair once per order; orders still
 take the ``Fraction`` at that boundary.
 """
@@ -34,12 +35,12 @@ from __future__ import annotations
 import enum
 import heapq
 from array import array
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .core import Coalition, coalition
@@ -72,87 +73,25 @@ def _compare(order, a, b) -> int:
 _RANK_CODES = tuple((1 << 8 * array(code).itemsize, code) for code in "BHIL")
 
 
-class _SizeRanks(Mapping):
-    """Read-only rank table over the sizes ``1..m``: one array slot per
-    size, slot 0 unused, the narrowest integer type the ranks fit.
-
-    It answers every mapping query as the dict ``{size: rank}`` would: a key
-    equal to an int in ``1..m`` (``True``, ``Fraction(2)``, ``2.0``) is
-    found, any other key (``0``, ``-1``, ``m + 1``, ``"2"``) is not and
-    never wraps around.  Iteration lists the keys class by class, each
-    class ascending, which is the dict's insertion order.
-    """
-
-    __slots__ = ("ranks",)
-
-    def __init__(self, ranks_by_size: Sequence[int]):
-        """``ranks_by_size[k - 1]`` is the class index of size ``k``."""
-        top = max(ranks_by_size)
-        code = next(c for bound, c in _RANK_CODES if top < bound)
-        ranks = array(code, (0,))
-        ranks.extend(ranks_by_size)
-        self.ranks = ranks
-
-    def slot(self, key):
-        """The array index of ``key``, or ``None`` when it is no size 1..m."""
-        if type(key) is not int:
-            try:
-                whole = int(key)
-            except (TypeError, ValueError, OverflowError):
-                return None
-            if whole != key:
-                return None
-            key = whole
-        return key if 0 < key < len(self.ranks) else None
-
-    def __getitem__(self, key):
-        at = self.slot(key)
-        if at is None:
-            raise KeyError(key)
-        return self.ranks[at]
-
-    def get(self, key, default=None):
-        at = self.slot(key)
-        return default if at is None else self.ranks[at]
-
-    def __contains__(self, key) -> bool:
-        return self.slot(key) is not None
-
-    def __len__(self) -> int:
-        return len(self.ranks) - 1
-
-    def __iter__(self):
-        ranks = self.ranks
-        return iter(sorted(range(1, len(ranks)), key=ranks.__getitem__))
-
-    def items(self):
-        ranks = self.ranks
-        return [(key, ranks[key]) for key in self]
-
-    def values(self):
-        return sorted(islice(self.ranks, 1, None))
-
-    def __eq__(self, other):
-        if isinstance(other, _SizeRanks):
-            return self.ranks == other.ranks
-        return Mapping.__eq__(self, other)
-
-
 class WeakOrder:
     """Total preorder over a finite key set, stored as a rank table.
 
     The one stored form is the table from each key to the index of its
     indifference class; class 0 is the most preferred.  Keys may be ints
     (sizes) or Fractions (ratios).  When the keys are exactly the ints
-    ``1..m`` the table is one integer array indexed by size, otherwise a
-    dict; which one depends only on the key set, and both answer every
-    query alike.  ``classes`` is derived from the table, each class sorted,
-    so two orders are equal iff they rank every key the same, however their
-    classes were listed.
+    ``1..m`` the table is one integer array indexed by size (slot 0 unused,
+    the narrowest type the ranks fit), otherwise a dict; which one depends
+    only on the key set.  Queries read the table through two private
+    readers, ``_rank_of`` (a key's rank) and ``_items`` (the (key, rank)
+    pairs), so both forms answer alike; only the size fast path of
+    ``rank``, ``domain``, the class count and the comparison of two size
+    arrays read the table directly, for speed.  ``classes`` is derived from
+    the table, each class sorted, so two orders are equal iff they rank
+    every key the same, however their classes were listed.
     """
 
-    #: ``_sizes`` is the array of a size table, read directly by ``rank``,
-    #: and ``None`` for a dict table
+    #: ``_sizes`` is the array of a size table and ``_level`` the dict of
+    #: any other; the one not in use is ``None``
     __slots__ = ("_level", "_sizes")
 
     def __init__(self, classes: Iterable[Iterable]):
@@ -191,53 +130,91 @@ class WeakOrder:
         return order
 
     def _set_sizes(self, ranks_by_size) -> None:
-        self._level = _SizeRanks(ranks_by_size)
-        self._sizes = self._level.ranks
+        top = max(ranks_by_size)
+        sizes = array(next(c for bound, c in _RANK_CODES if top < bound), (0,))
+        sizes.extend(ranks_by_size)
+        self._level, self._sizes = None, sizes
+
+    def _rank_of(self, key):
+        """The rank of ``key``, or ``None`` outside the domain.  In a size
+        table a key equal to a size ``1..m`` (``True``, ``Fraction(2)``)
+        counts as that size, as it would in a dict; any other key (``0``,
+        ``m + 1``, ``"2"``) is outside and never wraps around."""
+        sizes = self._sizes
+        if sizes is None:
+            return self._level.get(key)
+        if type(key) is not int:
+            try:
+                whole = int(key)
+            except (TypeError, ValueError, OverflowError):
+                return None
+            if whole != key:
+                return None
+            key = whole
+        return sizes[key] if 0 < key < len(sizes) else None
+
+    def _items(self):
+        """The ``(key, rank)`` pairs class by class, each class ascending."""
+        sizes = self._sizes
+        if sizes is None:
+            return self._level.items()
+        return sorted(islice(enumerate(sizes), 1, None), key=itemgetter(1))
+
+    def _class_count(self) -> int:
+        sizes = self._sizes
+        return 1 + max(self._level.values() if sizes is None else sizes)
 
     @property
     def classes(self) -> tuple:
         """The indifference classes in rank order, each sorted ascending."""
-        grouped = [[] for _ in range(max(self._level.values()) + 1)]
-        for key, rank in self._level.items():
+        grouped = [[] for _ in range(self._class_count())]
+        for key, rank in self._items():
             grouped[rank].append(key)
-        return tuple(tuple(sorted(c)) for c in grouped)
+        return tuple(map(tuple, grouped))
 
     @property
     def domain(self) -> frozenset:
-        return frozenset(self._level)
+        sizes = self._sizes
+        return frozenset(self._level if sizes is None else range(1, len(sizes)))
 
     def __contains__(self, key) -> bool:
-        return key in self._level
+        return self._rank_of(key) is not None
 
     def rank(self, key) -> int:
         """Index of the key's class: lower means preferred."""
         sizes = self._sizes
         if sizes is not None:
             # the direct read for a size 1..m; any other key (a Fraction,
-            # m + 1) falls through to the table, which answers as a dict
+            # m + 1) falls through to the reader, which answers as a dict
             try:
                 if key > 0:
                     return sizes[key]
             except (TypeError, IndexError):
                 pass
-        try:
-            return self._level[key]
-        except KeyError:
-            raise GameDefinitionError(f"key {key!r} outside order domain") from None
+        rank = self._rank_of(key)
+        if rank is None:
+            raise GameDefinitionError(f"key {key!r} outside order domain")
+        return rank
 
     compare = _compare
 
     @property
     def is_strict(self) -> bool:
-        return max(self._level.values()) + 1 == len(self._level)
+        sizes = self._sizes
+        size = len(self._level) if sizes is None else len(sizes) - 1
+        return self._class_count() == size
 
     def __eq__(self, other):
-        return isinstance(other, WeakOrder) and self._level == other._level
+        if not isinstance(other, WeakOrder):
+            return False
+        if self._sizes is not None and other._sizes is not None:
+            return self._sizes == other._sizes
+        return dict(self._items()) == dict(other._items())
 
     def __hash__(self):
         # keys go in class by class, each class ascending, so equal orders
-        # hold their keys in the same order
-        return hash(tuple(self._level))
+        # list their keys in the same order
+        return hash(tuple(key for key, _ in self._items()))
 
     def __repr__(self):
         body = " > ".join(
@@ -329,14 +306,14 @@ class ComputedOrder:
 
     def __init__(self, listed_classes: Iterable[Iterable], domain, completion: Completion):
         prefix = WeakOrder(listed_classes)
-        for key in prefix._level:
+        for key, _ in prefix._items():
             if key not in domain:
                 raise GameDefinitionError(f"listed key {key!r} outside domain {domain!r}")
         self.prefix = prefix
         self.completion = completion
         self.domain = domain
         #: the class index every unlisted key shares: one past the listed
-        self._tail = max(prefix._level.values()) + 1
+        self._tail = prefix._class_count()
 
     def __contains__(self, key) -> bool:
         return key in self.domain
@@ -345,7 +322,7 @@ class ComputedOrder:
         """``(class index, 0)`` for a listed key.  Unlisted keys rank below
         every listed class: all tied (bottom) or smaller key first
         (ascending)."""
-        level = self.prefix._level.get(key)
+        level = self.prefix._rank_of(key)
         if level is not None:
             return (level, 0)
         tie = 0 if self.completion is Completion.BOTTOM else key
@@ -361,7 +338,7 @@ class ComputedOrder:
             return True
         # the tied tail is strict iff it holds at most one key; count the
         # domain no further than that, as it may be huge
-        room = len(self.prefix._level) + 1
+        room = len(self.prefix.domain) + 1
         return sum(1 for _ in islice(self.domain, room + 1)) <= room
 
     def __eq__(self, other):
@@ -808,52 +785,28 @@ def dhg_is_symmetric(game: DichotomousGame) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class NaturalAxis:
-    """Axis given by the numeric order of the keys themselves."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NaturalAxis"
-
-
-NATURAL = NaturalAxis()
-
-
-@dataclass(frozen=True)
-class ExplicitAxis:
-    keys: tuple
-
-    def __init__(self, keys: Iterable):
-        object.__setattr__(self, "keys", tuple(keys))
-
-
-@dataclass(frozen=True)
-class SPResult:
-    ok: bool
-    peak: object | None
-
-
 def _axis_keys(order, axis) -> list:
+    """The keys along ``axis``: the sorted domain for ``None``, else the
+    axis itself, which must list every domain key exactly once."""
     domain = order.domain
     natural = sorted(domain) if isinstance(order, WeakOrder) else domain.enumerate()
-    if isinstance(axis, NaturalAxis):
+    if axis is None:
         return natural
-    keys = list(axis.keys)
-    if set(keys) != set(natural) or len(keys) != len(natural):
+    try:
+        keys = list(axis)
+        fits = len(keys) == len(natural) and set(keys) == set(natural)
+    except TypeError:  # not iterable, or unhashable keys
+        fits = False
+    if not fits:
         raise AxisDomainMismatch(
-            f"axis keys {keys[:6]}... do not match order domain of size {len(natural)}"
+            f"axis {str(axis)[:40]} does not list the order domain of size {len(natural)}"
         )
     return keys
 
 
-def single_peaked_check(order, axis=NATURAL) -> SPResult:
-    """Check the order against an axis; report the peak when it is defined.
+def single_peaked_check(order, axis=None) -> bool:
+    """Whether the order is single-peaked on ``axis``: ``None`` for the
+    natural (numeric) axis, else a sequence of the domain's keys.
 
     An order is single-peaked on an axis iff for every axis-ordered triple
     x, y, z (read in either direction) preferring x to y forces y to be
@@ -861,26 +814,18 @@ def single_peaked_check(order, axis=NATURAL) -> SPResult:
     pass over the axis — the order's ranks first fall and then rise (both
     weakly): once a rank has gone up, none comes down again.  That is the
     same as every union of top indifference classes being contiguous.
-
-    The peak is reported for the natural axis only: the largest key of
-    lowest rank, which is the unique maximum for strict orders.  For an
-    explicit axis (or a failed check) the peak is ``None``.
     """
-    keys = _axis_keys(order, axis)
-    ranks = list(map(order.rank, keys))
+    ranks = list(map(order.rank, _axis_keys(order, axis)))
     rising = False
     for before, after in zip(ranks, ranks[1:]):
         if after > before:
             rising = True
         elif after < before and rising:
-            return SPResult(False, None)
-    if not isinstance(axis, NaturalAxis):
-        return SPResult(True, None)
-    top = min(ranks)
-    return SPResult(True, max(k for k, r in zip(keys, ranks) if r == top))
+            return False
+    return True
 
 
-def single_peaked_brute(order, axis=NATURAL) -> bool:
+def single_peaked_brute(order, axis=None) -> bool:
     """O(d^3) reference check straight from the triple definition."""
     keys = _axis_keys(order, axis)
     d = len(keys)
@@ -895,7 +840,7 @@ def single_peaked_brute(order, axis=NATURAL) -> bool:
 
 def naturally_single_peaked(game) -> bool:
     """Convenience: every agent's order is single-peaked on the natural axis."""
-    return all(single_peaked_check(order, NATURAL).ok for order in distinct_orders(game))
+    return all(single_peaked_check(order) for order in distinct_orders(game))
 
 
 def is_strict_game(game) -> bool:

@@ -37,10 +37,8 @@ from ..games import (
     Completion,
     DichotomousGame,
     DiversityGame,
-    ExplicitAxis,
     FractionalGame,
     RatioDomain,
-    SizeDomain,
     classify_fhg,
     complete_strict_on_axis,
     complete_weak_interval_closure,
@@ -191,8 +189,10 @@ def _natural_sp(instance, claim):
 def _sp_on_axis(instance, claim):
     game = _game(instance, _ORDERED)
     keys = _lookup(claim.params, "axis", "param")
+    if keys is None:  # would ask for the natural axis, which is ``natural-sp``
+        raise _NoVerdict("no axis given")
     try:
-        ok = all(single_peaked_check(order, ExplicitAxis(keys)).ok for order in game.orders)
+        ok = all(single_peaked_check(order, keys) for order in game.orders)
     except AxisDomainMismatch as exc:
         raise _NoVerdict(f"axis {keys!r}: {exc}") from None
     return ok, f"single-peakedness on axis {keys} mismatch"

@@ -49,7 +49,6 @@ from conftest import (
     rand_hdg,
     rand_lazy_game,
     rand_partition,
-    rand_sp_order,
 )
 
 R, B = Color.RED, Color.BLUE

@@ -5,7 +5,6 @@ import pytest
 
 from hedonic_dynamics import games
 from hedonic_dynamics.games import (
-    NATURAL,
     AcyclicQueriedOnNonSimpleAsymmetric,
     AnonymousGame,
     AxisDomainMismatch,
@@ -15,7 +14,6 @@ from hedonic_dynamics.games import (
     ComputedOrder,
     DichotomousGame,
     DiversityGame,
-    ExplicitAxis,
     FractionalGame,
     GameDefinitionError,
     RatioDomain,
@@ -356,19 +354,28 @@ def test_dhg_symmetry():
 
 
 def test_single_peaked_natural_examples():
-    assert single_peaked_check(WeakOrder([[2], [1], [3]])) == games.SPResult(True, 2)
-    assert single_peaked_check(WeakOrder([[1], [3], [2]])).ok is False
-    # weak order peak: largest key of the top class
-    res = single_peaked_check(WeakOrder([[2, 3], [1], [4]]))
-    assert res.ok and res.peak == 3
+    assert single_peaked_check(WeakOrder([[2], [1], [3]])) is True
+    assert single_peaked_check(WeakOrder([[1], [3], [2]])) is False
+    # a weak order: the top class {2, 3} is an interval, and so is {1, 2, 3}
+    assert single_peaked_check(WeakOrder([[2, 3], [1], [4]])) is True
+    assert single_peaked_check(WeakOrder([[1, 3], [2]])) is False
 
 
 def test_single_peaked_explicit_axis():
     o = WeakOrder([[1], [2], [3]])
-    assert single_peaked_check(o, ExplicitAxis([2, 1, 3])).ok
-    assert single_peaked_check(o, ExplicitAxis([2, 1, 3])).peak is None
-    with pytest.raises(AxisDomainMismatch):
-        single_peaked_check(o, ExplicitAxis([1, 2]))
+    assert single_peaked_check(o, [2, 1, 3]) is True
+    assert single_peaked_check(o, (1, 3, 2)) is False
+    bad_axes = (
+        [1, 2],  # a key missing
+        [1, 2, 2, 3],  # a key repeated
+        5,  # not iterable
+        [[1], [2], [3]],  # unhashable keys
+    )
+    for axis in bad_axes:
+        with pytest.raises(AxisDomainMismatch):
+            single_peaked_check(o, axis)
+        with pytest.raises(AxisDomainMismatch):
+            single_peaked_brute(o, axis)
 
 
 def test_single_peaked_interval_vs_triples():
@@ -376,11 +383,10 @@ def test_single_peaked_interval_vs_triples():
     for _ in range(200):
         n = rng.randint(2, 7)
         o = rand_weak_order(rng, range(1, n + 1))
-        assert single_peaked_check(o).ok == single_peaked_brute(o)
-        axis_keys = list(range(1, n + 1))
-        rng.shuffle(axis_keys)
-        axis = ExplicitAxis(axis_keys)
-        assert single_peaked_check(o, axis).ok == single_peaked_brute(o, axis)
+        assert single_peaked_check(o) == single_peaked_brute(o)
+        axis = list(range(1, n + 1))
+        rng.shuffle(axis)
+        assert single_peaked_check(o, axis) == single_peaked_brute(o, axis)
     # the lazy orders, over size and ratio domains, read without materializing
     orders = []
     for _ in range(150):
@@ -395,19 +401,17 @@ def test_single_peaked_interval_vs_triples():
     verdicts = set()
     for o in orders:
         keys = sorted(o.domain.enumerate())
-        res = single_peaked_check(o)
-        assert res.ok == single_peaked_brute(o), o
-        assert res.peak == (max(materialize(o, keys).classes[0]) if res.ok else None), o
-        verdicts.add((type(o), NATURAL, res.ok))
+        ok = single_peaked_check(o)
+        assert ok == single_peaked_brute(o), o
+        assert ok == single_peaked_check(materialize(o, keys)), o
+        verdicts.add((type(o), "natural", ok))
         rng.shuffle(keys)
-        axis = ExplicitAxis(keys)
-        res = single_peaked_check(o, axis)
-        assert res.ok == single_peaked_brute(o, axis), (o, keys)
-        assert res.peak is None
-        verdicts.add((type(o), "shuffled", res.ok))
+        ok = single_peaked_check(o, keys)
+        assert ok == single_peaked_brute(o, keys), (o, keys)
+        verdicts.add((type(o), "shuffled", ok))
     # walks are single-peaked on the natural axis by construction; every
     # other pairing of order and axis gives both verdicts
-    assert len(verdicts) == 7 and (AxisWalkOrder, NATURAL, False) not in verdicts
+    assert len(verdicts) == 7 and (AxisWalkOrder, "natural", False) not in verdicts
 
 
 def test_sp_generator_produces_sp_orders():
@@ -416,7 +420,7 @@ def test_sp_generator_produces_sp_orders():
         n = rng.randint(1, 9)
         strict = rng.random() < 0.5
         o = rand_sp_order(rng, range(1, n + 1), strict=strict)
-        assert single_peaked_check(o).ok
+        assert single_peaked_check(o)
         assert single_peaked_brute(o)
         if strict:
             assert o.is_strict
@@ -427,7 +431,7 @@ def test_complete_strict_on_axis():
     assert [c[0] for c in o.classes] == [5, 6, 7, 4, 3, 2, 1]
     o2 = complete_strict_on_axis([3, 4, 2, 5], list(range(1, 7)))
     assert [c[0] for c in o2.classes] == [3, 4, 2, 5, 6, 1]
-    assert single_peaked_check(o2).ok
+    assert single_peaked_check(o2)
     with pytest.raises(GameDefinitionError):
         complete_strict_on_axis([3, 4, 3], list(range(1, 6)))
 
@@ -448,7 +452,7 @@ def test_complete_strict_on_axis_always_single_peaked():
                 hi = rng.randint(hi + 1, n)
                 listed.append(hi)
         o = complete_strict_on_axis(listed, axis)
-        assert single_peaked_check(o).ok
+        assert single_peaked_check(o)
         # listed prefix preserved verbatim at the top? no — preserved as ranks
         ranks = [o.rank(k) for k in listed]
         assert ranks == sorted(ranks)
@@ -465,7 +469,7 @@ def test_complete_weak_interval_closure():
         (Fraction(1, 4), Fraction(1, 3)),
         (Fraction(3, 4), Fraction(1)),
     )
-    assert single_peaked_check(o).ok
+    assert single_peaked_check(o)
 
 
 def test_complete_weak_interval_closure_preserves_listed_and_is_sp():
@@ -474,10 +478,10 @@ def test_complete_weak_interval_closure_preserves_listed_and_is_sp():
         n = rng.randint(2, 9)
         keys = list(range(1, n + 1))
         listed = rand_sp_order(rng, rng.sample(keys, rng.randint(1, n)), strict=False)
-        if not single_peaked_check(listed).ok:
+        if not single_peaked_check(listed):
             continue
         full = complete_weak_interval_closure(listed.classes, keys)
-        assert single_peaked_check(full).ok
+        assert single_peaked_check(full)
         for a in listed.domain:
             for b in listed.domain:
                 assert full.compare(a, b) == listed.compare(a, b)
@@ -506,7 +510,7 @@ def test_axis_walk_order_matches_materialized_completion():
             for b in keys:
                 assert walk.compare(a, b) == full.compare(a, b)
         assert walk.is_strict
-        assert single_peaked_check(walk).ok
+        assert single_peaked_check(walk)
         assert walk.listed[0] == peak
 
 

@@ -1,0 +1,47 @@
+"""Every top-level import is read by its module.
+
+A stdlib ``ast`` scan: each name bound by a module-level ``import`` or
+``from ... import`` must appear as a name somewhere in the same module.
+Package ``__init__.py`` files are exempt, since their imports are
+re-exports.  ``from __future__`` imports bind no name and are skipped.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(
+    path
+    for tree in ("src", "tests")
+    for path in (ROOT / tree).rglob("*.py")
+    if path.name != "__init__.py"
+)
+
+
+def unused_imports(source: str) -> list:
+    """The names bound by top-level imports of ``source`` that it never reads."""
+    module = ast.parse(source)
+    bound = {}
+    for node in module.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(module) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
+
+
+def test_the_scan_flags_only_unread_imports():
+    source = "from os import path, sep\nimport sys\n\nprint(sep)\n"
+    assert unused_imports(source) == ["path (line 1)", "sys (line 2)"]
+    source = "from __future__ import annotations\nimport os.path\n\nos.path.join\n"
+    assert unused_imports(source) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_top_level_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

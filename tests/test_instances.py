@@ -9,7 +9,6 @@ from hedonic_dynamics import dynamics
 from hedonic_dynamics.core import Partition, is_stable, StabilityKind
 from hedonic_dynamics.games import Color
 from hedonic_dynamics.instances import (
-    CATALOG_IDS,
     Claim,
     ClaimFailed,
     UnknownId,
@@ -158,6 +157,9 @@ FIXTURE_ERRORS = [
     ("ahg7", Claim("reaches", "reach-from-singletons", params={"state": "nope"})),
     ("ahg7", Claim("sp-on-axis")),
     ("ahg7", Claim("sp-on-axis", params={"axis": [1, 2, 3]})),
+    ("ahg7", Claim("sp-on-axis", params={"axis": 5})),
+    ("ahg7", Claim("sp-on-axis", params={"axis": None})),
+    ("ahg7", Claim("sp-on-axis", params={"axis": [[1], [2]]})),
     ("ahg7", Claim("no-is", params={"strategy": "zzz"})),
     ("ahg7", Claim("no-is", params={"strategy": "pruned-fhg"})),
     ("ahg7", Claim("fhg-traits", params={"simple": True})),

@@ -7,7 +7,6 @@ import pytest
 
 from hedonic_dynamics import core, games, search
 from hedonic_dynamics.core import (
-    DeviationMove,
     Partition,
     StabilityKind,
     canonicalize,
