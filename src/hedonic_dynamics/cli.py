@@ -312,13 +312,13 @@ def doc_to_game(game_doc, colors_doc):
         if kind == "ahg":
             orders = payload["orders"]
             domain = SizeDomain(n)
-            return AnonymousGame(
+            game = AnonymousGame(
                 [
                     _doc_to_order(o, domain, _size_key, f"game.payload.orders[{i}]")
                     for i, o in enumerate(orders)
                 ]
             )
-        if kind == "hdg":
+        elif kind == "hdg":
             if not isinstance(colors_doc, list):
                 raise CliUsageError("colors: required for two-color games")
             colors = []
@@ -332,22 +332,26 @@ def doc_to_game(game_doc, colors_doc):
                 _doc_to_order(o, domain, _fraction_key, f"game.payload.orders[{i}]")
                 for i, o in enumerate(payload["orders"])
             ]
-            return DiversityGame(colors, orders)
-        if kind == "fhg":
+            game = DiversityGame(colors, orders)
+        elif kind == "fhg":
             weights = [
                 [parse_rational(w, f"game.payload.weights[{i}][{j}]") for j, w in enumerate(row)]
                 for i, row in enumerate(payload["weights"])
             ]
-            return FractionalGame(weights)
-        if kind == "dhg":
-            return DichotomousGame(
+            game = FractionalGame(weights)
+        elif kind == "dhg":
+            game = DichotomousGame(
                 n, [[coalition(c) for c in fam] for fam in payload["approvals"]]
             )
+        else:
+            raise CliUsageError(f"game.kind: unknown kind {kind!r}")
     except CliUsageError:
         raise
     except (GameDefinitionError, CoreError, KeyError, TypeError, ValueError) as exc:
         raise CliUsageError(f"game payload for kind {kind!r}: {exc}") from None
-    raise CliUsageError(f"game.kind: unknown kind {kind!r}")
+    if game.n != n:
+        raise CliUsageError(f"game.n: {n} agents declared, but the payload has {game.n}")
+    return game
 
 
 # ---------------------------------------------------------------------------

@@ -243,19 +243,18 @@ class _SummaryRules(_PerAgentRules):
     block and mover colour (0 or 1).
 
     ``ranks[agent](key)`` is the agent's rank of a block key (lower means
-    preferred), ``joined(key, colour)`` the key once an agent of that colour
-    joins, and going alone is joining ``empty``.
+    preferred), and ``joined(key, colour)`` the key once an agent of that
+    colour joins; the fresh singleton ``()`` is keyed like any block.
     """
 
-    def __init__(self, game, colour, key, ranks, joined, empty):
+    def __init__(self, game, colour, key, ranks, joined):
         self.ranks = ranks
         self.colour = colour
         self.joined = joined
-        self.empty = empty
         self.keys = _Memo(key)
         self.welcomed = tuple(_Memo(partial(self.welcome, colour=c)) for c in (0, 1))
-        #: per agent: its own block's key, whether it gains by going alone,
-        #: and the gains by target key, renewed when the agent's key changes
+        #: per agent: its own block's key and the gains by target key,
+        #: renewed when the agent's key changes
         self.mine = [None] * game.n
 
     def welcome(self, block, colour):
@@ -273,20 +272,16 @@ class _SummaryRules(_PerAgentRules):
         # lazy, and never asked about the mover's own block: its key plus
         # one member can fall outside the order's domain (size n + 1)
         gains = _Memo(lambda key: rank(joined(key, colour)) < now)
-        alone = rank(joined(self.empty, colour)) < now
-        mine = self.mine[agent] = (here, alone, gains)
+        mine = self.mine[agent] = (here, gains)
         return mine
 
     def targets(self, agent, cur, here, blocks, keys):
-        gains = self._mine(agent, here)[2]
+        gains = self._mine(agent, here)[1]
         welcomed = self.welcomed[self.colour[agent]]
         return (
             b for b, key in zip(blocks, keys)
             if b is not cur and welcomed[b] and gains[key]
         )
-
-    def alone(self, agent, cur, here):
-        return self._mine(agent, here)[1]
 
 
 def _size_rules(game):
@@ -296,7 +291,6 @@ def _size_rules(game):
         key=len,
         ranks=tuple(order.rank for order in game.orders),
         joined=lambda size, colour: size + 1,
-        empty=0,
     )
 
 
@@ -314,7 +308,6 @@ def _ratio_rules(game):
         key=lambda block: (sum(map(red.__getitem__, block)), len(block)),
         ranks=tuple(memos[id(order)].__getitem__ for order in game.orders),
         joined=lambda key, colour: (key[0] + colour, key[1] + 1),
-        empty=(0, 0),
     )
 
 
@@ -324,7 +317,9 @@ class _AverageRules(_PerAgentRules):
     and ``flags[a]`` (a ``bytes`` flag) whether every member keeps its
     average when a joins. ``has_move`` and the finder's table read the same
     records, so an (agent, block) pair is one lookup in each vector; the
-    records of blocks that leave the table are dropped by ``settle``.
+    records of blocks that leave the table are dropped by ``settle``; the
+    fresh singleton ``()`` has a constant record (no weight, everyone
+    welcome), which is never dropped.
 
     Per agent it also keeps the size of its own block and its weight sum
     toward it, so a born block is tested against all agents at once,
@@ -336,6 +331,7 @@ class _AverageRules(_PerAgentRules):
         #: columns[x][a] is agent a's weight toward agent x
         self.columns = tuple(zip(*game.weights))
         self.keys = _Memo(self.record)
+        self.keys[()] = (0,) * game.n, b"\1" * game.n
         # filled by `settle` for every agent the first time the table is built
         self.size = [0] * game.n
         self.have = [0] * game.n
@@ -361,9 +357,6 @@ class _AverageRules(_PerAgentRules):
             and flags[agent]
             and sums[agent] * size > have * (len(b) + 1)
         )
-
-    def alone(self, agent, cur, here):
-        return here[0][agent] < 0
 
     def settle(self, gone, fresh):
         for block in gone:
@@ -414,9 +407,6 @@ class _ApprovalRules(_PerAgentRules):
             and welcome(agent, b, key)
         )
 
-    def alone(self, agent, cur, here):
-        return (agent,) in self.approvals[agent] and agent not in here
-
 
 class _VerdictRules(_PerAgentRules):
     """Any other game type, a subclass included (it may override ``prefers``):
@@ -431,9 +421,6 @@ class _VerdictRules(_PerAgentRules):
 
     def targets(self, agent, cur, here, blocks, keys):
         return (b for b in blocks if b is not cur and self.verdict(agent, cur, b) is None)
-
-    def alone(self, agent, cur, here):
-        return len(cur) > 1 and self.verdict(agent, cur, ()) is None
 
 
 _RULES = {
@@ -452,29 +439,26 @@ def _move(agent: int, block: core.Coalition) -> DeviationMove:
 
 class MoveTable:
     """The IS moves of one partition, in the canonical order: ``rows[agent]``
-    holds the blocks the agent may join, in the partition's order, and
-    ``alone[agent]`` whether it may found a fresh singleton.
+    holds the blocks the agent may join, in the partition's order, then
+    ``()`` if it may found a fresh singleton.
 
     A table is never changed once built (the finder copies the rows it
     updates), so an iterator over it stays valid after the finder has moved
     on to other partitions.
     """
 
-    __slots__ = ("partition", "rows", "alone", "count")
+    __slots__ = ("partition", "rows", "count")
 
-    def __init__(self, partition: Partition, rows: list, alone: list):
+    def __init__(self, partition: Partition, rows: list):
         self.partition = partition
         self.rows = rows
-        self.alone = alone
-        self.count = sum(map(len, rows)) + sum(alone)
+        self.count = sum(map(len, rows))
 
     def pairs(self) -> Iterator[tuple[int, core.Coalition]]:
         """(agent, block) per move, in order; ``()`` is the fresh singleton."""
-        for agent, (row, alone) in enumerate(zip(self.rows, self.alone)):
+        for agent, row in enumerate(self.rows):
             for block in row:
                 yield agent, block
-            if alone:
-                yield agent, ()
 
     def __iter__(self) -> Iterator[DeviationMove]:
         for agent, block in self.pairs():
@@ -488,23 +472,22 @@ class MoveTable:
             if k < len(row):
                 return _move(agent, row[k])
             k -= len(row)
-            if self.alone[agent]:
-                if not k:
-                    return _move(agent, ())
-                k -= 1
 
 
 class MoveFinder:
     """Lists IS deviations in the canonical order: ascending agent, then
     target blocks as the partition lists them, then the fresh singleton.
 
+    The fresh singleton is the empty block ``()``, which welcomes everyone;
+    it is every agent's last candidate target, so one question, whether an
+    agent may join a candidate, serves the table and ``has_move`` alike (a
+    singleton never gains by it: its fresh singleton is the block it is in).
     One engine serves every game through a rule set, one per game class
     (exact type; any other type asks ``core.deviation_verdict``): a block
-    key cached across steps, the blocks a mover gains by joining and whose
-    members welcome it, and the go-alone test (false for a singleton, whose
-    fresh singleton is the block it is in). A weight game's key is the
-    block's record of weight sums and welcome flags over all agents, read
-    alike by ``has_move`` and the table. Since preferences are hedonic,
+    key cached across steps, and the candidates a mover gains by joining
+    and whose members welcome it. A weight game's key is the block's record
+    of weight sums and welcome flags over all agents, read alike by
+    ``has_move`` and the table. Since preferences are hedonic,
     whether an agent may join a block depends on its own block and that
     block only. So the finder keeps the :class:`MoveTable` of the last
     partition it listed and, for the next one, rebuilds only the rows of
@@ -529,13 +512,17 @@ class MoveFinder:
 
     def has_move(self, partition: Partition) -> bool:
         """Whether ``partition`` has a move; stops at the first mover found."""
-        targets, alone, key_of = self._rules.targets, self._rules.alone, self._rules.keys
-        blocks = partition.blocks
-        keys = [key_of[b] for b in blocks]
-        for cur, here in zip(blocks, keys):
+        targets, key_of = self._rules.targets, self._rules.keys
+        # one candidate tuple, the fresh singleton `()` first
+        candidates = ((),) + partition.blocks
+        keys = [key_of[b] for b in candidates]
+        blocks = zip(candidates, keys)
+        next(blocks)  # no agent is in `()`
+        for cur, here in blocks:
             for agent in cur:
-                # targets are lazy: stop at the first block the agent may join
-                if alone(agent, cur, here) or any(targets(agent, cur, here, blocks, keys)):
+                # targets are lazy: stop at the first candidate the agent may
+                # join (a loop, since `()` is falsy)
+                for _ in targets(agent, cur, here, candidates, keys):
                     return True
         return False
 
@@ -555,34 +542,40 @@ class MoveFinder:
         rules = self._rules
         key_of = rules.keys
         blocks = p.blocks
-        keys = [key_of[b] for b in blocks]
+        candidates = blocks + ((),)
+        keys = [key_of[b] for b in candidates]
         rows = [()] * p.n if last is None else list(last.rows)
-        lone = [False] * p.n if last is None else list(last.alone)
         fresh = {b: key_of[b] for b in born}
         rules.settle(gone, fresh)
+        # `()` sorts before every block, so both bisects below stop before a
+        # row's closing `()`; the bound is computed inline, since a helper
+        # call per bisect was measurably slower
         for cur, here in zip(blocks, keys):
             if cur in fresh:
                 # the agent's own block is new: its whole row changes
                 for agent in cur:
-                    rows[agent] = rules.row(agent, cur, here, blocks, keys)
-                    lone[agent] = rules.alone(agent, cur, here)
+                    rows[agent] = rules.row(agent, cur, here, candidates, keys)
                 continue
             for agent in cur:
                 row = rows[agent]
+                if not row:
+                    continue
                 # bisect and re-slice per block: a run step drops and adds at
                 # most two, and a whole-row filter or re-sort was twice as slow
-                for block in gone if row else ():
-                    at = bisect_left(row, block)
-                    if at < len(row) and row[at] == block:
+                end = len(row) - (not row[-1])
+                for block in gone:
+                    at = bisect_left(row, block, 0, end)
+                    if at < end and row[at] == block:
                         row = row[:at] + row[at + 1:]
+                        end -= 1
                 rows[agent] = row
         # every other row gains a born block only where the rules admit it
         for block, agents in zip(fresh, rules.joiners(blocks, keys, fresh)):
             for agent in agents:
                 row = rows[agent]
-                at = bisect_left(row, block)
+                at = bisect_left(row, block, 0, len(row) - (not row[-1]) if row else 0)
                 rows[agent] = row[:at] + (block,) + row[at:]
-        return MoveTable(p, rows, lone)
+        return MoveTable(p, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from .catalog import (
     NamedInstance,
     UnknownId,
     build,
-    build_homogeneous_block_script,
     catalog_ids,
     check_claim,
     clique_blocks,
@@ -55,7 +54,6 @@ __all__ = [
     "brute_force_sat",
     "brute_force_x3c",
     "build",
-    "build_homogeneous_block_script",
     "catalog_ids",
     "check_claim",
     "clique_blocks",

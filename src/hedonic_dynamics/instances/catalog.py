@@ -744,45 +744,6 @@ def _homogeneous_build_hops(targets, first_aux, second_aux, aux_pool):
     return hops
 
 
-def build_homogeneous_block_script(k: int, color: Color = Color.BLUE):
-    """Standalone demo of the homogeneous-block assembly for ``k`` targets.
-
-    Returns a small two-color game plus the script that gathers ``k`` agents
-    of the requested color into one block, using 2 opposite-color helpers
-    and ``k+1`` same-color helpers.  Useful on its own; the assembled
-    catalog entry uses the same loop inline.
-    """
-    if k < 2:
-        raise ValueError("need at least two targets")
-    F = Fraction
-    roster = _Roster()
-    n_total = 2 * k + 3  # 2 opposite-color helpers, k+1 same-color, k targets
-    reds = 2 * k + 1 if color is RED else 2
-    blues = 2 if color is RED else 2 * k + 1
-    dom = RatioDomain(reds, blues)
-    lowest = AxisWalkOrder([F(1, blues + 1), F(1), F(0)], dom)
-    highest = AxisWalkOrder([F(reds, reds + 1), F(0), F(1)], dom)
-    aux_order = lowest if color is BLUE else highest
-    if color is BLUE:
-        target_order = AxisWalkOrder([F(1, 3), F(0), F(1, 2), F(1)], dom)
-    else:
-        target_order = AxisWalkOrder([F(2, 3), F(1), F(1, 2), F(0)], dom)
-    other = RED if color is BLUE else BLUE
-    helper_pair = roster.many("h.", 2, other, aux_order)
-    aux_pool = roster.many("x.", k + 1, color, aux_order)
-    targets = roster.many("t.", k, color, target_order)
-    assert len(roster.labels) == n_total
-    game = DiversityGame(roster.colors, roster.orders)
-    hops = _homogeneous_build_hops(targets, helper_pair[0], helper_pair[1], aux_pool)
-    script, end = _script(
-        Partition.singletons(game.n),
-        hops,
-        note=f"gather {k} {color.value}-agents into one block",
-    )
-    assert end.coalition_of(targets[0]) == tuple(sorted(targets))
-    return game, script
-
-
 def _build_hdg_assembled() -> NamedInstance:
     F = Fraction
     dom = RatioDomain(66, 162)

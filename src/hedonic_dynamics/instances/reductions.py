@@ -149,11 +149,6 @@ class SatFormula:
             for clause in self.clauses
         )
 
-    def to_dimacs(self) -> str:
-        lines = [f"p cnf {self.num_vars} {self.m}"]
-        lines += [" ".join(map(str, clause)) + " 0" for clause in self.clauses]
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class X3CInstance:
@@ -1500,21 +1495,16 @@ _REDUCERS = {
 REDUCTION_KINDS = tuple(_REDUCERS)
 
 
-def _normalize_kind(kind: str) -> str:
-    return kind.replace("→", "-to-").strip()
-
-
 def reduce(kind: str, problem, params: dict | None = None) -> NamedInstance:
     """Build the bundled instance for ``kind`` from a formula or cover input."""
-    name = _normalize_kind(kind)
     try:
-        builder, expected = _REDUCERS[name]
+        builder, expected = _REDUCERS[kind]
     except KeyError:
         raise UnknownReductionKind(
             f"unknown reduction {kind!r}; known kinds: {', '.join(REDUCTION_KINDS)}"
         ) from None
     if not isinstance(problem, expected):
-        raise TypeError(f"{name} expects a {expected.__name__}, got {type(problem).__name__}")
+        raise TypeError(f"{kind} expects a {expected.__name__}, got {type(problem).__name__}")
     return builder(problem, params)
 
 

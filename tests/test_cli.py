@@ -89,16 +89,29 @@ def test_document_validation_errors():
         (("expected", 0, "kind"), "no-such-kind"),
         (("expected", 0, "subject"), ["x"]),
         (("expected", 0, "holds"), "no"),
+        # whole sections, merged into the document: three-agent games whose
+        # declared agent count is not the payload's
+        ((), {"game": {"kind": "ahg", "n": 9, "payload": {"orders": [
+            {"classes": [[3], [2], [1]]}] * 3}}}),
+        ((), {"colors": ["red", "blue", "red"],
+              "game": {"kind": "hdg", "n": 7, "payload": {"orders": [
+                  {"classes": [["1/2"], ["1/1", "2/3", "0/1"]]}] * 3}}}),
+        ((), {"game": {"kind": "fhg", "n": 5, "payload": {"weights": [
+            ["0", "1", "1"], ["1", "0", "1"], ["1", "1", "0"]]}}}),
     ],
     ids=["starts-list", "labels-int", "params-list", "agent-str", "agent-bool", "start-bool",
-         "kind-int", "kind-unknown", "subject-list", "holds-str"],
+         "kind-int", "kind-unknown", "subject-list", "holds-str",
+         "ahg-n", "hdg-n", "fhg-n"],
 )
 def test_mistyped_fields_are_usage_errors(tmp_path, capsys, path, value):
     doc = json.loads(cli.dumps_instance(build("dhg3")))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
+    if path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        doc.update(value)
     with pytest.raises(cli.CliUsageError):
         cli.doc_to_instance(doc)
     mutant = tmp_path / "mutant.json"

@@ -351,7 +351,7 @@ def test_a_scheduled_move_that_fails_names_the_scheduler(monkeypatch):
     # a broken move table offering agent 0 a fresh singleton it already has
     monkeypatch.setattr(
         MoveFinder, "table",
-        lambda self, p: MoveTable(p, [()] * p.n, [True] + [False] * (p.n - 1)))
+        lambda self, p: MoveTable(p, [((),)] + [()] * (p.n - 1)))
     with pytest.raises(DynamicsError, match="scheduler produced") as err:
         run(three_cycle_dhg(), Partition.singletons(3), Lexicographic())
     assert not isinstance(err.value, ScriptedMoveInvalid)

@@ -7,13 +7,11 @@ import pytest
 
 from hedonic_dynamics import dynamics
 from hedonic_dynamics.core import Partition, is_stable, StabilityKind
-from hedonic_dynamics.games import Color
 from hedonic_dynamics.instances import (
     Claim,
     ClaimFailed,
     UnknownId,
     build,
-    build_homogeneous_block_script,
     catalog_ids,
     check_claim,
     script_directory,
@@ -288,17 +286,3 @@ def test_walk_moves_anchor_follows_the_anchor_agent():
     # the second hop targets agent 1's coalition *after* the first hop
     assert moves[1].target == (0, 1)
     assert end == Partition([[0, 1, 2], [3]])
-
-
-@pytest.mark.parametrize("k", [2, 3, 5])
-@pytest.mark.parametrize("color", [Color.BLUE, Color.RED])
-def test_homogeneous_block_builder(k, color):
-    game, script = build_homogeneous_block_script(k, color)
-    trace = dynamics.replay(game, script.start, script.moves)
-    blocks = [b for b in trace.final.blocks if len(b) == k]
-    assert len(blocks) == 1
-    assert all(game.colors[a] is color for a in blocks[0])
-    # gathering same-color agents necessarily passes through a move the
-    # solitary-homogeneity filter blocks
-    verdicts = [dynamics.passes_filter(game, m) for m in script.moves]
-    assert not all(verdicts)

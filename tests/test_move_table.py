@@ -109,12 +109,27 @@ def incremental_games():
         yield rand_lazy_game(rng, trial, rng.randint(20, 40)), rng
 
 
+def check_rows(table):
+    """Asserts that every row of ``table`` lists distinct live blocks other
+    than the agent's own, in the partition's order, then ``()`` at most once,
+    last."""
+    blocks = table.partition.blocks
+    for agent, row in enumerate(table.rows):
+        listed = row[:-1] if row and row[-1] == () else row
+        assert all(block in blocks for block in listed), (agent, row)
+        assert agent not in {m for block in listed for m in block}, (agent, row)
+        order = [blocks.index(block) for block in listed]
+        assert order == sorted(set(order)), (agent, row)
+
+
 def check_against_core(finder, state):
     """Asserts that the finder's listing, table, ``nth`` and ``has_move`` at
-    ``state`` agree with ``core``; returns ``core``'s moves."""
+    ``state`` agree with ``core``, and that the table's rows are canonical;
+    returns ``core``'s moves."""
     reference = core.enumerate_deviations(finder.game, state, IS)
     assert list(finder.iter_moves(state)) == reference, (type(finder.game).__name__, state)
     table = finder.table(state)
+    check_rows(table)
     assert [table.nth(k) for k in range(table.count)] == reference
     with pytest.raises(IndexError):
         table.nth(table.count)
@@ -154,6 +169,7 @@ def test_table_updates_match_core_along_walks_and_jumps():
             assert list(finder.iter_moves(state)) == reference, (game.kind, state)
             patched += patched_to(state)
             table = finder.table(state)
+            check_rows(table)
             assert table.count == len(reference)
             assert finder.has_move(state) == bool(table.count)
             for k in rng.sample(range(len(reference)), min(5, len(reference))):
@@ -177,6 +193,26 @@ def test_table_updates_match_core_along_walks_and_jumps():
                 if reference:
                     state = core.apply(state, rng.choice(reference))
             check_against_core(finder, state)
+
+
+def test_rows_keep_the_fresh_singleton_last():
+    # agent 0 may go alone and join (2, 3); agent 1 may go alone and join
+    # (4, 5). When 6 joins (4, 5), row 1 loses its one block before `()`,
+    # and row 0 gains (4, 5, 6), which sorts after every block of the row
+    # but must still go before its closing `()`
+    game = DichotomousGame(7, [
+        [(0,), (0, 2, 3), (0, 4, 5, 6)],
+        [(1,), (1, 4, 5)],
+        [], [], [], [],
+        [(4, 5, 6), (0, 4, 5, 6)],
+    ])
+    finder = MoveFinder(game)
+    before = Partition([[0, 1], [2, 3], [4, 5], [6]])
+    assert finder.table(before).rows[:2] == [((2, 3), ()), ((4, 5), ())]
+    check_against_core(finder, before)
+    after = Partition([[0, 1], [2, 3], [4, 5, 6]])
+    assert finder.table(after).rows[:2] == [((2, 3), (4, 5, 6), ()), ((),)]
+    check_against_core(finder, after)
 
 
 def subclass_of(game, reverse: bool):
@@ -228,7 +264,7 @@ def test_fractional_vectors_follow_the_live_blocks():
                  else rand_partition(rng, game.n))
     finder.table(state)
     rules = finder._rules
-    assert set(rules.keys) == set(state.blocks)
+    assert set(rules.keys) == set(state.blocks) | {()}
     weights = game.weights
     for block in state.blocks:
         s = len(block)
