@@ -448,15 +448,15 @@ def doc_to_instance(doc) -> NamedInstance:
         doc_to_claim(c, f"expected[{i}]")
         for i, c in enumerate(_section(doc, "expected", list))
     )
-    labels = doc.get("labels")
-    if labels is None:
-        labels = [str(i + 1) for i in range(n)]
-    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
-        raise CliUsageError(f"labels: expected a list of strings, got {labels!r}")
-    if len(labels) != n or len(set(labels)) != n:
-        raise CliUsageError(f"labels: need {n} distinct labels")
+    labels = doc.get("labels")  # None keeps the default "1".."n"
+    if labels is not None:
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise CliUsageError(f"labels: expected a list of strings, got {labels!r}")
+        if len(labels) != n or len(set(labels)) != n:
+            raise CliUsageError(f"labels: need {n} distinct labels")
+        labels = tuple(labels)
     return NamedInstance(
-        doc.get("id", "unnamed"), game, starts, scripts, expected, tuple(labels)
+        doc.get("id", "unnamed"), game, starts, scripts, expected, labels
     )
 
 

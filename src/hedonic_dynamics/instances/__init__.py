@@ -4,7 +4,6 @@ claims can be re-checked with :func:`verify_instance`.
 """
 
 from .catalog import (
-    CATALOG_IDS,
     Claim,
     ClaimFailed,
     NamedInstance,
@@ -13,7 +12,6 @@ from .catalog import (
     catalog_ids,
     check_claim,
     clique_blocks,
-    script_directory,
     triangle_ring_weights,
     verify_instance,
     walk_moves,
@@ -36,7 +34,6 @@ from .reductions import (
 )
 
 __all__ = [
-    "CATALOG_IDS",
     "Claim",
     "ClaimFailed",
     "ConstantInequalityViolation",
@@ -59,7 +56,6 @@ __all__ = [
     "clique_blocks",
     "random",
     "reduce",
-    "script_directory",
     "toy_formula_catalog",
     "triangle_ring_weights",
     "variable_gadget_cycle",

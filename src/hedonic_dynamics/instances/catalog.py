@@ -7,6 +7,12 @@ a predicate that :mod:`hedonic_dynamics.core`, :mod:`..dynamics` or
 :mod:`..search` can decide on the spot, so ``verify_instance`` re-derives
 everything from scratch on each call.
 
+Every builder, here and in the reductions, adds its scripts through the
+instance: ``NamedInstance.walk`` stores a script of (agent, anchor) hops,
+``loop`` also claims that it closes, and ``reach`` that it leads from one
+named start to another.  Programmatic builds take their agent ids from a
+``Roster``.
+
 Agents are dense 0-based ids internally; the ``labels`` table keeps the
 display names used by the sources the instances were transcribed from.
 """
@@ -89,18 +95,54 @@ class Claim:
 
 @dataclass(eq=False)
 class NamedInstance:
+    """A game with named starts, named scripts and the claims made about them.
+
+    Builders add scripted walks through :meth:`walk`, :meth:`loop` and
+    :meth:`reach`; the last two also add the claims that the walk closes or
+    that it leads from one named start to another.  ``labels`` defaults to
+    ``"1"`` .. ``"n"``.
+    """
+
     id: str
     game: object
     starts: dict[str, Partition]
-    scripts: dict[str, Script]
-    expected: tuple[Claim, ...]
-    labels: tuple[str, ...]
+    scripts: dict[str, Script] = field(default_factory=dict)
+    expected: tuple[Claim, ...] = ()
+    labels: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        if self.labels is None:
+            self.labels = tuple(str(i + 1) for i in range(self.game.n))
 
     def agent(self, label: str) -> int:
         return self.labels.index(label)
 
     def __repr__(self):
         return f"NamedInstance({self.id!r}, n={self.game.n})"
+
+    def walk(self, name: str, start: Partition, hops, note: str = "") -> Partition:
+        """Store the (agent, anchor) ``hops`` from ``start`` as script ``name``
+        (see :func:`walk_moves`); returns the state the walk ends in."""
+        moves, end = walk_moves(start, hops)
+        self.scripts[name] = Script(start, moves, note)
+        return end
+
+    def loop(self, name: str, start: Partition, hops, note: str = "") -> None:
+        """A walk that returns to ``start``, claimed as a cycle."""
+        end = self.walk(name, start, hops, note)
+        assert end == start, f"{self.id}: script {name!r} does not close"
+        self.expected += (Claim("cycle", name),)
+
+    def reach(self, name: str, source: str, target: str, hops, note: str = "") -> None:
+        """A walk from start ``source``, claimed to start there and to end at
+        start ``target``.  The walk's end becomes ``target`` only when no such
+        start is given, so a given one is a check written independently."""
+        end = self.walk(name, self.starts[source], hops, note)
+        self.starts.setdefault(target, end)
+        self.expected += (
+            Claim("starts-at", name, params={"state": source}),
+            Claim("reaches", name, params={"state": target}),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -127,11 +169,6 @@ def walk_moves(start: Partition, hops) -> tuple[tuple[DeviationMove, ...], Parti
     return tuple(moves), state
 
 
-def _script(start: Partition, hops, note: str = "") -> tuple[Script, Partition]:
-    moves, end = walk_moves(start, hops)
-    return Script(start, moves, note), end
-
-
 # ---------------------------------------------------------------------------
 # claim checking
 # ---------------------------------------------------------------------------
@@ -151,6 +188,13 @@ def _lookup(table, key, what: str):
         return table[key]
     except (KeyError, TypeError):
         raise _NoVerdict(f"no {what} {key!r}") from None
+
+
+def _typed(value, kind: type, what: str):
+    # the exact type: a bool is no count, and 1 is no trait value
+    if type(value) is not kind:
+        raise _NoVerdict(f"{what} {value!r} is not a {kind.__name__}")
+    return value
 
 
 def _game(instance, classes):
@@ -205,7 +249,7 @@ def _fhg_traits(instance, claim):
             got = getattr(traits, name)
         except (AttributeError, AcyclicQueriedOnNonSimpleAsymmetric) as exc:
             raise _NoVerdict(f"trait {name}: {exc}") from None
-        if got != want:
+        if got != _typed(want, bool, f"trait {name}"):
             return False, f"trait {name} is {got}"
     return True, "every listed trait matches"
 
@@ -256,7 +300,8 @@ def _forced(instance, claim):
 
 def _script_length(instance, claim):
     moves = len(_trace(instance, claim))
-    return moves == _lookup(claim.params, "length", "param"), f"script has {moves} moves"
+    length = _typed(_lookup(claim.params, "length", "param"), int, "length")
+    return moves == length, f"script has {moves} moves"
 
 
 def _stable(instance, claim):
@@ -270,7 +315,7 @@ def _unique_stable(instance, claim):
     for count, part in enumerate(search.enumerate_partitions(instance.game.n), 1):
         if is_stable(instance.game, part, StabilityKind.IS):
             stable.append(part)
-    total = claim.params.get("total", count)
+    total = _typed(claim.params.get("total", count), int, "total")
     if count != total:
         raise _NoVerdict(f"scanned {count} partitions, not {total}")
     return stable == [want], f"stable set has {len(stable)} member(s)"
@@ -363,39 +408,20 @@ def _build_ahg7() -> NamedInstance:
         "cycle-start": cycle_start,
         "is-witness": Partition([[0], [2, 4, 5], [1, 3, 6]]),
     }
-    cycle, end = _script(
-        cycle_start,
-        [(1, 2), (0, 4), (1, 0), (0, 2), (1, None), (0, 1)],
-        note="six-step loop driven by agents 1 and 2",
+    inst = NamedInstance(
+        "ahg7", game, starts,
+        expected=(Claim("strict"), Claim("sp-on-axis", params={"axis": axis})),
     )
-    assert end == cycle_start
-    reach_single, _ = _script(
-        starts["singletons"],
-        [(1, 0), (3, 2), (5, 4), (6, 4)],
-        note="assemble the three loop coalitions",
-    )
-    reach_grand, _ = _script(
-        starts["grand"],
-        [(0, None), (1, None), (2, None), (3, 2), (1, 0)],
-        note="the first four agents walk out, then regroup",
-    )
-    scripts = {
-        "cycle": cycle,
-        "reach-from-singletons": reach_single,
-        "reach-from-grand": reach_grand,
-    }
-    expected = (
-        Claim("strict"),
-        Claim("sp-on-axis", params={"axis": axis}),
-        Claim("cycle", "cycle"),
-        Claim("starts-at", "reach-from-singletons", params={"state": "singletons"}),
-        Claim("reaches", "reach-from-singletons", params={"state": "cycle-start"}),
-        Claim("starts-at", "reach-from-grand", params={"state": "grand"}),
-        Claim("reaches", "reach-from-grand", params={"state": "cycle-start"}),
-        Claim("stable", "is-witness"),
-    )
-    labels = tuple(str(i + 1) for i in range(7))
-    return NamedInstance("ahg7", game, starts, scripts, expected, labels)
+    inst.loop("cycle", cycle_start, [(1, 2), (0, 4), (1, 0), (0, 2), (1, None), (0, 1)],
+              note="six-step loop driven by agents 1 and 2")
+    inst.reach("reach-from-singletons", "singletons", "cycle-start",
+               [(1, 0), (3, 2), (5, 4), (6, 4)],
+               note="assemble the three loop coalitions")
+    inst.reach("reach-from-grand", "grand", "cycle-start",
+               [(0, None), (1, None), (2, None), (3, 2), (1, 0)],
+               note="the first four agents walk out, then regroup")
+    inst.expected += (Claim("stable", "is-witness"),)
+    return inst
 
 
 def _build_ahg15() -> NamedInstance:
@@ -416,20 +442,14 @@ def _build_ahg15() -> NamedInstance:
         "grand": Partition.grand(15),
         "cycle-start": cycle_start,
     }
-    cycle, end = _script(
-        cycle_start,
-        [(0, 4), (1, 4), (0, 2), (1, None), (0, 1), (1, 2)],
-        note="six-step loop driven by agents 1 and 2",
+    inst = NamedInstance(
+        "ahg15", game, starts,
+        expected=(Claim("strict"), Claim("sp-on-axis", params={"axis": axis})),
     )
-    assert end == cycle_start
-    expected = (
-        Claim("strict"),
-        Claim("sp-on-axis", params={"axis": axis}),
-        Claim("cycle", "cycle"),
-        Claim("no-is", params={"strategy": "type-reduced"}),
-    )
-    labels = tuple(str(i + 1) for i in range(15))
-    return NamedInstance("ahg15", game, starts, {"cycle": cycle}, expected, labels)
+    inst.loop("cycle", cycle_start, [(0, 4), (1, 4), (0, 2), (1, None), (0, 1), (1, 2)],
+              note="six-step loop driven by agents 1 and 2")
+    inst.expected += (Claim("no-is", params={"strategy": "type-reduced"}),)
+    return inst
 
 
 # ---------------------------------------------------------------------------
@@ -468,34 +488,26 @@ def _build_hdg12_no_sp() -> NamedInstance:
         "singletons": Partition.singletons(12),
         "cycle-start": cycle_start,
     }
-    cycle, end = _script(
-        cycle_start,
-        [(0, 7), (1, 7), (0, 5), (1, 2), (0, 2), (1, 5)],
-        note="the two loose blue agents chase better mixes",
-    )
-    assert end == cycle_start
-    reach, _ = _script(
-        starts["singletons"],
-        [(3, 2), (4, 2), (6, 5), (8, 7), (9, 7), (10, 7), (11, 7), (0, 2), (1, 5)],
-        note="form the fixed coalitions, then seat the movers",
-    )
-    expected = (
-        Claim("strict"),
-        Claim("natural-sp", holds=False),
-        Claim("cycle", "cycle"),
-        Claim("filtered", "cycle"),
-        Claim("starts-at", "reach-from-singletons", params={"state": "singletons"}),
-        Claim("reaches", "reach-from-singletons", params={"state": "cycle-start"}),
-        Claim("filtered", "reach-from-singletons"),
-    )
     labels = (
         "b1", "b2",
         "C1.r", "C1.b1", "C1.b2",
         "C2.r", "C2.b",
         "C3.r", "C3.b1", "C3.b2", "C3.b3", "C3.b4",
     )
-    scripts = {"cycle": cycle, "reach-from-singletons": reach}
-    return NamedInstance("hdg12-no-sp", game, starts, scripts, expected, labels)
+    inst = NamedInstance(
+        "hdg12-no-sp", game, starts,
+        expected=(Claim("strict"), Claim("natural-sp", holds=False)), labels=labels,
+    )
+    inst.loop("cycle", cycle_start, [(0, 7), (1, 7), (0, 5), (1, 2), (0, 2), (1, 5)],
+              note="the two loose blue agents chase better mixes")
+    inst.expected += (Claim("filtered", "cycle"),)
+    inst.reach(
+        "reach-from-singletons", "singletons", "cycle-start",
+        [(3, 2), (4, 2), (6, 5), (8, 7), (9, 7), (10, 7), (11, 7), (0, 2), (1, 5)],
+        note="form the fixed coalitions, then seat the movers",
+    )
+    inst.expected += (Claim("filtered", "reach-from-singletons"),)
+    return inst
 
 
 #: shared roster for the three 10-agent two-color entries:
@@ -508,24 +520,17 @@ _HDG10_LABELS = (
 _HDG10_CYCLE_HOPS = [(0, 8), (1, 8), (0, 4), (1, 2), (0, 2), (1, 4)]
 
 
-def _hdg10_entry(instance_id, orders, extra_claims, scripts_extra=(), note=""):
-    game = DiversityGame(_HDG10_COLORS, orders)
+def _hdg10_entry(instance_id, orders, note=""):
     cycle_start = Partition([[2, 3, 0], [4, 5, 6, 7, 1], [8, 9]])
     starts = {
         "singletons": Partition.singletons(10),
         "cycle-start": cycle_start,
     }
-    cycle, end = _script(cycle_start, _HDG10_CYCLE_HOPS, note)
-    assert end == cycle_start
-    scripts = {"cycle": cycle}
-    claims = [Claim("cycle", "cycle")]
-    for name, script, script_claims in scripts_extra:
-        scripts[name] = script
-        claims.extend(script_claims)
-    claims.extend(extra_claims)
-    return NamedInstance(
-        instance_id, game, starts, scripts, tuple(claims), _HDG10_LABELS
+    inst = NamedInstance(
+        instance_id, DiversityGame(_HDG10_COLORS, orders), starts, labels=_HDG10_LABELS
     )
+    inst.loop("cycle", cycle_start, _HDG10_CYCLE_HOPS, note)
+    return inst
 
 
 def _hdg10_weak_orders():
@@ -547,9 +552,11 @@ def _hdg10_weak_orders():
 
 
 def _build_hdg10_weak() -> NamedInstance:
-    orders = _hdg10_weak_orders()
-    game = DiversityGame(_HDG10_COLORS, orders)
-    reach_end = Partition([[2, 3, 1], [4, 5, 6, 7, 0], [8, 9]])
+    inst = _hdg10_entry(
+        "hdg10-weak", _hdg10_weak_orders(),
+        note="the loose red/blue pair chases better mixes",
+    )
+    inst.starts["reach-end"] = Partition([[2, 3, 1], [4, 5, 6, 7, 0], [8, 9]])
     reach_hops = [
         (1, 2),          # b sits down with one future C1 red
         (3, 8),          # the other C1 red pairs with a C3 blue
@@ -558,30 +565,14 @@ def _build_hdg10_weak() -> NamedInstance:
         (4, 5), (6, 5), (7, 5),  # C2 assembles around its red
         (0, 5),          # r joins C2
     ]
-    reach, end = _script(Partition.singletons(10), reach_hops)
-    assert end == reach_end
-    scripts_extra = (
-        (
-            "reach-from-singletons",
-            reach,
-            (
-                Claim("starts-at", "reach-from-singletons", params={"state": "singletons"}),
-                Claim("reaches", "reach-from-singletons", params={"state": "reach-end"}),
-                Claim("filtered", "reach-from-singletons"),
-                Claim("visits", "cycle", params={"state": "reach-end"}),
-            ),
-        ),
-    )
-    extra = (
+    inst.reach("reach-from-singletons", "singletons", "reach-end", reach_hops)
+    inst.expected += (
+        Claim("filtered", "reach-from-singletons"),
+        Claim("visits", "cycle", params={"state": "reach-end"}),
         Claim("strict", holds=False),
         Claim("natural-sp"),
         Claim("filtered", "cycle"),
     )
-    inst = _hdg10_entry(
-        "hdg10-weak", orders, extra, scripts_extra,
-        note="the loose red/blue pair chases better mixes",
-    )
-    inst.starts["reach-end"] = reach_end
     return inst
 
 
@@ -598,13 +589,14 @@ def _build_hdg10_forced_strict() -> NamedInstance:
     o_c2 = asc((2, 5), (1, 5), (1, 4))
     o_c3 = asc((1, 4), (1, 3), (0,))
     orders = [o_r, o_b, o_c1, o_c1, o_c2, o_c2, o_c2, o_c2, o_c3, o_c3]
-    extra = (
+    inst = _hdg10_entry("hdg10-forced-strict", orders)
+    inst.expected += (
         Claim("strict"),
         Claim("natural-sp", holds=False),
         Claim("forced", "cycle"),
         Claim("cycle-reachable", "cycle-start"),
     )
-    return _hdg10_entry("hdg10-forced-strict", orders, extra)
+    return inst
 
 
 def _build_hdg10_forced_weak_sp() -> NamedInstance:
@@ -619,13 +611,14 @@ def _build_hdg10_forced_weak_sp() -> NamedInstance:
     )
     o_rest = complete_weak_interval_closure([keys], keys)  # fully indifferent
     orders = [o_r, o_b] + [o_rest] * 8
-    extra = (
+    inst = _hdg10_entry("hdg10-forced-weak-sp", orders)
+    inst.expected += (
         Claim("strict", holds=False),
         Claim("natural-sp"),
         Claim("forced", "cycle"),
         Claim("cycle-reachable", "cycle-start"),
     )
-    return _hdg10_entry("hdg10-forced-weak-sp", orders, extra)
+    return inst
 
 
 def _build_hdg26() -> NamedInstance:
@@ -671,7 +664,19 @@ def _build_hdg26() -> NamedInstance:
         "singletons": Partition.singletons(26),
         "cycle-start": cycle_start,
     }
-    cycle, end = _script(
+    labels = (
+        "r1", "r2", "b1", "b2",
+        "C1.r1", "C1.r2", "C1.b1", "C1.b2", "C1.b3", "C1.b4",
+        "C2.r1", "C2.r2", "C2.r3", "C2.r4", "C2.r5",
+        "C3.r1", "C3.r2", "C3.r3", "C3.b1", "C3.b2",
+        "C4.b1", "C4.b2", "C4.b3", "C4.b4", "C4.b5", "C4.b6",
+    )
+    inst = NamedInstance(
+        "hdg26-sp-strict-solitary", game, starts,
+        expected=(Claim("strict"), Claim("natural-sp")), labels=labels,
+    )
+    inst.loop(
+        "cycle",
         cycle_start,
         [
             (1, 20),  # r2 regroups with r1's mixed coalition
@@ -685,29 +690,14 @@ def _build_hdg26() -> NamedInstance:
         ],
         note="eight-step loop of the four movers",
     )
-    assert end == cycle_start
-    expected = (
-        Claim("strict"),
-        Claim("natural-sp"),
-        Claim("cycle", "cycle"),
-        Claim("filtered", "cycle"),
-    )
-    labels = (
-        "r1", "r2", "b1", "b2",
-        "C1.r1", "C1.r2", "C1.b1", "C1.b2", "C1.b3", "C1.b4",
-        "C2.r1", "C2.r2", "C2.r3", "C2.r4", "C2.r5",
-        "C3.r1", "C3.r2", "C3.r3", "C3.b1", "C3.b2",
-        "C4.b1", "C4.b2", "C4.b3", "C4.b4", "C4.b5", "C4.b6",
-    )
-    return NamedInstance(
-        "hdg26-sp-strict-solitary", game, starts, {"cycle": cycle}, expected, labels
-    )
+    inst.expected += (Claim("filtered", "cycle"),)
+    return inst
 
 
 # -- the assembled large entry ----------------------------------------------
 
 
-class _Roster:
+class Roster:
     """Incremental agent table for programmatic builds."""
 
     def __init__(self):
@@ -769,7 +759,7 @@ def _build_hdg_assembled() -> NamedInstance:
     # annex row: happiest at 4/13, and fine with founding all-blue blocks
     o_annex = walk((4, 13), (1, 3), (3, 11), (0,), (1, 2), (1,))
 
-    roster = _Roster()
+    roster = Roster()
     r1 = roster.add("r1", RED, o_r1)
     r2 = roster.add("r2", RED, o_r2)
     b1 = roster.add("b1", BLUE, o_b1)
@@ -827,12 +817,16 @@ def _build_hdg_assembled() -> NamedInstance:
 
     game = DiversityGame(roster.colors, roster.orders)
     assert game.n == 228 and game.reds == 66 and game.blues == 162
-    singletons = Partition.singletons(game.n)
-    build, loop_start = _script(
-        singletons, hops, note="full assembly from singletons"
+    inst = NamedInstance(
+        "hdg-assembled", game, {"singletons": Partition.singletons(game.n)},
+        expected=(Claim("strict"), Claim("natural-sp")), labels=tuple(roster.labels),
     )
-    cycle, end = _script(
-        loop_start,
+    inst.reach("build", "singletons", "after-build", hops,
+               note="full assembly from singletons")
+    inst.expected += (Claim("filtered", "build", holds=False),)
+    inst.loop(
+        "cycle",
+        inst.starts["after-build"],
         [
             (b2, c2_reds[0]),
             (r1, c4_blues[0]),
@@ -845,28 +839,8 @@ def _build_hdg_assembled() -> NamedInstance:
         ],
         note="the eight-step loop, entered mid-phase",
     )
-    assert end == loop_start
-    starts = {
-        "singletons": singletons,
-        "after-build": loop_start,
-    }
-    expected = (
-        Claim("strict"),
-        Claim("natural-sp"),
-        Claim("starts-at", "build", params={"state": "singletons"}),
-        Claim("reaches", "build", params={"state": "after-build"}),
-        Claim("filtered", "build", holds=False),
-        Claim("cycle", "cycle"),
-        Claim("filtered", "cycle"),
-    )
-    return NamedInstance(
-        "hdg-assembled",
-        game,
-        starts,
-        {"build": build, "cycle": cycle},
-        expected,
-        tuple(roster.labels),
-    )
+    inst.expected += (Claim("filtered", "cycle"),)
+    return inst
 
 
 # ---------------------------------------------------------------------------
@@ -918,19 +892,14 @@ def _build_fhg15() -> NamedInstance:
     for i in range(5):
         anchor = tri[(i + 1) % 5][0]
         hops.extend([(tri[i][0], anchor), (tri[i][1], anchor), (tri[i][2], anchor)])
-    rotation, end = _script(
-        rotation_start, hops, note="each triangle migrates into the next"
+    inst = NamedInstance(
+        "fhg15", game, starts,
+        expected=(Claim("fhg-traits", params={"symmetric": True, "simple": False}),),
+        labels=tuple(f"{role}{i + 1}" for i in range(5) for role in "abc"),
     )
-    assert end == rotation_start
-    expected = (
-        Claim("fhg-traits", params={"symmetric": True, "simple": False}),
-        Claim("cycle", "rotation"),
-        Claim("no-is", params={"strategy": "pruned-fhg"}),
-    )
-    labels = tuple(f"{role}{i + 1}" for i in range(5) for role in "abc")
-    return NamedInstance(
-        "fhg15", game, starts, {"rotation": rotation}, expected, labels
-    )
+    inst.loop("rotation", rotation_start, hops, note="each triangle migrates into the next")
+    inst.expected += (Claim("no-is", params={"strategy": "pruned-fhg"}),)
+    return inst
 
 
 def _build_fhg_triangle() -> NamedInstance:
@@ -941,31 +910,20 @@ def _build_fhg_triangle() -> NamedInstance:
         "cycle-start": cycle_start,
         "grand": Partition.grand(3),
     }
-    cycle, end = _script(
-        cycle_start,
-        [(1, 2), (2, 0), (0, 1)],
-        note="a pair chases its tail around the directed triangle",
+    traits = {"simple": True, "simple_asymmetric": True, "acyclic": False}
+    inst = NamedInstance(
+        "fhg-triangle", game, starts,
+        expected=(Claim("fhg-traits", params=traits),), labels=("b1", "b2", "b3"),
     )
-    assert end == cycle_start
-    reach, _ = _script(starts["singletons"], [(0, 1)])
-    expected = (
-        Claim(
-            "fhg-traits",
-            params={"simple": True, "simple_asymmetric": True, "acyclic": False},
-        ),
-        Claim("cycle", "cycle"),
+    inst.loop("cycle", cycle_start, [(1, 2), (2, 0), (0, 1)],
+              note="a pair chases its tail around the directed triangle")
+    inst.walk("reach-from-singletons", starts["singletons"], [(0, 1)])
+    inst.expected += (
         Claim("reaches", "reach-from-singletons", params={"state": "cycle-start"}),
         Claim("cycle-reachable", "singletons"),
         Claim("stable", "grand"),
     )
-    return NamedInstance(
-        "fhg-triangle",
-        game,
-        starts,
-        {"cycle": cycle, "reach-from-singletons": reach},
-        expected,
-        ("b1", "b2", "b3"),
-    )
+    return inst
 
 
 def clique_blocks(k: int) -> list[list[int]]:
@@ -983,42 +941,29 @@ def _build_fhg_clique(k: int) -> NamedInstance:
     n = k * (k + 1) // 2
     game = FractionalGame([[int(i != j) for j in range(n)] for i in range(n)])
     blocks = clique_blocks(k)
-    build_hops = [(a, block[0]) for block in blocks for a in block[1:]]
-    build, blocks_state = _script(
-        Partition.singletons(n), build_hops, note="form blocks of sizes 1..k"
+    inst = NamedInstance(
+        f"fhg-clique({k})", game,
+        {"singletons": Partition.singletons(n), "grand": Partition.grand(n)},
+        expected=(Claim("fhg-traits", params={"symmetric": True, "simple": True}),),
+        labels=tuple(f"v{i + 1}" for i in range(n)),
     )
+    inst.reach("build", "singletons", "blocks",
+               [(a, block[0]) for block in blocks for a in block[1:]],
+               note="form blocks of sizes 1..k")
     tour_hops = []
     for j in range(k - 1):  # step j empties block j into the chain's end
         for agent in blocks[j]:
             for target in range(j + 1, k):
                 tour_hops.append((agent, blocks[target][0]))
-    tour, end = _script(
-        blocks_state, tour_hops, note="every agent rides the block chain up"
-    )
-    assert end == Partition.grand(n)
-    starts = {
-        "singletons": Partition.singletons(n),
-        "blocks": blocks_state,
-        "grand": Partition.grand(n),
-    }
-    expected = (
-        Claim("fhg-traits", params={"symmetric": True, "simple": True}),
-        Claim("starts-at", "build", params={"state": "singletons"}),
-        Claim("reaches", "build", params={"state": "blocks"}),
+    inst.walk("tour", inst.starts["blocks"], tour_hops,
+              note="every agent rides the block chain up")
+    inst.expected += (
         Claim("script-length", "build", params={"length": n - k}),
         Claim("reaches", "tour", params={"state": "grand"}),
         Claim("script-length", "tour", params={"length": (k - 1) * k * (k + 1) // 6}),
         Claim("stable", "grand"),
     )
-    labels = tuple(f"v{i + 1}" for i in range(n))
-    return NamedInstance(
-        f"fhg-clique({k})",
-        game,
-        starts,
-        {"build": build, "tour": tour},
-        expected,
-        labels,
-    )
+    return inst
 
 
 # ---------------------------------------------------------------------------
@@ -1034,28 +979,18 @@ def _build_dhg3() -> NamedInstance:
         "grand": Partition.grand(3),
         "pair-12": a,
     }
-    cycle, end = _script(
-        a, [(1, 2), (2, 0), (0, 1)], note="each agent drags her approved partner off"
-    )
-    assert end == a
-    reach, _ = _script(starts["singletons"], [(0, 1)])
-    expected = (
-        Claim("dhg-symmetric", holds=False),
-        Claim("cycle", "cycle"),
+    inst = NamedInstance("dhg3", game, starts, expected=(Claim("dhg-symmetric", holds=False),))
+    inst.loop("cycle", a, [(1, 2), (2, 0), (0, 1)],
+              note="each agent drags her approved partner off")
+    inst.walk("reach-from-singletons", starts["singletons"], [(0, 1)])
+    inst.expected += (
         Claim("reaches", "reach-from-singletons", params={"state": "pair-12"}),
         Claim("stable", "grand"),
         Claim("unique-stable", "grand", params={"total": 5}),
         Claim("no-path", "singletons"),
         Claim("cycle-reachable", "singletons"),
     )
-    return NamedInstance(
-        "dhg3",
-        game,
-        starts,
-        {"cycle": cycle, "reach-from-singletons": reach},
-        expected,
-        ("1", "2", "3"),
-    )
+    return inst
 
 
 # ---------------------------------------------------------------------------
@@ -1078,15 +1013,11 @@ _BUILDERS = {
 
 _CLIQUE_ID = re.compile(r"fhg-clique\((\d+)\)$")
 
-#: ids listed by ``catalog_ids`` (stable across versions); fhg-clique(k)
-#: builds for any k >= 2 but only the three standard sizes are listed
-CATALOG_IDS = tuple(
-    list(_BUILDERS) + [f"fhg-clique({k})" for k in (3, 4, 5)]
-)
-
 
 def catalog_ids() -> tuple[str, ...]:
-    return CATALOG_IDS
+    """The listed ids (stable across versions); fhg-clique(k) builds for any
+    k >= 2 but only the three standard sizes are listed."""
+    return tuple(_BUILDERS) + tuple(f"fhg-clique({k})" for k in (3, 4, 5))
 
 
 def build(instance_id: str) -> NamedInstance:
@@ -1100,12 +1031,3 @@ def build(instance_id: str) -> NamedInstance:
         raise UnknownId(instance_id) from None
     return builder()
 
-
-def script_directory() -> dict[str, tuple[str, str]]:
-    """All bundled scripts as ``"instance/script" -> (instance id, script name)``."""
-    directory = {}
-    for instance_id in CATALOG_IDS:
-        instance = build(instance_id)
-        for name in instance.scripts:
-            directory[f"{instance_id}/{name}"] = (instance_id, name)
-    return directory

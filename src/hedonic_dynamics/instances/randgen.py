@@ -269,7 +269,5 @@ def random(kind: str, n: int, seed: int, restrictions: dict | None = None) -> Na
         f"random-{kind}(n={n},seed={seed}{suffix})",
         game,
         {"singletons": Partition.singletons(n)},
-        {},
-        tuple(claims),
-        tuple(str(i + 1) for i in range(n)),
+        expected=tuple(claims),
     )

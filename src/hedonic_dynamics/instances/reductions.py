@@ -13,12 +13,13 @@ gadget.  The coverage and approval encodings are small enough to carry full
 settle/cycle scripts, and the dichotomous "exists" kind round-trips against a
 brute-force satisfiability check in the test suite.
 
-Every reducer is built from one scaffold: agent ids come from a roster
-(``_Roster``), the numeric scales from ``_scales``, two-colour blocks from
-``_colored``, and the bundled scripts from two tails on the instance:
-``_reach`` (a script from ``initial`` to a named start) and ``_loop`` (a
-script that returns to its start, claimed as a cycle).  The two size and
-ratio "exists" kinds share ``_probe_cycle``, their gadget loop and claims.
+Every reducer is built from one scaffold: agent ids come from the catalog's
+``Roster``, the numeric scales from ``_scales``, two-colour blocks from
+``_colored``, and the bundled scripts from the instance's own walks:
+``NamedInstance.reach`` (a script from ``initial`` to a named start) and
+``_loop`` (``NamedInstance.loop``, a script claimed to return to its start,
+plus a claim on its length).  The two size and ratio "exists" kinds share
+``_probe_cycle``, their gadget loop and claims.
 """
 
 from __future__ import annotations
@@ -39,13 +40,7 @@ from ..games import (
     RatioDomain,
     SizeDomain,
 )
-from .catalog import (
-    Claim,
-    NamedInstance,
-    _Roster,
-    _script,
-    triangle_ring_weights,
-)
+from .catalog import Claim, NamedInstance, Roster, triangle_ring_weights
 
 RED = Color.RED
 BLUE = Color.BLUE
@@ -326,7 +321,7 @@ def _chain_desc(name: str, values) -> None:
         _need(a > b, f"{name}: needed {a} > {b}")
 
 
-def _colored(roster: _Roster, prefix: str, total: int, red_count: int, order) -> list[int]:
+def _colored(roster: Roster, prefix: str, total: int, red_count: int, order) -> list[int]:
     """``total`` agents sharing ``order``: the first ``red_count`` red, the rest blue."""
     ids = roster.many(prefix, total, BLUE, order)
     for a in ids[:red_count]:
@@ -334,25 +329,10 @@ def _colored(roster: _Roster, prefix: str, total: int, red_count: int, order) ->
     return ids
 
 
-def _reach(instance: NamedInstance, script: str, state: str, hops, note: str) -> None:
-    """Script ``hops`` from the ``initial`` start and keep its end as ``state``."""
-    instance.scripts[script], instance.starts[state] = _script(
-        instance.starts["initial"], hops, note
-    )
-    instance.expected += (
-        Claim("starts-at", script, params={"state": "initial"}),
-        Claim("reaches", script, params={"state": state}),
-    )
-
-
 def _loop(instance: NamedInstance, script: str, start: Partition, hops, note: str) -> None:
-    """Script ``hops`` from ``start`` back to it, claimed as a cycle of that length."""
-    instance.scripts[script], end = _script(start, hops, note)
-    assert end == start
-    instance.expected += (
-        Claim("cycle", script),
-        Claim("script-length", script, params={"length": len(hops)}),
-    )
+    """``instance.loop``, with the loop's length claimed as well."""
+    instance.loop(script, start, hops, note)
+    instance.expected += (Claim("script-length", script, params={"length": len(hops)}),)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +356,7 @@ def _size_families(kind: str, families: dict) -> None:
             seen[v] = name
 
 
-def _probe_cycle(name: str, game, roster: _Roster, blocks, probes, anchors) -> NamedInstance:
+def _probe_cycle(name: str, game, roster: Roster, blocks, probes, anchors) -> NamedInstance:
     """A size or ratio "exists" instance: ``initial`` is ``blocks``, and the
     ``gadget-cycle`` script loops variable 1's two ``probes`` around the
     gadget parts whose first agents are ``anchors``.
@@ -385,8 +365,8 @@ def _probe_cycle(name: str, game, roster: _Roster, blocks, probes, anchors) -> N
     the positive one onto gadget part 3 and the negative one onto part 2.
     """
     instance = NamedInstance(
-        name, game, {"initial": Partition(blocks)}, {},
-        (Claim("strict", holds=False),), tuple(roster.labels),
+        name, game, {"initial": Partition(blocks)},
+        expected=(Claim("strict", holds=False),), labels=tuple(roster.labels),
     )
     z, zb = probes
     g1, g2, g3 = anchors
@@ -422,7 +402,7 @@ def _reduce_sat_ahg_exists(formula: SatFormula, params) -> NamedInstance:
     _cap_population(n, kind)
 
     dom = SizeDomain(n)
-    roster = _Roster()
+    roster = Roster()
     blocks = []
     pos, neg = formula.occurrence_table()
 
@@ -497,7 +477,7 @@ def _reduce_sat_ahg_converge(formula: SatFormula, params) -> NamedInstance:
     _cap_population(n, kind)
 
     dom = SizeDomain(n)
-    roster = _Roster()
+    roster = Roster()
     blocks = []
     pos, neg = formula.occurrence_table()
 
@@ -552,12 +532,8 @@ def _reduce_sat_ahg_converge(formula: SatFormula, params) -> NamedInstance:
             blocks.append(roster.many(f"{tag}{i}.", size, order=order))
 
     return NamedInstance(
-        f"{kind}(m={m},p={p})",
-        AnonymousGame(roster.orders),
-        {"initial": Partition(blocks)},
-        {},
-        (Claim("strict", holds=False),),
-        tuple(roster.labels),
+        f"{kind}(m={m},p={p})", AnonymousGame(roster.orders), {"initial": Partition(blocks)},
+        expected=(Claim("strict", holds=False),), labels=tuple(roster.labels),
     )
 
 
@@ -627,7 +603,7 @@ def _reduce_sat_hdg_exists(formula: SatFormula, params) -> NamedInstance:
     dom = RatioDomain(reds, n - reds)
     ONE, ZERO = F(1), F(0)
 
-    roster = _Roster()
+    roster = Roster()
     blocks = []
     pos, neg = formula.occurrence_table()
 
@@ -761,7 +737,7 @@ def _reduce_sat_hdg_converge(formula: SatFormula, params) -> NamedInstance:
     dom = RatioDomain(reds, n - reds)
     ONE, ZERO = F(1), F(0)
 
-    roster = _Roster()
+    roster = Roster()
     blocks = []
     pos, neg = formula.occurrence_table()
 
@@ -850,12 +826,8 @@ def _reduce_sat_hdg_converge(formula: SatFormula, params) -> NamedInstance:
     game = DiversityGame(roster.colors, roster.orders)
     assert game.reds == reds
     return NamedInstance(
-        f"{kind}(m={m},p={p})",
-        game,
-        {"initial": Partition(blocks)},
-        {},
-        (Claim("strict", holds=False),),
-        tuple(roster.labels),
+        f"{kind}(m={m},p={p})", game, {"initial": Partition(blocks)},
+        expected=(Claim("strict", holds=False),), labels=tuple(roster.labels),
     )
 
 
@@ -901,11 +873,11 @@ def _cover_for_scripts(problem: X3CInstance):
 def _x3c_instance(kind: str, problem: X3CInstance, game, initial, claim, roster):
     return NamedInstance(
         f"{kind}(r={len(problem.ground)},s={len(problem.sets)})",
-        game, {"initial": initial}, {}, (claim,), tuple(roster.labels),
+        game, {"initial": initial}, expected=(claim,), labels=tuple(roster.labels),
     )
 
 
-def _set_agents(roster: _Roster, problem: X3CInstance, *roles):
+def _set_agents(roster: Roster, problem: X3CInstance, *roles):
     """Per candidate set: one agent per role, then one per member.
 
     Returns one ``{set index: id}`` dict per role and the
@@ -921,13 +893,13 @@ def _set_agents(roster: _Roster, problem: X3CInstance, *roles):
     return (*heads, member)
 
 
-def _slot_agents(roster: _Roster, problem: X3CInstance, copies: dict) -> dict:
+def _slot_agents(roster: Roster, problem: X3CInstance, copies: dict) -> dict:
     """``copies[r]`` parking agents per element ``r``, keyed ``(r, copy)``."""
     return {(r, v): roster.add(f"elem{r}.slot{v}")
             for r in problem.ground for v in range(1, copies[r] + 1)}
 
 
-def _add_ring(roster: _Roster, prefix: str) -> int:
+def _add_ring(roster: Roster, prefix: str) -> int:
     """The 15 agents ``{prefix}.a1 .. {prefix}.c5`` of one ring; returns the first."""
     return [roster.add(f"{prefix}.{role}{t}") for t in range(1, 6) for role in "abc"][0]
 
@@ -973,7 +945,7 @@ def _reduce_x3c_symfhg_exists(problem: X3CInstance, params) -> NamedInstance:
     n = 4 * len(problem.sets) + 15 * sum(copies.values())
     _cap_fhg(n, kind)
 
-    roster = _Roster()
+    roster = Roster()
     hub, member = _set_agents(roster, problem, ".hub")
     ring_base = {(r, v): _add_ring(roster, f"elem{r}.c{v}")
                  for r in problem.ground for v in range(1, copies[r] + 1)}
@@ -1010,8 +982,10 @@ def _reduce_x3c_symfhg_exists(problem: X3CInstance, params) -> NamedInstance:
         for si in sorted(in_cover):
             ids = [member[(si, r)] for r in problem.sets[si]]
             hops += [(ids[1], ids[0]), (ids[2], ids[0]), (hub[si], ids[0])]
-        _reach(instance, "settle", "settled", hops,
-               note="rings fold up, spare members pair off with copies, cover sets clump")
+        instance.reach(
+            "settle", "initial", "settled", hops,
+            note="rings fold up, spare members pair off with copies, cover sets clump",
+        )
         if n <= _STABLE_CLAIM_CAP:
             instance.expected += (Claim("stable", "settled"),)
     return instance
@@ -1040,7 +1014,7 @@ def _reduce_x3c_symfhg_converge(problem: X3CInstance, params) -> NamedInstance:
     n = len(problem.ground) + 5 * len(problem.sets) + 15
     _cap_fhg(n, kind)
 
-    roster = _Roster()
+    roster = Roster()
     elem = {r: roster.add(f"elem{r}") for r in problem.ground}
     core, tail, member = _set_agents(roster, problem, ".core", ".tail")
     ring = _add_ring(roster, "ring")
@@ -1076,8 +1050,10 @@ def _reduce_x3c_symfhg_converge(problem: X3CInstance, params) -> NamedInstance:
         for si in sorted(cover):
             hops.append((tail[si], core[si]))
         hops.append((a1, _ring_agent(ring, "b", 1)))
-        _reach(instance, "stages", "staged", hops,
-               note="cover sets release their members, their tails follow, the ring closes")
+        instance.reach(
+            "stages", "initial", "staged", hops,
+            note="cover sets release their members, their tails follow, the ring closes",
+        )
         _loop(instance, "ring-loop", instance.starts["staged"], _ring_rotation_hops(ring),
               note="the freed ring rotates forever")
     return instance
@@ -1092,7 +1068,7 @@ def _reduce_x3c_asymfhg_exists(problem: X3CInstance, params) -> NamedInstance:
     n = sum(copies.values()) + 4 * len(problem.sets) + 3 * surplus
     _cap_fhg(n, kind)
 
-    roster = _Roster()
+    roster = Roster()
     slot = _slot_agents(roster, problem, copies)
     setag, member = _set_agents(roster, problem, "")
     tri = {(v, t): roster.add(f"tri{v}.{t}")
@@ -1137,8 +1113,10 @@ def _reduce_x3c_asymfhg_exists(problem: X3CInstance, params) -> NamedInstance:
             hops.append((setag[si], tri[(v, 1)]))
         for v in range(1, surplus + 1):
             hops.append((tri[(v, 2)], tri[(v, 3)]))
-        _reach(instance, "settle", "settled", hops,
-               note="spare members park on copies, spare sets feed the triangles")
+        instance.reach(
+            "settle", "initial", "settled", hops,
+            note="spare members park on copies, spare sets feed the triangles",
+        )
         if n <= _STABLE_CLAIM_CAP:
             instance.expected += (Claim("stable", "settled"),)
     return instance
@@ -1153,7 +1131,7 @@ def _reduce_x3c_asymfhg_converge(problem: X3CInstance, params) -> NamedInstance:
     n = sum(copies.values()) + 5 * len(problem.sets) + 3 + feeds
     _cap_fhg(n, kind)
 
-    roster = _Roster()
+    roster = Roster()
     slot = _slot_agents(roster, problem, copies)
     core, tail, member = _set_agents(roster, problem, ".core", ".tail")
     hub1, hub2, hub3 = (roster.add(f"hub{h}") for h in (1, 2, 3))
@@ -1197,8 +1175,10 @@ def _reduce_x3c_asymfhg_converge(problem: X3CInstance, params) -> NamedInstance:
                 hops.append((member[(si, r)], slot[(r, taken[r])]))
             hops.append((tail[si], core[si]))
         hops.append((hub1, hub2))
-        _reach(instance, "stages", "staged", hops,
-               note="spare sets empty out and their tails leave; the hub breaks free")
+        instance.reach(
+            "stages", "initial", "staged", hops,
+            note="spare sets empty out and their tails leave; the hub breaks free",
+        )
         _loop(instance, "spin", instance.starts["staged"],
               [(hub2, hub3), (hub3, hub1), (hub1, hub2)],
               note="the freed hub triangle spins forever")
@@ -1217,7 +1197,7 @@ def _reduce_x3c_simplefhg_exists(problem: X3CInstance, params) -> NamedInstance:
     n = 3 * len(problem.ground) + 6 * len(problem.sets) + 3 * surplus
     _cap_fhg(n, kind)
 
-    roster = _Roster()
+    roster = Roster()
     elem = {(r, t): roster.add(f"elem{r}.{t}") for r in problem.ground for t in (1, 2, 3)}
     outer = {}
     inner = {}
@@ -1276,8 +1256,10 @@ def _reduce_x3c_simplefhg_exists(problem: X3CInstance, params) -> NamedInstance:
             hops.append((outer[(si, third)], team[(w, 1)]))
         for w in range(1, surplus + 1):
             hops.append((team[(w, 2)], team[(w, 3)]))
-        _reach(instance, "settle", "settled", hops,
-               note="cover members dock on their elements, spare sets form team blocks")
+        instance.reach(
+            "settle", "initial", "settled", hops,
+            note="cover members dock on their elements, spare sets form team blocks",
+        )
         if n <= _STABLE_CLAIM_CAP:
             instance.expected += (Claim("stable", "settled"),)
     return instance
@@ -1288,7 +1270,7 @@ def _reduce_x3c_simplefhg_exists(problem: X3CInstance, params) -> NamedInstance:
 # ---------------------------------------------------------------------------
 
 
-def _occurrence_agents(roster: _Roster, slots) -> dict:
+def _occurrence_agents(roster: Roster, slots) -> dict:
     """One agent per clause slot, keyed by its (variable, polarity, occurrence)."""
     return {(i, polarity, t): roster.add(f"lit{'+' if polarity else '-'}{i}.{t}")
             for clause in slots for (i, polarity, t) in clause}
@@ -1301,7 +1283,7 @@ def _reduce_sat_dhg_exists(formula: SatFormula, params) -> NamedInstance:
     m, p = formula.m, formula.num_vars
     slots = formula.clause_slots()
 
-    roster = _Roster()
+    roster = Roster()
     gate, gate2, gate3 = {}, {}, {}
     for j in range(1, m + 1):
         gate[j] = roster.add(f"cl{j}")
@@ -1343,8 +1325,8 @@ def _reduce_sat_dhg_exists(formula: SatFormula, params) -> NamedInstance:
 
     instance = NamedInstance(
         f"{kind}(m={m},p={p})", DichotomousGame(n, approvals),
-        {"initial": Partition.singletons(n)}, {},
-        (Claim("dhg-symmetric", holds=False),), tuple(roster.labels),
+        {"initial": Partition.singletons(n)},
+        expected=(Claim("dhg-symmetric", holds=False),), labels=tuple(roster.labels),
     )
     assignment = brute_force_sat(formula)
     if assignment is not None:
@@ -1373,8 +1355,10 @@ def _reduce_sat_dhg_exists(formula: SatFormula, params) -> NamedInstance:
             hops.append((gate2[j], gate3[j]))
         for i in range(1, p + 1):
             hops.append((anchor2[i], anchor3[i]))
-        _reach(instance, "settle", "settled", hops,
-               note="clauses adopt a chosen occurrence; variables lock their false side")
+        instance.reach(
+            "settle", "initial", "settled", hops,
+            note="clauses adopt a chosen occurrence; variables lock their false side",
+        )
         instance.expected += (Claim("stable", "settled"),)
     return instance
 
@@ -1407,7 +1391,7 @@ def _reduce_sat_dhg_converge(formula: SatFormula, params) -> NamedInstance:
             f"the cap of {_DHG_EXTENSIONAL_CAP}"
         )
 
-    roster = _Roster()
+    roster = Roster()
     gate = {}
     latch = {}
     for j in range(1, m + 1):
@@ -1452,9 +1436,9 @@ def _reduce_sat_dhg_converge(formula: SatFormula, params) -> NamedInstance:
     blocks += [var_agents[i] for i in range(1, p + 1) if var_agents[i]]
     instance = NamedInstance(
         f"{kind}(m={m},p={p})", DichotomousGame(n, approvals),
-        {"initial": Partition(blocks)}, {},
-        (Claim("dhg-symmetric", holds=False),) if n <= 12 else (),
-        tuple(roster.labels),
+        {"initial": Partition(blocks)},
+        expected=(Claim("dhg-symmetric", holds=False),) if n <= 12 else (),
+        labels=tuple(roster.labels),
     )
     assignment = brute_force_sat(formula)
     if assignment is not None:
@@ -1462,9 +1446,11 @@ def _reduce_sat_dhg_converge(formula: SatFormula, params) -> NamedInstance:
         for j, clause in enumerate(slots, start=1):
             key = next(k for k in clause if assignment[k[0]] == k[1])
             chosen[j] = lit[key]
-        _reach(instance, "reach", "cycle-base",
-               [(chosen[j], gate[j]) for j in range(1, m + 1)],
-               note="one true occurrence per clause docks on its gate pair")
+        instance.reach(
+            "reach", "initial", "cycle-base",
+            [(chosen[j], gate[j]) for j in range(1, m + 1)],
+            note="one true occurrence per clause docks on its gate pair",
+        )
         loop_hops = [(gate[j], latch[j % m + 1]) for j in range(1, m + 1)]
         loop_hops += [(latch[j], gate[j]) for j in range(1, m + 1)]
         loop_hops += [(chosen[j], latch[j]) for j in range(1, m + 1)]
@@ -1537,9 +1523,7 @@ def variable_gadget_cycle() -> NamedInstance:
         "variable-gadget-cycle",
         game,
         {"initial": start},
-        {},
-        (),
-        ("z", "zb")
+        labels=("z", "zb")
         + tuple(f"host1.{i}" for i in range(1, 5))
         + tuple(f"host2.{i}" for i in range(1, 8))
         + tuple(f"host3.{i}" for i in range(1, 10)),

@@ -1,6 +1,7 @@
 """Command-line contract: file formats, reports, exit codes."""
 
 import argparse
+import hashlib
 import json
 import os
 import stat
@@ -513,6 +514,14 @@ def test_verify_single_scenario(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["all_pass"] is True
     assert doc["scenarios"][0]["claims"]
+
+
+def test_verify_all_report_is_pinned(capsys):
+    """sha256 of ``hedyn verify --scenario all --json-style --verbose``: the
+    claims of every bundled entry, in order, with their descriptions."""
+    assert cli.main(["verify", "--scenario", "all", "--json-style", "--verbose"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "2352aba91aea7ab80037d16d9ccc306f194a49cab0a106400300324c65ece321"
 
 
 def test_verify_lists_and_rejects_unknown(capsys):

@@ -1,9 +1,12 @@
-"""Every top-level import is read by its module.
+"""Every top-level import is read by its module, and no source module
+imports another's private names.
 
 A stdlib ``ast`` scan: each name bound by a module-level ``import`` or
 ``from ... import`` must appear as a name somewhere in the same module.
 Package ``__init__.py`` files are exempt, since their imports are
 re-exports.  ``from __future__`` imports bind no name and are skipped.
+A second scan keeps each module's underscore names its own: a name that two
+modules share is public.
 """
 
 import ast
@@ -18,6 +21,7 @@ MODULES = sorted(
     for path in (ROOT / tree).rglob("*.py")
     if path.name != "__init__.py"
 )
+SOURCES = sorted((ROOT / "src").rglob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -45,3 +49,25 @@ def test_the_scan_flags_only_unread_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_imports(source: str) -> list:
+    """The underscore names that ``source`` imports from another module,
+    at any depth (dunder names such as ``__version__`` are public)."""
+    return [
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+
+
+def test_the_scan_flags_only_private_names():
+    source = "from .a import _x, y, __version__\n\ndef f():\n    from b import _z\n"
+    assert private_imports(source) == ["_x (line 1)", "_z (line 4)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_source_module_imports_private_names(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []

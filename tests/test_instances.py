@@ -1,11 +1,12 @@
 """Bundled instance catalog: builds, scripts, claims."""
 
 import dataclasses
+import hashlib
 import re
 
 import pytest
 
-from hedonic_dynamics import dynamics
+from hedonic_dynamics import cli, dynamics
 from hedonic_dynamics.core import Partition, is_stable, StabilityKind
 from hedonic_dynamics.instances import (
     Claim,
@@ -14,7 +15,6 @@ from hedonic_dynamics.instances import (
     build,
     catalog_ids,
     check_claim,
-    script_directory,
     walk_moves,
 )
 
@@ -63,6 +63,41 @@ def test_build_returns_fresh_objects():
     assert a.starts["cycle-start"] == b.starts["cycle-start"]
 
 
+#: id -> sha256 of ``cli.dumps_instance(build(id))``: a moved claim, a renamed
+#: start or a changed note shows here, where parse/serialize identity would not
+#: (``variable_gadget_cycle`` is pinned by ``test_golden_gadget_cycle``)
+GOLDEN_DOCUMENTS = {
+    "ahg7": "d5b8fbfc736038e5dbb8e892065d17cb99af4ae82f639efb1fc2bea891b25fec",
+    "ahg15": "be7c1d80749e2735b244b2e1c7a82e856c57f642ac01c57c9699be948162d279",
+    "hdg12-no-sp": "0ef289210f733ef81097462687301e5577c571c416fd5c991d088335b84f100a",
+    "hdg10-weak": "2e2bee06588900e7c1df0bd2e357b1a33a12c629719e81f3dbaad0ed54a27312",
+    "hdg10-forced-strict":
+        "bcde3fa88796ab1db34cf9edb8592010f2bba63488644ac6a722e23b2ef8657d",
+    "hdg10-forced-weak-sp":
+        "40c004266ffcba45c3f37bd77438f098203c675b2b4be7d6b0128fa49cd7ab6e",
+    "hdg26-sp-strict-solitary":
+        "47fe15efa3357b7fc2e79718d63447b6ab24c33d53d6474ea6783877e0c8894e",
+    "hdg-assembled": "2dcd18851c98bd5128fe9c6f12e3c1af34aa47736bbb2e0c752eccdfded4c06f",
+    "fhg15": "e4e790b080bb0ae0b0991fc2469458af0901fc01c9e3465e5d8b9a852dadf31a",
+    "fhg-triangle": "8f57439412a54125f53e6d12b6b1504a58c02c14ab05d9564c4c8557549394ec",
+    "dhg3": "727d72fbee986976c090efda0661f4bf28cedabd5468592ff8e4594ecfb14cee",
+    "fhg-clique(3)": "5d4aa71ba4a4c14400f413a1fd3a6e49dcb8799aa046d84f9690ed8300e4f930",
+    "fhg-clique(4)": "9a2c0e8972d1fe25744d075d637fc84273679794a4036a4c621ecd9e4d13706c",
+    "fhg-clique(5)": "cd3119b4b0ff83d9ac3906731e7682e2685db1109d18501fad6596f0ce5d45b5",
+    "fhg-clique(6)": "df3768eabc1a62a08323d91f5b682a62d9ba1a63580182aa8529d336838b7f96",
+}
+
+
+def test_golden_documents_cover_the_catalog():
+    assert set(catalog_ids()) <= set(GOLDEN_DOCUMENTS)
+
+
+@pytest.mark.parametrize("iid", GOLDEN_DOCUMENTS)
+def test_golden_document(iid):
+    text = cli.dumps_instance(build(iid))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DOCUMENTS[iid]
+
+
 def test_labels_are_unique_and_aligned():
     for iid in catalog_ids():
         inst = build(iid)
@@ -74,12 +109,11 @@ def test_labels_are_unique_and_aligned():
 # --- every script replays; every cycle closes --------------------------------
 
 
-ALL_SCRIPTS = sorted(script_directory())
+ALL_SCRIPTS = sorted((iid, name) for iid in catalog_ids() for name in build(iid).scripts)
 
 
-@pytest.mark.parametrize("script_id", ALL_SCRIPTS)
-def test_bundled_script_replays(script_id):
-    iid, name = script_directory()[script_id]
+@pytest.mark.parametrize("iid, name", ALL_SCRIPTS, ids=[f"{i}/{n}" for i, n in ALL_SCRIPTS])
+def test_bundled_script_replays(iid, name):
     inst = build(iid)
     script = inst.scripts[name]
     trace = dynamics.replay(inst.game, script.start, script.moves)
@@ -98,14 +132,6 @@ def test_every_cycle_script_returns_to_its_start():
             assert trace.final == script.start, f"{iid}/{claim.subject}"
             closed += 1
     assert closed >= 9  # at least one loop per family, several for the mixed ones
-
-
-def test_reach_state_scripts_directory_matches():
-    directory = script_directory()
-    assert directory
-    for key, (iid, name) in directory.items():
-        assert key == f"{iid}/{name}"
-        assert name in build(iid).scripts
 
 
 # --- bundled claims hold when re-derived --------------------------------------
@@ -163,11 +189,15 @@ FIXTURE_ERRORS = [
     ("ahg7", Claim("fhg-traits", params={"simple": True})),
     ("fhg-triangle", Claim("fhg-traits", params={"bogus": True})),
     ("fhg15", Claim("fhg-traits", params={"acyclic": False})),
+    ("fhg-triangle", Claim("fhg-traits", params={"simple": 1})),
     ("ahg7", Claim("script-length", "cycle")),
+    ("fhg-triangle", Claim("script-length", "reach-from-singletons",
+                           params={"length": True})),
     ("ahg7", Claim("filtered", "cycle")),
     ("ahg7", Claim("stable", "nope")),
     ("dhg3", Claim("strict")),
     ("dhg3", Claim("unique-stable", "grand", params={"total": 6})),
+    ("dhg3", Claim("unique-stable", "grand", params={"total": 5.0})),
     ("dhg3", Claim("no-path", "nope")),
 ]
 
