@@ -185,8 +185,7 @@ def doc_to_partition(doc, n: int, where: str = "partition") -> Partition:
 
 
 def move_to_doc(move: DeviationMove) -> dict:
-    target = "new-singleton" if move.target is NEW_SINGLETON else list(move.target)
-    return {"agent": move.agent, "target": target}
+    return {"agent": move.agent, "target": list(move.target) or "new-singleton"}
 
 
 def doc_to_move(doc, where: str = "move") -> DeviationMove:
@@ -200,9 +199,18 @@ def doc_to_move(doc, where: str = "move") -> DeviationMove:
     if not isinstance(target, list):
         raise CliUsageError(f"{where}: target must be an agent list or 'new-singleton'")
     try:
+        # `coalition` refuses [], since files spell the empty block "new-singleton"
         return DeviationMove(agent, coalition(_agent_list(target, f"{where}.target")))
     except CoreError as exc:
         raise CliUsageError(f"{where}: {exc}") from None
+
+
+def _doc_to_game_move(doc, n: int, where: str) -> DeviationMove:
+    """:func:`doc_to_move` for a game of ``n`` agents: the mover must be one."""
+    move = doc_to_move(doc, where)
+    if not 0 <= move.agent < n:
+        raise CliUsageError(f"{where}: agent {move.agent} out of range for n={n}")
+    return move
 
 
 def script_to_doc(script: Script) -> dict:
@@ -221,7 +229,9 @@ def doc_to_script(doc, n: int, where: str) -> Script:
     start = doc_to_partition(doc["start"], n, f"{where}.start")
     if not isinstance(doc["moves"], list):
         raise CliUsageError(f"{where}.moves: expected a list of moves")
-    moves = [doc_to_move(m, f"{where}.moves[{i}]") for i, m in enumerate(doc["moves"])]
+    moves = [
+        _doc_to_game_move(m, n, f"{where}.moves[{i}]") for i, m in enumerate(doc["moves"])
+    ]
     return Script(start, moves, doc.get("note", ""))
 
 
@@ -471,10 +481,6 @@ def dump_instance(instance: NamedInstance, handle) -> None:
     handle.write("\n")
 
 
-def loads_instance(text: str) -> NamedInstance:
-    return doc_to_instance(json.loads(text))
-
-
 # ---------------------------------------------------------------------------
 # trace files
 # ---------------------------------------------------------------------------
@@ -517,9 +523,7 @@ def revalidate_trace_doc(game, doc) -> int:
             raise CliUsageError(
                 f"{where}: expected {{'agent': ..., 'target': ..., 'result': ...}}"
             )
-        move = doc_to_move(step, where)
-        if not 0 <= move.agent < game.n:
-            raise CliUsageError(f"{where}: agent {move.agent} out of range for n={game.n}")
+        move = _doc_to_game_move(step, game.n, where)
         result = doc_to_partition(step["result"], game.n, f"{where}.result")
         steps.append(TraceStep(move, result))
     try:

@@ -14,9 +14,12 @@ This module is the plain reference oracle that the fast move engine in
 :mod:`hedonic_dynamics.dynamics` and the searches are checked against.  The
 deviation rule is written once, in :func:`deviation_verdict`: the mover
 strictly gains, no member of the joined block is worse off (IS), and no
-member left behind is worse off (CIS).  :func:`iter_deviations` asks it
-about every (agent, block) pair; :func:`deviation_failure` validates a
-given move and words the verdict as a reason.  Blocks grow by
+member left behind is worse off (CIS).  A mover may join any block of the
+partition or the empty block ``()``, named :data:`NEW_SINGLETON`: founding
+a fresh singleton is joining the empty coalition, which welcomes her
+vacuously.  :func:`iter_deviations` asks the rule about every (agent,
+block) pair, the empty block included; :func:`deviation_failure` validates
+a given move and words the verdict as a reason.  Blocks grow by
 :func:`join`, which inserts the mover into a canonical block.
 """
 
@@ -50,21 +53,8 @@ class StabilityKind(enum.Enum):
     CIS = "cis"
 
 
-class _NewSingleton:
-    """Sentinel target: the deviator founds a fresh singleton coalition."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NewSingleton"
-
-
-NEW_SINGLETON = _NewSingleton()
+#: The empty block: the target of a move that founds a fresh singleton.
+NEW_SINGLETON: Coalition = ()
 
 
 def coalition(members: Iterable[int]) -> Coalition:
@@ -89,37 +79,33 @@ def join(block: Coalition, agent: int) -> Coalition:
 
 @dataclass(frozen=True)
 class DeviationMove:
-    """Unilateral move of ``agent`` into an existing coalition or a new singleton.
+    """Unilateral move of ``agent`` into a coalition of the partition or a
+    fresh singleton.
 
     ``target`` is the welcoming coalition *before* the move (canonical member
-    tuple), or :data:`NEW_SINGLETON`.
+    tuple); the empty block, always the object :data:`NEW_SINGLETON`, founds
+    a fresh singleton.
     """
 
     agent: int
-    target: Coalition | _NewSingleton
+    target: Coalition
 
     def __post_init__(self):
-        if self.target is not NEW_SINGLETON:
-            object.__setattr__(self, "target", coalition(self.target))
-            if self.agent in self.target:
-                raise InvalidTarget(
-                    f"agent {self.agent} already belongs to target {self.target}"
-                )
+        target = coalition(self.target) if self.target else NEW_SINGLETON
+        if self.agent in target:
+            raise InvalidTarget(f"agent {self.agent} already belongs to target {target}")
+        object.__setattr__(self, "target", target)
 
     @classmethod
-    def _trusted(cls, agent: int, target) -> "DeviationMove":
+    def _trusted(cls, agent: int, target: Coalition) -> "DeviationMove":
         """A move whose ``target`` is already a canonical block without
         ``agent`` (or :data:`NEW_SINGLETON`), built without re-checking."""
         move = object.__new__(cls)
         move.__dict__.update(agent=agent, target=target)
         return move
 
-    def joins_new_singleton(self) -> bool:
-        return self.target is NEW_SINGLETON
-
     def __repr__(self):
-        tgt = "new" if self.target is NEW_SINGLETON else set(self.target)
-        return f"Move({self.agent} -> {tgt})"
+        return f"Move({self.agent} -> {set(self.target) if self.target else 'new'})"
 
 
 class Partition:
@@ -203,9 +189,7 @@ def canonicalize(partition: Partition) -> bytes:
 def _target_block(partition: Partition, move: DeviationMove) -> Coalition:
     """The block the move joins, ``()`` for a fresh singleton; raises
     :class:`InvalidTarget` if the target is not a block of the partition."""
-    if move.target is NEW_SINGLETON:
-        return ()
-    if move.target not in partition.blocks:
+    if move.target and move.target not in partition.blocks:
         raise InvalidTarget(f"target {move.target} is not a coalition of the partition")
     return move.target
 
@@ -302,16 +286,16 @@ def deviation_failure(game, partition, move, kind: StabilityKind) -> str | None:
 def iter_deviations(
     game, partition: Partition, kind: StabilityKind
 ) -> Iterator[DeviationMove]:
-    """Deviations in deterministic order: ascending agent, then existing
-    targets in canonical partition order, then the new-singleton target."""
-    blocks = partition.blocks
+    """Deviations in deterministic order: ascending agent, then target
+    blocks in canonical partition order, then the empty block
+    :data:`NEW_SINGLETON`.  A singleton never gains by joining ``()``, since
+    the joined block equals her own."""
+    candidates = partition.blocks + (NEW_SINGLETON,)
     for agent in range(partition.n):
         cur = partition.coalition_of(agent)
-        for block in blocks:
+        for block in candidates:
             if block is not cur and deviation_verdict(game, agent, cur, block, kind) is None:
                 yield DeviationMove(agent, block)
-        if len(cur) > 1 and deviation_verdict(game, agent, cur, (), kind) is None:
-            yield DeviationMove(agent, NEW_SINGLETON)
 
 
 def enumerate_deviations(game, partition, kind: StabilityKind) -> list[DeviationMove]:

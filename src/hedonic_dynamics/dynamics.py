@@ -20,7 +20,6 @@ from typing import Iterator, Sequence
 
 from . import core
 from .core import (
-    NEW_SINGLETON,
     DeviationMove,
     Partition,
     StabilityKind,
@@ -431,12 +430,6 @@ _RULES = {
 }
 
 
-def _move(agent: int, block: core.Coalition) -> DeviationMove:
-    """The move of ``agent`` into the canonical ``block`` of a partition, or
-    to a fresh singleton for ``()``."""
-    return DeviationMove._trusted(agent, block or NEW_SINGLETON)
-
-
 class MoveTable:
     """The IS moves of one partition, in the canonical order: ``rows[agent]``
     holds the blocks the agent may join, in the partition's order, then
@@ -462,7 +455,7 @@ class MoveTable:
 
     def __iter__(self) -> Iterator[DeviationMove]:
         for agent, block in self.pairs():
-            yield _move(agent, block)
+            yield DeviationMove._trusted(agent, block)
 
     def nth(self, k: int) -> DeviationMove:
         """``list(self)[k]``, without building the other moves."""
@@ -470,7 +463,7 @@ class MoveTable:
             raise IndexError(f"move {k} of a table of {self.count}")
         for agent, row in enumerate(self.rows):
             if k < len(row):
-                return _move(agent, row[k])
+                return DeviationMove._trusted(agent, row[k])
             k -= len(row)
 
 
@@ -585,8 +578,7 @@ class MoveFinder:
 
 def passes_filter(game, move: DeviationMove) -> bool:
     """The solitary-homogeneity filter's verdict on a move."""
-    target = () if move.joins_new_singleton() else move.target
-    return _filter_test(game)(move.agent, target)
+    return _filter_test(game)(move.agent, move.target)
 
 
 def _filter_test(game):
@@ -616,7 +608,7 @@ def _pick_admissible(table, admits, rng) -> DeviationMove | None:
     else:
         admissible = list(admissible)
         pick = admissible[rng.below(len(admissible))] if admissible else None
-    return None if pick is None else _move(*pick)
+    return None if pick is None else DeviationMove._trusted(*pick)
 
 
 def _unwrap_policy(game, policy):

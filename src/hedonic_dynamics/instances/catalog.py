@@ -160,10 +160,8 @@ def walk_moves(start: Partition, hops) -> tuple[tuple[DeviationMove, ...], Parti
     state = start
     moves = []
     for agent, anchor in hops:
-        if anchor is None:
-            move = DeviationMove(agent, NEW_SINGLETON)
-        else:
-            move = DeviationMove(agent, state.coalition_of(anchor))
+        target = NEW_SINGLETON if anchor is None else state.coalition_of(anchor)
+        move = DeviationMove(agent, target)
         moves.append(move)
         state = apply(state, move)
     return tuple(moves), state

@@ -167,7 +167,7 @@ def ascent_credit_step(
 
     old_coalition_value = coalition_values.pop(abandoned)
     del last_entrants[abandoned]
-    if not move.joins_new_singleton():
+    if move.target:
         del coalition_values[move.target]
         del last_entrants[move.target]
 

@@ -58,9 +58,6 @@ class SplitMix64:
         """True with probability num/den."""
         return self.below(den) < num
 
-    def choice(self, seq):
-        return seq[self.below(len(seq))]
-
     def shuffle(self, items: list) -> None:
         """In-place Fisher–Yates, drawing as ``below(i + 1)`` would."""
         state = self.state

@@ -30,12 +30,12 @@ def _write(tmp_path, name, instance):
 def test_round_trip_identity_on_every_bundled_instance():
     for cid in catalog_ids():
         text = cli.dumps_instance(build(cid))
-        assert cli.dumps_instance(cli.loads_instance(text)) == text, cid
+        assert cli.dumps_instance(cli.doc_to_instance(json.loads(text))) == text, cid
 
 
 def test_parsed_instance_behaves_like_the_original():
     original = build("ahg7")
-    parsed = cli.loads_instance(cli.dumps_instance(original))
+    parsed = cli.doc_to_instance(json.loads(cli.dumps_instance(original)))
     for name, start in original.starts.items():
         ours = enumerate_deviations(parsed.game, start, StabilityKind.IS)
         theirs = enumerate_deviations(original.game, start, StabilityKind.IS)
@@ -126,7 +126,7 @@ def test_order_document_shapes():
     walk = build("hdg-assembled")
     for inst in (ahg15, hdg, walk):
         text = cli.dumps_instance(inst)
-        parsed = cli.loads_instance(text)
+        parsed = cli.doc_to_instance(json.loads(text))
         assert parsed.game.orders[0] == inst.game.orders[0]
     bad = {"format_version": 1,
            "game": {"kind": "ahg", "n": 2,
@@ -266,7 +266,7 @@ def test_run_script_policy_detects_cycle(tmp_path, capsys):
     trace_doc = json.loads(out.read_text())
     assert trace_doc["outcome"]["cycle_len"] == 6
     assert all("gamma" in step["readings"] for step in trace_doc["steps"])
-    game = cli.loads_instance(cli.dumps_instance(build("ahg7"))).game
+    game = cli.doc_to_instance(json.loads(cli.dumps_instance(build("ahg7")))).game
     assert cli.revalidate_trace_doc(game, trace_doc) == len(trace_doc["steps"])
 
 
@@ -302,6 +302,22 @@ def test_run_invalid_script_move_fails(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert cli.main(["run", str(path), "--policy", "script:broken"]) == 1
     assert "failed:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("move", [
+    {"agent": 99, "target": "new-singleton"},  # agent out of range
+    {"agent": -1, "target": "new-singleton"},
+    {"agent": 0, "target": []},  # the empty block is spelled "new-singleton"
+])
+def test_malformed_script_move_is_a_usage_error(tmp_path, capsys, move):
+    doc = json.loads(cli.dumps_instance(build("ahg7")))
+    doc["scripts"]["broken"] = {"start": doc["starts"]["singletons"], "moves": [move]}
+    with pytest.raises(cli.CliUsageError):
+        cli.doc_to_instance(doc)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(path), "--policy", "script:broken"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_run_monitor_preconditions(tmp_path, capsys):
@@ -394,7 +410,7 @@ def test_gen_reduce_from_dimacs(tmp_path, capsys):
     assert cli.main(["gen", "--reduce", "sat-to-dhg-exists",
                      "--input", str(cnf), "--out", str(out)]) == 0
     capsys.readouterr()
-    inst = cli.loads_instance(out.read_text())
+    inst = cli.doc_to_instance(json.loads(out.read_text()))
     assert inst.game.n == 15
     assert "settle" in inst.scripts
 
@@ -501,7 +517,7 @@ def test_gen_bundled_output_parses_back(tmp_path, capsys):
     out = tmp_path / "fhg15.json"
     assert cli.main(["gen", "--bundled", "fhg15", "--out", str(out)]) == 0
     capsys.readouterr()
-    assert cli.loads_instance(out.read_text()).game.n == 15
+    assert cli.doc_to_instance(json.loads(out.read_text())).game.n == 15
 
 
 # ---------------------------------------------------------------------------
@@ -578,3 +594,13 @@ def test_trace_revalidation_rejects_tampering(tmp_path, capsys):
         forged = forge(lambda d: d["steps"][0].update(target=target))
         with pytest.raises(cli.CliClaimError, match="not a coalition"):
             cli.revalidate_trace_doc(game, forged)
+
+
+def test_empty_trace_target_is_a_usage_error(tmp_path, capsys):
+    path = _write(tmp_path, "ahg7.json", build("ahg7"))
+    out = tmp_path / "trace.json"
+    assert cli.main(["run", path, "--start", "singletons", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["steps"][0]["target"] = []
+    with pytest.raises(cli.CliUsageError):
+        cli.revalidate_trace_doc(build("ahg7").game, doc)

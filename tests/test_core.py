@@ -295,7 +295,7 @@ def test_relabeling_invariance():
         for move in enumerate_deviations(g, p, IS):
             target2 = (
                 NEW_SINGLETON
-                if move.joins_new_singleton()
+                if not move.target
                 else tuple(perm[a] for a in move.target)
             )
             move2 = DeviationMove(perm[move.agent], target2)

@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from hedonic_dynamics import core, dynamics
+from hedonic_dynamics import cli, core, dynamics
 from hedonic_dynamics.core import (
     NEW_SINGLETON,
     DeviationMove,
@@ -39,7 +40,7 @@ from hedonic_dynamics.games import (
     DiversityGame,
     WeakOrder,
 )
-from hedonic_dynamics.instances import build
+from hedonic_dynamics.instances import build, walk_moves
 
 from conftest import (
     rand_ahg,
@@ -380,3 +381,29 @@ def test_monitor_hooks_receive_every_step():
     assert len([c for c in calls if c[0] == "step"]) == out.steps
     assert out.trace.steps[0].readings == {"probe": 0}
     assert out.trace.start_readings == {"probe": 0}
+
+
+def test_every_fresh_singleton_target_is_NEW_SINGLETON():
+    """However a fresh-singleton move is made, its target is the very object
+    ``NEW_SINGLETON``: move digests compare targets with ``is``."""
+    fresh = [DeviationMove(0, NEW_SINGLETON),
+             cli.doc_to_move({"agent": 1, "target": "new-singleton"})]
+    fresh += walk_moves(Partition.grand(3), [(0, None), (1, None)])[0]
+    rng = random.Random(47)
+    for trial in range(24):
+        game = rand_game(rng, trial, rng.randint(2, 6))
+        finder = MoveFinder(game)
+        for state in (Partition.grand(game.n), rand_partition(rng, game.n)):
+            table = finder.table(state)
+            moves = [*table, *finder.iter_moves(state), *core.iter_deviations(game, state, IS)]
+            moves += [table.nth(k) for k in range(table.count)]
+            fresh += [m for m in moves if not m.target or m.target is NEW_SINGLETON]
+    # a red and a blue who each prefer a one-colour block to the mixed pair:
+    # the filtered lexicographic pick from the grand coalition founds one
+    g = DiversityGame([R, B], [WeakOrder([[Fraction(1)], [Fraction(0)], [Fraction(1, 2)]])] * 2)
+    out = run(g, Partition.grand(2), Filtered(Lexicographic()), RunConfig(max_steps=1))
+    assert len(out.trace.moves) == 1
+    fresh += out.trace.moves
+    assert len(fresh) > 40
+    for move in fresh:
+        assert move.target is NEW_SINGLETON, move

@@ -1,6 +1,7 @@
 """Seeded instance generation: determinism, restrictions, rejection paths."""
 
 import hashlib
+import json
 import tracemalloc
 
 import pytest
@@ -148,7 +149,7 @@ def test_generated_bundled_and_loaded_size_orders_are_arrays():
     """The key set alone picks the table: generated, bundled and loaded ahg
     orders all hold the size array, and an hdg order over ratios a dict."""
     generated = random("ahg", 6, seed=2)
-    loaded = cli.loads_instance(cli.dumps_instance(generated))
+    loaded = cli.doc_to_instance(json.loads(cli.dumps_instance(generated)))
     for instance in (generated, build("ahg7"), loaded):
         assert all(o._sizes is not None for o in instance.game.orders), instance.id
     assert loaded.game.orders == generated.game.orders
