@@ -113,6 +113,96 @@ class CliClaimError(Exception):
 
 
 # ---------------------------------------------------------------------------
+# JSON text: every file and report the CLI writes
+# ---------------------------------------------------------------------------
+
+
+_PLAIN_INTS = {int}
+
+
+def _json_key(key) -> str:
+    """A mapping key as ``json`` writes it: str, float, bool, None and int
+    keys all become strings."""
+    if isinstance(key, str):
+        return json.dumps(key)
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_text(value, level: int, blocks: dict) -> str:
+    """``json.dumps(value, indent=2)``'s text for ``value`` nested ``level``
+    deep.  A list or tuple of plain ints takes one ``str.join``.  A trace
+    repeats the same block tuples from step to step, so ``blocks[level]``
+    keeps the text of each tuple of plain ints by id, with the tuple itself
+    so that no other object takes its id while the memo lives."""
+    if type(value) is int:
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = "\n" + "  " * (level + 1)
+        plain = {*map(type, value)} == _PLAIN_INTS
+        if plain:
+            items = map(int.__repr__, value)
+        else:
+            seen = blocks.setdefault(level + 1, {})
+            items = [
+                hit[1] if (hit := seen.get(id(v))) else _json_text(v, level + 1, blocks)
+                for v in value
+            ]
+        text = "[" + inner + ("," + inner).join(items) + "\n" + "  " * level + "]"
+        if plain and type(value) is tuple:
+            blocks.setdefault(level, {})[id(value)] = (value, text)
+        return text
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = "\n" + "  " * (level + 1)
+        return "{" + inner + ("," + inner).join([
+            _json_key(k) + ": " + _json_text(v, level + 1, blocks)
+            for k, v in value.items()
+        ]) + "\n" + "  " * level + "}"
+    return json.dumps(value)  # str, float, bool, None; TypeError for the rest
+
+
+def _json_chunks(value, level: int, blocks: dict, depth: int):
+    """:func:`_json_text` in pieces: one per item of the outer ``depth``
+    levels of lists, tuples and dicts."""
+    if not depth or not value or not isinstance(value, (list, tuple, dict)):
+        yield _json_text(value, level, blocks)
+        return
+    inner = "\n" + "  " * (level + 1)
+    if isinstance(value, dict):
+        opening, closing = "{", "}"
+        items = ((_json_key(k) + ": ", v) for k, v in value.items())
+    else:
+        opening, closing = "[", "]"
+        items = (("", v) for v in value)
+    lead = opening + inner
+    for prefix, item in items:
+        chunks = _json_chunks(item, level + 1, blocks, depth - 1)
+        yield lead + prefix + next(chunks)
+        yield from chunks
+        lead = "," + inner
+    yield "\n" + "  " * level + closing
+
+
+def json_text(value) -> str:
+    """Exactly ``json.dumps(value, indent=2)``."""
+    return _json_text(value, 0, {})
+
+
+def write_json(value, handle) -> None:
+    """Write ``json_text(value)`` and a newline to ``handle``, one
+    ``write`` per item of the outer two levels (one per step of a trace), so
+    the whole text is never held at once."""
+    for chunk in _json_chunks(value, 0, {}, 2):
+        handle.write(chunk)
+    handle.write("\n")
+
+
+# ---------------------------------------------------------------------------
 # rationals and shared scalars
 # ---------------------------------------------------------------------------
 
@@ -240,6 +330,19 @@ def doc_to_script(doc, n: int, where: str) -> Script:
 # ---------------------------------------------------------------------------
 
 
+def _parse_rows(rows, parse_value, where: str) -> list:
+    """``parse_value`` over a list of rows.  The ``where[i][j]`` label of a
+    value is made only when parsing fails: then the rows are parsed again
+    with labels, which raises on the first bad value."""
+    try:
+        return [[parse_value(v, where) for v in row] for row in rows]
+    except CliUsageError:
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                parse_value(v, f"{where}[{i}][{j}]")
+        raise
+
+
 def _order_to_doc(order, dump_key) -> dict:
     if isinstance(order, WeakOrder):
         return {"classes": [[dump_key(k) for k in cls] for cls in order.classes]}
@@ -258,9 +361,7 @@ def _doc_to_order(doc, domain, parse_key, where: str):
         raise CliUsageError(f"{where}: expected an order object")
     try:
         if "classes" in doc:
-            return WeakOrder(
-                [[parse_key(k, where) for k in cls] for cls in doc["classes"]]
-            )
+            return WeakOrder(_parse_rows(doc["classes"], parse_key, f"{where}.classes"))
         if "listed" in doc:
             completion = doc.get("completion", "bottom")
             try:
@@ -269,7 +370,7 @@ def _doc_to_order(doc, domain, parse_key, where: str):
                 raise CliUsageError(
                     f"{where}: unknown completion {completion!r}"
                 ) from None
-            listed = [[parse_key(k, where) for k in cls] for cls in doc["listed"]]
+            listed = _parse_rows(doc["listed"], parse_key, f"{where}.listed")
             return ComputedOrder(listed, domain, rule)
         if "walk" in doc:
             return AxisWalkOrder([parse_key(k, where) for k in doc["walk"]], domain)
@@ -344,11 +445,9 @@ def doc_to_game(game_doc, colors_doc):
             ]
             game = DiversityGame(colors, orders)
         elif kind == "fhg":
-            weights = [
-                [parse_rational(w, f"game.payload.weights[{i}][{j}]") for j, w in enumerate(row)]
-                for i, row in enumerate(payload["weights"])
-            ]
-            game = FractionalGame(weights)
+            game = FractionalGame(
+                _parse_rows(payload["weights"], parse_rational, "game.payload.weights")
+            )
         elif kind == "dhg":
             game = DichotomousGame(
                 n, [[coalition(c) for c in fam] for fam in payload["approvals"]]
@@ -471,14 +570,13 @@ def doc_to_instance(doc) -> NamedInstance:
 
 
 def dumps_instance(instance: NamedInstance) -> str:
-    return json.dumps(instance_to_doc(instance), indent=2) + "\n"
+    return json_text(instance_to_doc(instance)) + "\n"
 
 
 def dump_instance(instance: NamedInstance, handle) -> None:
     """``dumps_instance(instance)`` written to ``handle`` piece by piece, so
     the whole text is never held at once."""
-    json.dump(instance_to_doc(instance), handle, indent=2)
-    handle.write("\n")
+    write_json(instance_to_doc(instance), handle)
 
 
 # ---------------------------------------------------------------------------
@@ -487,15 +585,18 @@ def dump_instance(instance: NamedInstance, handle) -> None:
 
 
 def trace_to_doc(trace: Trace, outcome: dict | None = None) -> dict:
+    """The trace file's document.  ``start`` and each step's ``result`` are
+    the partitions' own block tuples, not copies: the JSON writer renders a
+    tuple as an array, and a block shared by many steps is rendered once."""
     doc = {
         "format_version": FORMAT_VERSION,
-        "start": partition_to_doc(trace.start),
+        "start": trace.start.blocks,
         "start_readings": _encode_json_value(trace.start_readings),
         "steps": [
             {
                 "agent": step.move.agent,
-                "target": move_to_doc(step.move)["target"],
-                "result": partition_to_doc(step.result),
+                "target": step.move.target or "new-singleton",
+                "result": step.result.blocks,
                 "readings": _encode_json_value(step.readings),
             }
             for step in trace.steps
@@ -699,7 +800,7 @@ def _pick_start(instance: NamedInstance, args, flag="--start") -> Partition:
 
 def _emit(args, human_lines, machine_doc) -> None:
     if args.json_style:
-        print(json.dumps(machine_doc, indent=2))
+        write_json(machine_doc, sys.stdout)
     else:
         for line in human_lines:
             print(line)
@@ -838,8 +939,7 @@ def _cmd_run(args) -> int:
         trace = outcome.trace if not isinstance(outcome, CycleDetected) else outcome.witness
         doc = _outcome_doc(outcome)
         if handle is not None:
-            json.dump(trace_to_doc(trace, doc), handle, indent=2)
-            handle.write("\n")
+            write_json(trace_to_doc(trace, doc), handle)
     human = [f"outcome: {doc['type']}"]
     human += [f"{k}: {v}" for k, v in doc.items() if k not in ("type", "final")]
     if "final" in doc:

@@ -1,6 +1,7 @@
 """Command-line contract: file formats, reports, exit codes."""
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 from hedonic_dynamics import cli
 from hedonic_dynamics.core import StabilityKind, enumerate_deviations
 from hedonic_dynamics.dynamics import replay
-from hedonic_dynamics.instances import build, catalog_ids
+from hedonic_dynamics.instances import build, catalog_ids, random as random_instance
 
 
 def _write(tmp_path, name, instance):
@@ -118,6 +119,20 @@ def test_mistyped_fields_are_usage_errors(tmp_path, capsys, path, value):
     mutant = tmp_path / "mutant.json"
     mutant.write_text(json.dumps(doc))
     assert cli.main(["check", str(mutant), "--partition", "grand"]) == 2
+
+
+def test_bad_values_name_their_position(tmp_path, capsys):
+    fhg = json.loads(cli.dumps_instance(random_instance("fhg", 4, 1)))
+    fhg["game"]["payload"]["weights"][2][3] = "1/0"
+    ahg = json.loads(cli.dumps_instance(build("ahg7")))
+    ahg["game"]["payload"]["orders"][1]["classes"][3][0] = "x"
+    cases = ((fhg, "game.payload.weights[2][3]: bad rational '1/0'"),
+             (ahg, "game.payload.orders[1].classes[3][0]: coalition sizes must be integers"))
+    for doc, message in cases:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["check", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_order_document_shapes():
@@ -268,6 +283,71 @@ def test_run_script_policy_detects_cycle(tmp_path, capsys):
     assert all("gamma" in step["readings"] for step in trace_doc["steps"])
     game = cli.doc_to_instance(json.loads(cli.dumps_instance(build("ahg7")))).game
     assert cli.revalidate_trace_doc(game, trace_doc) == len(trace_doc["steps"])
+
+
+def test_run_trace_bytes_are_pinned(tmp_path, capsys):
+    """sha256 of two ``hedyn run --out`` files: a cycle witness with
+    ``gamma`` readings, and a converged ``lex`` run on a random weight
+    game."""
+    ahg7 = _write(tmp_path, "ahg7.json", build("ahg7"))
+    fhg = _write(tmp_path, "fhg.json", random_instance("fhg", 12, 5))
+    runs = (
+        ([ahg7, "--policy", "script:cycle", "--monitors", "gamma"],
+         "21823972a9531aab64735395d73142868db916a5288ac2da210c8ff800a9dcf1"),
+        ([fhg, "--policy", "lex"],
+         "dc9ce8fa2b662c0657b9a651612a8b21f226c3401d628ac655777a6ba6858f2d"),
+    )
+    out = tmp_path / "trace.json"
+    for flags, digest in runs:
+        assert cli.main(["run", *flags, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, flags
+    capsys.readouterr()
+
+
+class _FailingHandle:
+    """A text handle whose ``write`` raises ``OSError`` once ``limit``
+    writes have gone through."""
+
+    def __init__(self, handle, limit):
+        self.handle, self.limit, self.writes = handle, limit, 0
+
+    def write(self, text):
+        if self.writes == self.limit:
+            raise OSError(28, "No space left on device")
+        self.writes += 1
+        return self.handle.write(text)
+
+
+def test_out_write_failing_part_way_leaves_out_untouched(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "ahg7.json", build("ahg7"))
+    out = tmp_path / "t.json"
+    out.write_bytes(b"earlier trace\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    open_out = cli._open_out
+    handles = []
+
+    def failing_after(limit):
+        @contextlib.contextmanager
+        def opener(target):
+            with open_out(target) as handle:
+                handles.append(_FailingHandle(handle, limit))
+                yield handles[-1]
+        return opener
+
+    argv = ["run", path, "--policy", "script:cycle", "--monitors", "gamma", "--out", str(out)]
+    monkeypatch.setattr(cli, "_open_out", failing_after(None))
+    assert cli.main(argv) == 0
+    total = handles[-1].writes
+    assert total > 3  # the trace goes out in many pieces
+    out.write_bytes(b"earlier trace\n")
+    capsys.readouterr()
+    for limit in (0, 1, total // 2, total - 1):
+        monkeypatch.setattr(cli, "_open_out", failing_after(limit))
+        assert cli.main(argv) == 2
+        assert f"cannot write {out}" in capsys.readouterr().err
+        assert handles[-1].writes == limit
+        assert out.read_bytes() == b"earlier trace\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def test_run_lex_converges_and_seeded_runs_repeat(tmp_path, capsys):
