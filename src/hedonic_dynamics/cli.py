@@ -330,16 +330,29 @@ def doc_to_script(doc, n: int, where: str) -> Script:
 # ---------------------------------------------------------------------------
 
 
-def _parse_rows(rows, parse_value, where: str) -> list:
-    """``parse_value`` over a list of rows.  The ``where[i][j]`` label of a
-    value is made only when parsing fails: then the rows are parsed again
-    with labels, which raises on the first bad value."""
+def _parse_list(values, parse_value, where: str) -> list:
+    """``parse_value`` over a JSON list.  The ``where[j]`` label of a value
+    is made only when parsing fails: then the list is parsed again with
+    labels, which raises on the first bad value."""
+    if not isinstance(values, list):
+        raise CliUsageError(f"{where}: expected a list, got {type(values).__name__}")
     try:
-        return [[parse_value(v, where) for v in row] for row in rows]
+        return [parse_value(v, where) for v in values]
+    except CliUsageError:
+        for j, v in enumerate(values):
+            parse_value(v, f"{where}[{j}]")
+        raise
+
+
+def _parse_rows(rows, parse_value, where: str) -> list:
+    """``_parse_list`` over a JSON list of lists, labelled ``where[i][j]``."""
+    if not isinstance(rows, list):
+        raise CliUsageError(f"{where}: expected a list of lists, got {type(rows).__name__}")
+    try:
+        return [_parse_list(row, parse_value, where) for row in rows]
     except CliUsageError:
         for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                parse_value(v, f"{where}[{i}][{j}]")
+            _parse_list(row, parse_value, f"{where}[{i}]")
         raise
 
 
@@ -373,7 +386,7 @@ def _doc_to_order(doc, domain, parse_key, where: str):
             listed = _parse_rows(doc["listed"], parse_key, f"{where}.listed")
             return ComputedOrder(listed, domain, rule)
         if "walk" in doc:
-            return AxisWalkOrder([parse_key(k, where) for k in doc["walk"]], domain)
+            return AxisWalkOrder(_parse_list(doc["walk"], parse_key, f"{where}.walk"), domain)
     except GameDefinitionError as exc:
         raise CliUsageError(f"{where}: {exc}") from None
     raise CliUsageError(f"{where}: need one of 'classes', 'listed', 'walk'")

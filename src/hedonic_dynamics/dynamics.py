@@ -26,7 +26,6 @@ from .core import (
     apply,
     deviation_failure,
     deviation_verdict,
-    join,
 )
 from .games import (
     AnonymousGame,
@@ -381,30 +380,57 @@ class _AverageRules(_PerAgentRules):
 
 class _ApprovalRules(_PerAgentRules):
     """Dichotomous games: the block key is the members who approve the block,
-    the only ones who can object to a newcomer."""
+    the only ones who can object to a newcomer.
+
+    Both questions are lookups in two indexes built once: ``wanted[agent]``
+    maps each block the agent would approve once it joins it (an approved
+    coalition minus the agent; ``()`` if it approves its singleton) to that
+    coalition, and ``wanting[block]`` lists, ascending, the agents that want
+    the block. No wanted block holds its agent, so an agent never wants its
+    own block.
+    """
 
     def __init__(self, game):
         self.approvals = game.approvals
         self.keys = _Memo(self.key)
+        self.wanted = tuple(
+            {tuple(m for m in c if m != agent): c for c in family}
+            for agent, family in enumerate(game.approvals)
+        )
+        wanting: dict = {}
+        for agent, wanted in enumerate(self.wanted):
+            for block in wanted:
+                wanting.setdefault(block, []).append(agent)
+        self.wanting = wanting
 
     def key(self, block):
         return tuple(m for m in block if block in self.approvals[m])
 
-    def welcome(self, agent, block, key):
-        post = join(block, agent)
-        return all(post in self.approvals[m] for m in key)
-
     def targets(self, agent, cur, here, blocks, keys):
-        mine = self.approvals[agent]
-        if not mine or agent in here:
+        wanted = self.wanted[agent]
+        if not wanted or agent in here:
             return ()  # approves nothing, or already at top utility
-        welcome = self.welcome
+        approvals = self.approvals
         return (
             b for b, key in zip(blocks, keys)
-            if b is not cur
-            and join(b, agent) in mine
-            and welcome(agent, b, key)
+            if b in wanted and all(wanted[b] in approvals[m] for m in key)
         )
+
+    def joiners(self, blocks, keys, fresh):
+        # the agents that approve their own block, who cannot gain: read off
+        # the `keys` given, never kept across calls, so that it holds for
+        # whichever table the finder patches from
+        content = {m for key in keys for m in key}
+        moved = {agent for block in fresh for agent in block}
+        approvals, wanted, wanting = self.approvals, self.wanted, self.wanting
+        return [
+            [
+                agent for agent in wanting.get(block, ())
+                if agent not in moved and agent not in content
+                and all(wanted[agent][block] in approvals[m] for m in key)
+            ]
+            for block, key in fresh.items()
+        ]
 
 
 class _VerdictRules(_PerAgentRules):

@@ -183,31 +183,39 @@ class _Meter:
 
 
 def enumerate_partitions(n: int):
-    """All partitions of agents 0..n-1, by restricted growth strings."""
+    """All partitions of agents 0..n-1, by placement: agent i joins each
+    block of agents 0..i-1 in turn, then opens a new one.
+
+    The blocks stay in the order they were opened, that is by lowest member,
+    and each grows in agent order, so every partition comes out canonical.
+    The order is that of restricted growth strings (agent i's label being
+    the index of the block it joins), the grand coalition first.
+    """
     if n < 1:
         raise ValueError("need at least one agent")
     if n > PARTITION_CAP:
         raise CapExceeded(
             f"enumerating partitions of {n} agents exceeds the cap {PARTITION_CAP}")
-    labels = [0] * n
-    ceiling = [1] * n  # ceiling[i] = 1 + max(labels[:i]); labels[i] may reach it
-    while True:
-        blocks: dict[int, list[int]] = {}
-        for agent, lab in enumerate(labels):
-            blocks.setdefault(lab, []).append(agent)
-        # restricted-growth labels number blocks by their lowest member, so
-        # the blocks come out sorted and in canonical order
-        yield Partition._trusted(tuple(map(tuple, blocks.values())), n)
-        i = n - 1
-        while i > 0 and labels[i] >= ceiling[i]:
-            i -= 1
-        if i == 0:
-            return
-        labels[i] += 1
-        tail_ceiling = max(ceiling[i], labels[i] + 1)
-        for j in range(i + 1, n):
-            labels[j] = 0
-            ceiling[j] = tail_ceiling
+    blocks: list[tuple] = []
+    last = n - 1
+
+    def place(agent):
+        for i in range(len(blocks)):
+            block = blocks[i]
+            blocks[i] = block + (agent,)
+            if agent == last:
+                yield Partition._trusted(tuple(blocks), n)
+            else:
+                yield from place(agent + 1)
+            blocks[i] = block
+        blocks.append((agent,))
+        if agent == last:
+            yield Partition._trusted(tuple(blocks), n)
+        else:
+            yield from place(agent + 1)
+        blocks.pop()
+
+    yield from place(0)
 
 
 # --- existence of a stable partition ----------------------------------------

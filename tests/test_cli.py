@@ -126,8 +126,23 @@ def test_bad_values_name_their_position(tmp_path, capsys):
     fhg["game"]["payload"]["weights"][2][3] = "1/0"
     ahg = json.loads(cli.dumps_instance(build("ahg7")))
     ahg["game"]["payload"]["orders"][1]["classes"][3][0] = "x"
-    cases = ((fhg, "game.payload.weights[2][3]: bad rational '1/0'"),
-             (ahg, "game.payload.orders[1].classes[3][0]: coalition sizes must be integers"))
+    walk = json.loads(cli.dumps_instance(build("hdg-assembled")))
+    walk["game"]["payload"]["orders"][5]["walk"][3] = "1/0"
+    cases = [(fhg, "game.payload.weights[2][3]: bad rational '1/0'"),
+             (ahg, "game.payload.orders[1].classes[3][0]: coalition sizes must be integers"),
+             (walk, "game.payload.orders[5].walk[3]: bad rational '1/0'")]
+    # an order field that is not a JSON list (of lists, but for a walk)
+    for instance, form, value, message in (
+        ("hdg-assembled", "walk", 5, "walk: expected a list, got int"),
+        ("hdg-assembled", "walk", "abc", "walk: expected a list, got str"),
+        ("ahg15", "classes", 5, "classes: expected a list of lists, got int"),
+        ("ahg15", "classes", ["abc"], "classes[0]: expected a list, got str"),
+        ("hdg12-no-sp", "listed", {"a": 1}, "listed: expected a list of lists, got dict"),
+        ("hdg12-no-sp", "listed", ["12"], "listed[0]: expected a list, got str"),
+    ):
+        doc = json.loads(cli.dumps_instance(build(instance)))
+        doc["game"]["payload"]["orders"][5][form] = value
+        cases.append((doc, f"game.payload.orders[5].{message}"))
     for doc, message in cases:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))

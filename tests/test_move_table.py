@@ -20,6 +20,9 @@ from hedonic_dynamics.dynamics import (
     MoveFinder,
     RunConfig,
     SeededRandom,
+    _ApprovalRules,
+    _PerAgentRules,
+    _VerdictRules,
     run,
 )
 from hedonic_dynamics.games import DichotomousGame, FractionalGame
@@ -276,3 +279,64 @@ def test_fractional_vectors_follow_the_live_blocks():
         ]
         for a in block:
             assert (rules.size[a], rules.have[a]) == (s, game.member_sum(a, block))
+
+
+def approval_state(rng, n):
+    """A random partition and an approval game shaped around it: some agents
+    approve nothing, some their singleton, some their own block; others
+    approve joining a block, whose members approve that block and the
+    joined one or not."""
+    state = rand_partition(rng, n)
+    silent = {agent for agent in range(n) if rng.random() < 0.2}
+    families = [set() for _ in range(n)]
+
+    def approve(coalition, members):
+        for m in members:
+            if m not in silent:
+                families[m].add(coalition)
+
+    for block in state.blocks:
+        approve(block, [m for m in block if rng.random() < 0.4])
+        for agent in range(n):
+            if agent not in block and rng.random() < 0.3:
+                post = core.join(block, agent)
+                approve(post, [agent] + [m for m in block if rng.random() < 0.7])
+    for agent in range(n):
+        if rng.random() < 0.3:
+            approve((agent,), [agent])
+    return DichotomousGame(n, [sorted(f) for f in families]), state
+
+
+def test_approval_lookups_match_the_per_agent_answer():
+    rng = random.Random(503)
+    seen = {"empty": 0, "alone": 0, "content": 0, "joiners": 0}
+    for _ in range(60):
+        game, state = approval_state(rng, rng.randint(3, 11))
+        finder = MoveFinder(game)
+        rules = finder._rules
+        assert type(rules) is _ApprovalRules
+        seen["empty"] += sum(not family for family in game.approvals)
+        seen["alone"] += sum(() in wanted for wanted in rules.wanted)
+        for _ in range(4):
+            blocks = state.blocks
+            keys = [rules.keys[b] for b in blocks + ((),)]
+            seen["content"] += sum(map(len, keys))
+            for size in range(len(blocks) + 1):
+                fresh = {b: rules.keys[b] for b in rng.sample(blocks, size)}
+                found = [sorted(agents) for agents in rules.joiners(blocks, keys, fresh)]
+                assert found == [sorted(agents) for agents in
+                                 _PerAgentRules.joiners(rules, blocks, keys, fresh)]
+                seen["joiners"] += sum(map(len, found))
+            reference = check_against_core(finder, state)
+            if not reference:
+                break
+            state = core.apply(state, rng.choice(reference))
+    assert all(seen.values()), seen
+    # only the exact class is answered by lookup: a subclass may override
+    # `prefers`, and then only core's verdict agrees with it
+    for reverse in (False, True):
+        game, state = approval_state(rng, 8)
+        sub = subclass_of(game, reverse)
+        finder = MoveFinder(sub)
+        assert type(finder._rules) is _VerdictRules
+        check_against_core(finder, state)

@@ -1,6 +1,7 @@
 """Exhaustive decision procedures."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -125,6 +126,36 @@ def test_enumerated_partitions_are_canonical():
             checked = Partition(p.blocks)
             assert (p.blocks, p.n) == (checked.blocks, checked.n)
             assert all(type(block) is tuple for block in p.blocks)
+
+
+def restricted_growth_partitions(n):
+    """The partitions of 0..n-1 as block tuples, in the lexicographic order
+    of their restricted growth strings, filtered from the label strings in
+    which agent i's label is at most i."""
+    for labels in itertools.product(*(range(i + 1) for i in range(n))):
+        if all(lab <= max(labels[:i], default=-1) + 1 for i, lab in enumerate(labels)):
+            blocks = [[] for _ in range(max(labels) + 1)]
+            for agent, lab in enumerate(labels):
+                blocks[lab].append(agent)
+            yield tuple(map(tuple, blocks))
+
+
+def test_enumerate_partitions_order_is_restricted_growth():
+    # a `Plain` scan that runs out of budget returns the first witness it
+    # met, so the order is part of the answer
+    for n in range(1, 9):
+        got = (p.blocks for p in enumerate_partitions(n))
+        assert list(got) == list(restricted_growth_partitions(n)), n
+
+
+def test_closed_enumeration_leaves_no_state():
+    for n, k in ((5, 7), (8, 100), (8, 1)):
+        first = enumerate_partitions(n)
+        head = [next(first).blocks for _ in range(k)]
+        first.close()
+        again = enumerate_partitions(n)
+        assert [next(again).blocks for _ in range(k)] == head
+        assert len(list(again)) + k == bell_numbers(n)[n]
 
 
 def test_enumerate_partitions_cap():
