@@ -423,6 +423,13 @@ def game_to_doc(game) -> tuple[dict, list | None]:
     return {"kind": kind, "n": game.n, "payload": payload}, colors
 
 
+def _approved(doc, where):
+    try:
+        return coalition(_agent_list(doc, where))
+    except CoreError as exc:
+        raise CliUsageError(f"{where}: {exc}") from None
+
+
 def doc_to_game(game_doc, colors_doc):
     if not isinstance(game_doc, dict):
         raise CliUsageError("game: expected an object")
@@ -463,7 +470,7 @@ def doc_to_game(game_doc, colors_doc):
             )
         elif kind == "dhg":
             game = DichotomousGame(
-                n, [[coalition(c) for c in fam] for fam in payload["approvals"]]
+                n, _parse_rows(payload["approvals"], _approved, "game.payload.approvals")
             )
         else:
             raise CliUsageError(f"game.kind: unknown kind {kind!r}")

@@ -20,7 +20,9 @@ a fresh singleton is joining the empty coalition, which welcomes her
 vacuously.  :func:`iter_deviations` asks the rule about every (agent,
 block) pair, the empty block included; :func:`deviation_failure` validates
 a given move and words the verdict as a reason.  Blocks grow by
-:func:`join`, which inserts the mover into a canonical block.
+:func:`join`, which inserts the mover into a canonical block, and
+:func:`successor` gives the blocks after a move, which :func:`apply` and
+the searches build on.
 """
 
 from __future__ import annotations
@@ -194,37 +196,47 @@ def _target_block(partition: Partition, move: DeviationMove) -> Coalition:
     return move.target
 
 
+def successor(blocks: tuple, cur: Coalition, agent: int, target: Coalition):
+    """The blocks after ``agent`` leaves its block ``cur`` of ``blocks`` (a
+    canonical block tuple) for its block ``target`` (``()``: a fresh
+    singleton), with what is left of ``cur`` (``()`` if emptied) and the
+    joined block: ``(blocks, remainder, joined)``.
+
+    The untouched block tuples are kept, in order: only the remainder and
+    the joined block are made and inserted.  Nothing is checked.
+    """
+    out = list(blocks)
+    del out[bisect_left(out, cur)]
+    if target:
+        del out[bisect_left(out, target)]
+    at = bisect_left(cur, agent)
+    remainder = cur[:at] + cur[at + 1:]
+    joined = join(target, agent)
+    if remainder:
+        insort(out, remainder)
+    insort(out, joined)
+    return tuple(out), remainder, joined
+
+
 def apply(partition: Partition, move: DeviationMove) -> Partition:
     """Apply a deviation mechanically; the abandoned coalition is dropped if emptied.
 
     Raises :class:`InvalidTarget` if the target coalition is not part of the
     partition.  Moving from a singleton to a new singleton reproduces the
     input partition (such a move is never an improvement, see the deviation
-    predicates).
-
-    The successor keeps the input's untouched block tuples, in order: only
-    the remainder and the joined block are made and inserted.
+    predicates).  The blocks come from :func:`successor`.
     """
     agent = move.agent
     cur = partition.coalition_of(agent)
     target = _target_block(partition, move)
-    blocks = list(partition.blocks)
-    del blocks[bisect_left(blocks, cur)]
-    if target:
-        del blocks[bisect_left(blocks, target)]
-    at = bisect_left(cur, agent)
-    remainder = cur[:at] + cur[at + 1:]
-    joined = join(target, agent)
-    if remainder:
-        insort(blocks, remainder)
-    insort(blocks, joined)
+    blocks, remainder, joined = successor(partition.blocks, cur, agent, target)
     home = partition._home
     if home is not None:
         home = home.copy()
         for block in (remainder, joined):
             for member in block:
                 home[member] = block
-    return Partition._trusted(tuple(blocks), partition.n, home)
+    return Partition._trusted(blocks, partition.n, home)
 
 
 def deviation_verdict(

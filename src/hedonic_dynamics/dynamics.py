@@ -212,6 +212,10 @@ class _PerAgentRules:
     set's per-agent target test: a born block is put to every agent whose
     own block stayed, one agent at a time."""
 
+    def rebase(self, blocks):
+        """The finder is patching from a table other than its last one,
+        whose partition has the blocks ``blocks``."""
+
     def settle(self, gone, fresh):
         """The finder's table is moving to a partition that lost the blocks
         ``gone`` and gained the blocks ``fresh`` (``{block: key}``)."""
@@ -236,9 +240,9 @@ class _PerAgentRules:
 
 class _SummaryRules(_PerAgentRules):
     """Anonymous and diversity games rank a coalition only by a summary of
-    it, its block key: the mover's gain is evaluated once per distinct key
-    while its own block's key stays the same, the members' welcome once per
-    block and mover colour (0 or 1).
+    it, its block key: the mover's gain is evaluated once per own key and
+    target key, the members' welcome once per block and mover colour (0
+    or 1).
 
     ``ranks[agent](key)`` is the agent's rank of a block key (lower means
     preferred), and ``joined(key, colour)`` the key once an agent of that
@@ -250,31 +254,36 @@ class _SummaryRules(_PerAgentRules):
         self.colour = colour
         self.joined = joined
         self.keys = _Memo(key)
-        self.welcomed = tuple(_Memo(partial(self.welcome, colour=c)) for c in (0, 1))
-        #: per agent: its own block's key and the gains by target key,
-        #: renewed when the agent's key changes
-        self.mine = [None] * game.n
+        # `welcome` is static, so no memo refers back to the rule set: its
+        # memos are freed with the finder, not at the next cycle collection
+        self.welcomed = tuple(
+            _Memo(partial(self.welcome, self.keys, ranks, joined, colour=c)) for c in (0, 1))
+        #: per agent, per own block key it has had: its gains by target
+        #: key (an agent's own key comes back, over a search's partitions
+        #: above all, so no memo is dropped when it changes)
+        self.gains = tuple({} for _ in range(game.n))
 
-    def welcome(self, block, colour):
-        key = self.keys[block]
-        post, ranks = self.joined(key, colour), self.ranks
+    @staticmethod
+    def welcome(keys, ranks, joined, block, colour):
+        key = keys[block]
+        post = joined(key, colour)
         return all(ranks[m](post) <= ranks[m](key) for m in block)
 
-    def _mine(self, agent, here):
-        """``mine[agent]``, renewed if the agent's own key is no longer ``here``."""
-        mine = self.mine[agent]
-        if mine is not None and mine[0] == here:
-            return mine
+    def _gains(self, agent, here):
+        """``gains[agent][here]``, made: whether ``agent``, in a block keyed
+        ``here``, gains by joining a block, by that block's key."""
         rank, colour, joined = self.ranks[agent], self.colour[agent], self.joined
         now = rank(here)
         # lazy, and never asked about the mover's own block: its key plus
         # one member can fall outside the order's domain (size n + 1)
-        gains = _Memo(lambda key: rank(joined(key, colour)) < now)
-        mine = self.mine[agent] = (here, gains)
-        return mine
+        gains = self.gains[agent][here] = _Memo(lambda key: rank(joined(key, colour)) < now)
+        return gains
 
     def targets(self, agent, cur, here, blocks, keys):
-        gains = self._mine(agent, here)[1]
+        try:
+            gains = self.gains[agent][here]
+        except KeyError:
+            gains = self._gains(agent, here)
         welcomed = self.welcomed[self.colour[agent]]
         return (
             b for b, key in zip(blocks, keys)
@@ -321,7 +330,8 @@ class _AverageRules(_PerAgentRules):
 
     Per agent it also keeps the size of its own block and its weight sum
     toward it, so a born block is tested against all agents at once,
-    column by column.
+    column by column. Those vectors follow the table the finder patches
+    from: ``rebase`` re-derives them when that is not the last one built.
     """
 
     def __init__(self, game):
@@ -330,7 +340,8 @@ class _AverageRules(_PerAgentRules):
         self.columns = tuple(zip(*game.weights))
         self.keys = _Memo(self.record)
         self.keys[()] = (0,) * game.n, b"\1" * game.n
-        # filled by `settle` for every agent the first time the table is built
+        # filled by `settle` for every agent the first time the table is
+        # built, and by `rebase`
         self.size = [0] * game.n
         self.have = [0] * game.n
 
@@ -356,7 +367,16 @@ class _AverageRules(_PerAgentRules):
             and sums[agent] * size > have * (len(b) + 1)
         )
 
+    def rebase(self, blocks):
+        keys, size, have = self.keys, self.size, self.have
+        for block in blocks:
+            sums, s = keys[block][0], len(block)
+            for agent in block:
+                size[agent], have[agent] = s, sums[agent]
+
     def settle(self, gone, fresh):
+        # every gone block has its record: it is a block of the base table,
+        # which is the last one built or has been through `rebase`
         for block in gone:
             del self.keys[block]
         for block, (sums, _) in fresh.items():
@@ -508,14 +528,15 @@ class MoveFinder:
     of weight sums and welcome flags over all agents, read alike by
     ``has_move`` and the table. Since preferences are hedonic,
     whether an agent may join a block depends on its own block and that
-    block only. So the finder keeps the :class:`MoveTable` of the last
-    partition it listed and, for the next one, rebuilds only the rows of
-    agents whose block is new; every other row loses the vanished blocks and
-    gains each new block the rule set admits it to, the rule set being asked
-    once per new block which agents outside the new blocks may join it. A
-    partition with no block in common with the last one has every row
-    rebuilt, which is a fresh build. The output must equal
-    ``core.iter_deviations(game, partition, IS)``; a property test checks it.
+    block only. So a table is patched from a base table, by default the
+    last one the finder built (a search passes each state's parent's): only
+    the rows of agents whose block is new are rebuilt; every other row loses
+    the vanished blocks and gains each new block the rule set admits it to,
+    the rule set being asked once per new block which agents outside the
+    new blocks may join it. A partition with no block in common with the
+    base has every row rebuilt, which is a fresh build. The output must
+    equal ``core.iter_deviations(game, partition, IS)``; a property test
+    checks it.
     """
 
     def __init__(self, game):
@@ -525,9 +546,11 @@ class MoveFinder:
         self._rules = _RULES.get(type(game), _VerdictRules)(game)
         self._last: MoveTable | None = None
 
-    def iter_moves(self, partition: Partition) -> Iterator[DeviationMove]:
-        """The moves of ``partition`` in order, built one at a time."""
-        yield from self.table(partition)
+    def iter_moves(self, partition: Partition, base: MoveTable | None = None
+                   ) -> Iterator[DeviationMove]:
+        """The moves of ``partition`` in order, built one at a time; the
+        table is patched from ``base`` (see :meth:`table`)."""
+        yield from self.table(partition, base)
 
     def has_move(self, partition: Partition) -> bool:
         """Whether ``partition`` has a move; stops at the first mover found."""
@@ -545,25 +568,30 @@ class MoveFinder:
                     return True
         return False
 
-    def table(self, partition: Partition) -> MoveTable:
-        """The moves of ``partition``, updated from the last table listed."""
+    def table(self, partition: Partition, base: MoveTable | None = None) -> MoveTable:
+        """The moves of ``partition``, patched from the table ``base`` of
+        another partition of the game, by default the last one built."""
         last, blocks = self._last, partition.blocks
+        if base is None:
+            base = last
+        if base is not None and base.partition.blocks == blocks:
+            return base
+        if base is not last:
+            self._rules.rebase(base.partition.blocks)
         new = set(blocks)
-        old = set(last.partition.blocks) if last is not None else set()
-        if last is not None and old == new:
-            return last
-        self._last = self._patch(partition, last, old - new, new - old)
+        old = set(base.partition.blocks) if base is not None else set()
+        self._last = self._patch(partition, base, old - new, new - old)
         return self._last
 
-    def _patch(self, p, last, gone, born) -> MoveTable:
-        """``last`` (``None``: an empty table) brought to ``p``, whose blocks
-        differ from ``last``'s by the blocks ``gone`` and ``born``."""
+    def _patch(self, p, base, gone, born) -> MoveTable:
+        """``base`` (``None``: an empty table) brought to ``p``, whose blocks
+        differ from ``base``'s by the blocks ``gone`` and ``born``."""
         rules = self._rules
         key_of = rules.keys
         blocks = p.blocks
         candidates = blocks + ((),)
         keys = [key_of[b] for b in candidates]
-        rows = [()] * p.n if last is None else list(last.rows)
+        rows = [()] * p.n if base is None else list(base.rows)
         fresh = {b: key_of[b] for b in born}
         rules.settle(gone, fresh)
         # `()` sorts before every block, so both bisects below stop before a

@@ -23,7 +23,15 @@ from dataclasses import dataclass
 from functools import cache, partial
 from itertools import islice, product
 
-from .core import Partition, StabilityKind, apply, canonicalize, deviation_verdict
+from .core import (
+    DeviationMove,
+    Partition,
+    StabilityKind,
+    apply,
+    canonicalize,
+    deviation_verdict,
+    successor,
+)
 from .dynamics import MoveFinder, Trace, replay
 from .games import AnonymousGame, DiversityGame, FractionalGame
 
@@ -433,36 +441,49 @@ def exists_path_to_is(
     game, start: Partition, budget: SearchBudget = SearchBudget()
 ) -> ReachabilityAnswer:
     """Breadth-first search of the reachable deviation graph; the first
-    stable partition dequeued yields a shortest witness path."""
+    stable partition dequeued yields a shortest witness path.
+
+    A successor is made as a block tuple (``core.successor``) and keyed by
+    its canonical bytes; only a new one is queued, with the move table of
+    its parent, from which its own table is patched when it is dequeued.
+    """
     finder = MoveFinder(game)
     meter = _Meter(budget)
+    n = start.n
     start_key = canonicalize(start)
-    parents: dict[bytes, tuple[bytes, object] | None] = {start_key: None}
-    queue: list[tuple[bytes, Partition] | None] = [(start_key, start)]
+    # per state: its parent's key and the move from there, as (agent, target)
+    parents: dict[bytes, tuple | None] = {start_key: None}
+    # (key, block tuple, the parent's move table)
+    queue: list[tuple | None] = [(start_key, start.blocks, None)]
     head = 0
     try:
         meter.tick()
         while head < len(queue):
-            key, partition = queue[head]
-            queue[head] = None  # the path is rebuilt from `parents` alone
+            key, blocks, base = queue[head]
+            # the path is rebuilt from `parents` alone, and a table is
+            # freed once the last of its children has been dequeued
+            queue[head] = None
             head += 1
-            moves = list(finder.iter_moves(partition))
-            if not moves:
+            partition = Partition._trusted(blocks, n)
+            table = finder.table(partition, base)
+            if not table.count:
                 steps = []
                 walk = key
                 while parents[walk] is not None:
-                    walk, move = parents[walk]
-                    steps.append(move)
+                    walk, agent, target = parents[walk]
+                    steps.append(DeviationMove(agent, target))
                 steps.reverse()
                 return PathFound(replay(game, start, steps))
-            for move in moves:
-                post = apply(partition, move)
-                post_key = canonicalize(post)
+            home = partition.coalition_of
+            for move in finder.iter_moves(partition, table):
+                agent, target = move.agent, move.target
+                post = successor(blocks, home(agent), agent, target)[0]
+                post_key = canonicalize(Partition._trusted(post, n))
                 if post_key in parents:
                     continue
                 meter.tick()
-                parents[post_key] = (key, move)
-                queue.append((post_key, post))
+                parents[post_key] = (key, agent, target)
+                queue.append((post_key, post, table))
     except _BudgetOver as over:
         return BudgetExhausted(over.limit, over.states)
     return NoPath(len(parents))
@@ -476,43 +497,48 @@ def all_paths_converge(
     Every partition has finitely many deviations, so some run fails to
     terminate exactly when a cycle is reachable; the answer then carries a
     lasso: a path from the start followed by one loop around the cycle.
+    States are coloured by block tuple, and a ``Partition`` (with its
+    parent's home table updated) and its move table (patched from its
+    parent's) are made only for a new one.
     """
     finder = MoveFinder(game)
     meter = _Meter(budget)
     GRAY, BLACK = 1, 2
     color: dict[tuple, int] = {}  # keyed by the partition's block tuple
-    start_key = start.blocks
     try:
         meter.tick()
-        color[start_key] = GRAY
-        # stack frames: (key, partition, move iterator, move that entered here)
-        stack = [(start_key, start, iter(finder.iter_moves(start)), None)]
+        color[start.blocks] = GRAY
+        table = finder.table(start)
+        # stack frames: (partition, its move table, move iterator, move
+        # that entered it)
+        stack = [(start, table, finder.iter_moves(start, table), None)]
         while stack:
-            key, partition, moves, _ = stack[-1]
-            advanced = False
+            partition, table, moves, _ = stack[-1]
+            blocks, home = partition.blocks, partition.coalition_of
             for move in moves:
-                post = apply(partition, move)
-                post_key = post.blocks
-                state = color.get(post_key)
+                agent = move.agent
+                post = successor(blocks, home(agent), agent, move.target)[0]
+                state = color.get(post)
                 if state == BLACK:
                     continue
                 if state == GRAY:
-                    # lasso: the stack up to post_key is the prefix, the rest
+                    # lasso: the stack up to `post` is the prefix, the rest
                     # plus this move closes the cycle
                     path_moves = [f[3] for f in stack[1:]] + [move]
-                    keys = [f[0] for f in stack]
-                    cycle_start = keys.index(post_key)
+                    cycle_start = [f[0].blocks for f in stack].index(post)
                     trace = replay(game, start, path_moves)
                     return CycleReachable(
                         trace, cycle_start, len(path_moves) - cycle_start
                     )
                 meter.tick()
-                color[post_key] = GRAY
-                stack.append((post_key, post, iter(finder.iter_moves(post)), move))
-                advanced = True
+                color[post] = GRAY
+                child = apply(partition, move)
+                child_table = finder.table(child, table)
+                stack.append(
+                    (child, child_table, finder.iter_moves(child, child_table), move))
                 break
-            if not advanced:
-                color[key] = BLACK
+            else:
+                color[blocks] = BLACK
                 stack.pop()
     except _BudgetOver as over:
         return BudgetExhausted(over.limit, over.states)

@@ -170,6 +170,17 @@ def rand_game(rng, trial, n):
     return rand_dhg(rng, n)
 
 
+def subclass_of(game, reverse: bool):
+    """``game`` as an instance of a subclass of its class, which keeps the
+    parent's preferences or, with ``reverse``, turns every one around."""
+    cls = type(game)
+    body = {"__slots__": ()}
+    if reverse:
+        body["prefers"] = lambda self, agent, a, b: -cls.prefers(self, agent, a, b)
+    game.__class__ = type(f"Sub{cls.__name__}", (cls,), body)
+    return game
+
+
 def rand_partition(rng, n) -> Partition:
     blocks = []
     for agent in range(n):

@@ -143,6 +143,17 @@ def test_bad_values_name_their_position(tmp_path, capsys):
         doc = json.loads(cli.dumps_instance(build(instance)))
         doc["game"]["payload"]["orders"][5][form] = value
         cases.append((doc, f"game.payload.orders[5].{message}"))
+    # approved coalitions: JSON false and 1.0 are not agents
+    for approvals, message in (
+        ([[[False, 1]], [[1, 2]], [[0, 2]]], "approvals[0][0]: expected a list of integer"),
+        ([[[0, 1]], [[1.0, 2]], [[0, 2]]], "approvals[1][0]: expected a list of integer"),
+        ([[[0, 1]], [[1, 2]], [[0, 2], [0, 0]]], "approvals[2][1]: duplicate agent 0"),
+        ([[[0, 1]], "abc", [[0, 2]]], "approvals[1]: expected a list, got str"),
+        (5, "approvals: expected a list of lists, got int"),
+    ):
+        doc = json.loads(cli.dumps_instance(build("dhg3")))
+        doc["game"]["payload"]["approvals"] = approvals
+        cases.append((doc, f"game.payload.{message}"))
     for doc, message in cases:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))

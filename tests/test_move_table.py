@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from hedonic_dynamics import core, instances
+from hedonic_dynamics import core, instances, search
 from hedonic_dynamics.core import Partition, StabilityKind
 from hedonic_dynamics.dynamics import (
     CycleDetected,
@@ -27,7 +27,14 @@ from hedonic_dynamics.dynamics import (
 )
 from hedonic_dynamics.games import DichotomousGame, FractionalGame
 
-from conftest import move_digest, rand_fhg, rand_game, rand_lazy_game, rand_partition
+from conftest import (
+    move_digest,
+    rand_fhg,
+    rand_game,
+    rand_lazy_game,
+    rand_partition,
+    subclass_of,
+)
 
 IS = StabilityKind.IS
 
@@ -218,17 +225,6 @@ def test_rows_keep_the_fresh_singleton_last():
     check_against_core(finder, after)
 
 
-def subclass_of(game, reverse: bool):
-    """``game`` as an instance of a subclass of its class, which keeps the
-    parent's preferences or, with ``reverse``, turns every one around."""
-    cls = type(game)
-    body = {"__slots__": ()}
-    if reverse:
-        body["prefers"] = lambda self, agent, a, b: -cls.prefers(self, agent, a, b)
-    game.__class__ = type(f"Sub{cls.__name__}", (cls,), body)
-    return game
-
-
 def test_table_of_an_unknown_class_lists_core():
     # a subclass may override `prefers`, so the finder puts every pair to
     # core's verdict; its tables are still patched from move to move
@@ -252,6 +248,57 @@ def test_table_of_an_unknown_class_lists_core():
         assert moves >= 10 and patched, type(game).__name__
         for _ in range(3):  # jumps to unrelated partitions
             check_against_core(finder, rand_partition(rng, game.n))
+
+
+def walk_from(rng, game, state, steps):
+    """``state`` after up to ``steps`` random IS moves."""
+    for _ in range(steps):
+        moves = core.enumerate_deviations(game, state, IS)
+        if not moves:
+            break
+        state = core.apply(state, rng.choice(moves))
+    return state
+
+
+def test_tables_patched_from_an_earlier_base_match_core():
+    # a search patches each state's table from its parent's, which is
+    # seldom the last table built; weight games keep per-agent vectors
+    # that must then be re-derived from the base, and a table built later
+    # from the last one must still be right
+    rng = random.Random(601)
+    rebased = 0
+    for trial in range(16):
+        n = rng.randint(6, 10)
+        game = fraction_fhg(rng, n) if trial % 4 == 0 else rand_game(rng, trial // 4 + 1, n)
+        finder = MoveFinder(game)
+        tables = [finder.table(rand_partition(rng, n))]
+        for _ in range(12):
+            base = rng.choice(tables)
+            rebased += base is not finder._last
+            state = walk_from(rng, game, base.partition, rng.randint(0, 3))
+            table = finder.table(state, base)
+            check_rows(table)
+            assert list(table) == core.enumerate_deviations(game, state, IS), type(game)
+            assert list(finder.iter_moves(state, base)) == list(table)
+            tables.append(table)
+            # then from the finder's last table, as a run patches
+            check_against_core(finder, walk_from(rng, game, state, rng.randint(0, 2)))
+    assert rebased > 100
+
+
+def test_has_move_matches_core_on_every_partition():
+    # over all partitions an agent's own block key comes back again and
+    # again: its gains are kept per own key, not renewed at each change
+    for kind in ("ahg", "hdg"):
+        game = instances.random(kind, 8, 3).game
+        finder = MoveFinder(game)
+        stable = 0
+        for state in search.enumerate_partitions(8):
+            answer = finder.has_move(state)
+            assert answer != core.is_stable(game, state, IS), (kind, state)
+            stable += not answer
+        assert stable, kind
+        assert max(map(len, finder._rules.gains)) > 1, kind
 
 
 def test_fractional_vectors_follow_the_live_blocks():

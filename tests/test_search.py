@@ -1,8 +1,10 @@
 """Exhaustive decision procedures."""
 
+import collections
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,6 +14,7 @@ from hedonic_dynamics.core import (
     StabilityKind,
     canonicalize,
 )
+from hedonic_dynamics.dynamics import replay
 from hedonic_dynamics.instances import build, reduce, toy_formula_catalog
 from hedonic_dynamics.instances import random as random_instance
 from hedonic_dynamics.search import (
@@ -43,6 +46,7 @@ from conftest import (
     rand_hdg,
     rand_partition,
     rand_weak_order,
+    subclass_of,
 )
 
 
@@ -533,6 +537,21 @@ def test_path_search_golden_on_toy_reductions(name):
     assert (len(out.trace), move_digest(out.trace.moves)) == REACH_GOLDEN[name]
 
 
+def test_path_search_memory_stays_bounded():
+    # queued states hold their parent's move table until the last child is
+    # dequeued, and the parent links are plain tuples: the peak was about
+    # 4.2 MB under Python 3.11, against 5.7 MB with a move object per link
+    inst = reduce("sat-to-dhg-exists", dict(toy_formula_catalog())["two-clause-opposed"])
+    tracemalloc.start()
+    try:
+        out = exists_path_to_is(inst.game, inst.starts["initial"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(out, PathFound)
+    assert peak < 6 * 2**20, peak
+
+
 def test_path_search_single_agent():
     out = exists_path_to_is(loner_game(1), Partition.singletons(1))
     assert isinstance(out, PathFound)
@@ -589,6 +608,90 @@ def test_convergence_implies_reachability():
                 states[-1]
             )
     assert converged > 0
+
+
+def reference_path(game, start):
+    """Breadth-first search on ``core`` alone, in the engine's order:
+    ``(moves of a shortest path to a stable partition or None, states
+    seen)``."""
+    parents = {canonicalize(start): None}
+    queue = collections.deque([start])
+    while queue:
+        state = queue.popleft()
+        key = canonicalize(state)
+        moves = core.enumerate_deviations(game, state, StabilityKind.IS)
+        if not moves:
+            path = []
+            while parents[key] is not None:
+                key, move = parents[key]
+                path.append(move)
+            return path[::-1], len(parents)
+        for move in moves:
+            post = core.apply(state, move)
+            post_key = canonicalize(post)
+            if post_key not in parents:
+                parents[post_key] = (key, move)
+                queue.append(post)
+    return None, len(parents)
+
+
+def reference_cycle(game, start):
+    """Depth-first search on ``core`` alone: ``(whether a cycle is
+    reachable, states reachable)``."""
+    GRAY, BLACK = 1, 2
+    color = {start.blocks: GRAY}
+    stack = [(start, core.iter_deviations(game, start, StabilityKind.IS))]
+    cyclic = False
+    while stack:
+        state, moves = stack[-1]
+        for move in moves:
+            post = core.apply(state, move)
+            seen = color.get(post.blocks)
+            cyclic |= seen == GRAY
+            if seen is None:
+                color[post.blocks] = GRAY
+                stack.append((post, core.iter_deviations(game, post, StabilityKind.IS)))
+                break
+        else:
+            color[state.blocks] = BLACK
+            stack.pop()
+    return cyclic, len(color)
+
+
+def test_searches_match_a_reference_search_on_core():
+    # every rule set of the move engine, the verdict rules through a
+    # subclass of each class; tables are patched from each state's parent
+    cases = {"NoPath": 0, "PathFound": 0, "CycleReachable": 0, "ConvergesAlways": 0}
+    games = [random_instance(kind, n, seed).game for kind, n, seed in
+             itertools.product(("ahg", "hdg", "fhg", "dhg"), (5, 7), (1, 2))]
+    games.append(pair_chase_dhg())  # no stable partition reachable from singletons
+    for index, game in enumerate(games):
+        for sub in (False, True):
+            if sub:
+                # every other subclass turns the preferences around
+                game = subclass_of(game, reverse=index % 2 == 1)
+            n = game.n
+            for start in (Partition.singletons(n), Partition.grand(n)):
+                label = (type(game).__name__, n, start)
+                path, seen = reference_path(game, start)
+                out = exists_path_to_is(game, start)
+                if path is None:
+                    assert out == NoPath(states_explored=seen), label
+                else:
+                    assert isinstance(out, PathFound), label
+                    assert list(out.trace.moves) == path, label
+                cases[type(out).__name__] += 1
+                cyclic, reachable = reference_cycle(game, start)
+                out = all_paths_converge(game, start)
+                if cyclic:
+                    assert isinstance(out, CycleReachable), label
+                    states = replay(game, start, out.trace.moves).states()
+                    assert states[out.prefix_len] == states[-1], label
+                    assert out.prefix_len + out.cycle_len == len(states) - 1
+                else:
+                    assert out == ConvergesAlways(states_explored=reachable), label
+                cases[type(out).__name__] += 1
+    assert min(cases.values()) >= 2, cases
 
 
 def test_reachability_budget_exhaustion():
