@@ -259,8 +259,10 @@ class _SummaryRules(_PerAgentRules):
         self.welcomed = tuple(
             _Memo(partial(self.welcome, self.keys, ranks, joined, colour=c)) for c in (0, 1))
         #: per agent, per own block key it has had: its gains by target
-        #: key (an agent's own key comes back, over a search's partitions
-        #: above all, so no memo is dropped when it changes)
+        #: key. An agent's own key comes back, over a search's partitions
+        #: above all, so a memo is kept when the key changes; at most n per
+        #: agent, as many as a size game has own keys, so ratio keys, of
+        #: which there are O(n²), cannot make them grow along a long run.
         self.gains = tuple({} for _ in range(game.n))
 
     @staticmethod
@@ -271,12 +273,16 @@ class _SummaryRules(_PerAgentRules):
 
     def _gains(self, agent, here):
         """``gains[agent][here]``, made: whether ``agent``, in a block keyed
-        ``here``, gains by joining a block, by that block's key."""
+        ``here``, gains by joining a block, by that block's key.  An agent
+        that has n memos already starts afresh."""
         rank, colour, joined = self.ranks[agent], self.colour[agent], self.joined
         now = rank(here)
+        mine = self.gains[agent]
+        if len(mine) == len(self.gains):
+            mine.clear()
         # lazy, and never asked about the mover's own block: its key plus
         # one member can fall outside the order's domain (size n + 1)
-        gains = self.gains[agent][here] = _Memo(lambda key: rank(joined(key, colour)) < now)
+        gains = mine[here] = _Memo(lambda key: rank(joined(key, colour)) < now)
         return gains
 
     def targets(self, agent, cur, here, blocks, keys):
@@ -324,9 +330,13 @@ class _AverageRules(_PerAgentRules):
     and ``flags[a]`` (a ``bytes`` flag) whether every member keeps its
     average when a joins. ``has_move`` and the finder's table read the same
     records, so an (agent, block) pair is one lookup in each vector; the
-    records of blocks that leave the table are dropped by ``settle``; the
-    fresh singleton ``()`` has a constant record (no weight, everyone
-    welcome), which is never dropped.
+    records of blocks that leave the base table are dropped by ``settle``;
+    the fresh singleton ``()`` has a constant record (no weight, everyone
+    welcome), which is never dropped. In a run the base is always the last
+    table, so the records are those of the live blocks. In a search the
+    base is a parent's table: the records of blocks seen in other states
+    stay, so they grow with the blocks the search meets, and a dropped
+    record that a later base still holds is made again by ``rebase``.
 
     Per agent it also keeps the size of its own block and its weight sum
     toward it, so a born block is tested against all agents at once,
@@ -546,11 +556,11 @@ class MoveFinder:
         self._rules = _RULES.get(type(game), _VerdictRules)(game)
         self._last: MoveTable | None = None
 
-    def iter_moves(self, partition: Partition, base: MoveTable | None = None
-                   ) -> Iterator[DeviationMove]:
-        """The moves of ``partition`` in order, built one at a time; the
-        table is patched from ``base`` (see :meth:`table`)."""
-        yield from self.table(partition, base)
+    def iter_moves(self, partition: Partition) -> Iterator[DeviationMove]:
+        """The moves of ``partition`` in order, built one at a time; a
+        search that patches from a parent's table builds it with
+        :meth:`table` first, which this then finds as the last one."""
+        yield from self.table(partition)
 
     def has_move(self, partition: Partition) -> bool:
         """Whether ``partition`` has a move; stops at the first mover found."""

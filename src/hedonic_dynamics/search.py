@@ -475,7 +475,8 @@ def exists_path_to_is(
                 steps.reverse()
                 return PathFound(replay(game, start, steps))
             home = partition.coalition_of
-            for move in finder.iter_moves(partition, table):
+            # `table` is the finder's last table, which `iter_moves` lists
+            for move in finder.iter_moves(partition):
                 agent, target = move.agent, move.target
                 post = successor(blocks, home(agent), agent, target)[0]
                 post_key = canonicalize(Partition._trusted(post, n))
@@ -510,8 +511,9 @@ def all_paths_converge(
         color[start.blocks] = GRAY
         table = finder.table(start)
         # stack frames: (partition, its move table, move iterator, move
-        # that entered it)
-        stack = [(start, table, finder.iter_moves(start, table), None)]
+        # that entered it); a frame's iterator starts right after its table
+        # is built, so `iter_moves` lists that table, the finder's last
+        stack = [(start, table, finder.iter_moves(start), None)]
         while stack:
             partition, table, moves, _ = stack[-1]
             blocks, home = partition.blocks, partition.coalition_of
@@ -535,7 +537,7 @@ def all_paths_converge(
                 child = apply(partition, move)
                 child_table = finder.table(child, table)
                 stack.append(
-                    (child, child_table, finder.iter_moves(child, child_table), move))
+                    (child, child_table, finder.iter_moves(child), move))
                 break
             else:
                 color[blocks] = BLACK

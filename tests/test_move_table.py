@@ -279,7 +279,7 @@ def test_tables_patched_from_an_earlier_base_match_core():
             table = finder.table(state, base)
             check_rows(table)
             assert list(table) == core.enumerate_deviations(game, state, IS), type(game)
-            assert list(finder.iter_moves(state, base)) == list(table)
+            assert list(finder.iter_moves(state)) == list(table)
             tables.append(table)
             # then from the finder's last table, as a run patches
             check_against_core(finder, walk_from(rng, game, state, rng.randint(0, 2)))
@@ -288,17 +288,26 @@ def test_tables_patched_from_an_earlier_base_match_core():
 
 def test_has_move_matches_core_on_every_partition():
     # over all partitions an agent's own block key comes back again and
-    # again: its gains are kept per own key, not renewed at each change
+    # again: its gains are kept per own key, not renewed at each change,
+    # and an agent with n memos starts afresh (ratio keys outnumber n)
     for kind in ("ahg", "hdg"):
         game = instances.random(kind, 8, 3).game
         finder = MoveFinder(game)
+        rules = finder._rules
         stable = 0
+        own_keys = [set() for _ in range(8)]
         for state in search.enumerate_partitions(8):
             answer = finder.has_move(state)
             assert answer != core.is_stable(game, state, IS), (kind, state)
             stable += not answer
+            for block in state.blocks:
+                for agent in block:
+                    own_keys[agent].add(rules.keys[block])
+            assert max(map(len, rules.gains)) <= 8, (kind, state)
         assert stable, kind
-        assert max(map(len, finder._rules.gains)) > 1, kind
+        assert max(map(len, rules.gains)) > 1, kind
+        if kind == "hdg":
+            assert max(map(len, own_keys)) > 8
 
 
 def test_fractional_vectors_follow_the_live_blocks():
