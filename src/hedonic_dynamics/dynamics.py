@@ -210,11 +210,23 @@ class _Memo(dict):
 class _PerAgentRules:
     """The table queries of ``MoveFinder._patch``, answered by the rule
     set's per-agent target test: a born block is put to every agent whose
-    own block stayed, one agent at a time."""
+    own block stayed, one agent at a time.
+
+    ``holders`` is the one column query on the base table: it must name
+    every agent whose base row may hold a vanished block (a superset is
+    fine, and may include agents whose own block vanished too). It is asked
+    after ``rebase`` and before ``settle``, while the rule set still
+    describes the base. Here it names every agent.
+    """
 
     def rebase(self, blocks):
         """The finder is patching from a table other than its last one,
         whose partition has the blocks ``blocks``."""
+
+    def holders(self, blocks, gone):
+        """Agents whose row in the base table, of the blocks ``blocks``,
+        may hold a block of ``gone``."""
+        return (agent for block in blocks for agent in block)
 
     def settle(self, gone, fresh):
         """The finder's table is moving to a partition that lost the blocks
@@ -238,6 +250,16 @@ class _PerAgentRules:
         return found.values()
 
 
+class _Keyless:
+    """The keys of a rule set whose blocks have none: ``keys[block]`` is
+    ``None``."""
+
+    __slots__ = ()
+
+    def __getitem__(self, block):
+        return None
+
+
 class _SummaryRules(_PerAgentRules):
     """Anonymous and diversity games rank a coalition only by a summary of
     it, its block key: the mover's gain is evaluated once per own key and
@@ -246,7 +268,9 @@ class _SummaryRules(_PerAgentRules):
 
     ``ranks[agent](key)`` is the agent's rank of a block key (lower means
     preferred), and ``joined(key, colour)`` the key once an agent of that
-    colour joins; the fresh singleton ``()`` is keyed like any block.
+    colour joins; the fresh singleton ``()`` is keyed like any block. Keys
+    and welcome flags are memos: ``settle`` drops those of the blocks that
+    leave the base table, so they follow the table, not the run's length.
     """
 
     def __init__(self, game, colour, key, ranks, joined):
@@ -264,6 +288,16 @@ class _SummaryRules(_PerAgentRules):
         #: agent, as many as a size game has own keys, so ratio keys, of
         #: which there are O(n²), cannot make them grow along a long run.
         self.gains = tuple({} for _ in range(game.n))
+
+    def settle(self, gone, fresh):
+        # keys and welcome flags are pure memos, remade on demand should a
+        # block come back; a block may be missing here, if a table patched
+        # from another base dropped it already
+        keys, welcomed = self.keys, self.welcomed
+        for block in gone:
+            keys.pop(block, None)
+            for memo in welcomed:
+                memo.pop(block, None)
 
     @staticmethod
     def welcome(keys, ranks, joined, block, colour):
@@ -339,33 +373,41 @@ class _AverageRules(_PerAgentRules):
     record that a later base still holds is made again by ``rebase``.
 
     Per agent it also keeps the size of its own block and its weight sum
-    toward it, so a born block is tested against all agents at once,
-    column by column. Those vectors follow the table the finder patches
-    from: ``rebase`` re-derives them when that is not the last one built.
+    toward it, so a block is tested against all agents at once, column by
+    column: a born block for its joiners, a vanished one for its holders.
+    Those vectors follow the table the finder patches from: ``rebase``
+    re-derives them when that is not the last one built.
     """
 
     def __init__(self, game):
-        self.weights = game.weights
+        weights = game.weights
         #: columns[x][a] is agent a's weight toward agent x
-        self.columns = tuple(zip(*game.weights))
-        self.keys = _Memo(self.record)
+        columns = tuple(zip(*weights))
+        whole = tuple({int}.issuperset(map(type, row)) for row in weights)
+        # `record` is static, so the memo does not refer back to the rule set
+        self.keys = _Memo(partial(self.record, weights, columns, whole))
         self.keys[()] = (0,) * game.n, b"\1" * game.n
         # filled by `settle` for every agent the first time the table is
         # built, and by `rebase`
         self.size = [0] * game.n
         self.have = [0] * game.n
 
-    def record(self, block):
+    @staticmethod
+    def record(weights, columns, whole, block):
         s = len(block)
-        sums = self.columns[block[0]]
+        sums = columns[block[0]]
         for x in block[1:]:
-            sums = list(map(add, sums, self.columns[x]))
-        # member m keeps its average iff s * w(m, agent) >= its sum
-        flags = None
+            sums = list(map(add, sums, columns[x]))
+        # member m keeps its average iff w(m, agent) >= sum / s: one
+        # threshold per member, ⌈sum / s⌉ if m's whole row is int (the sum
+        # may be an int on a row that is not), else the exact fraction.
+        # The flags of the members are and-ed as integers, a byte per agent
+        flags = -1
         for m in block:
-            keeps = map(ge, map(mul, self.weights[m], repeat(s)), repeat(sums[m]))
-            flags = bytes(keeps) if flags is None else bytes(map(and_, flags, keeps))
-        return sums, flags
+            total = sums[m]
+            least = -(-total // s) if whole[m] else Fraction(total, s)
+            flags &= int.from_bytes(bytes(map(ge, weights[m], repeat(least))), "little")
+        return sums, flags.to_bytes(len(sums), "little")
 
     def targets(self, agent, cur, here, blocks, keys):
         size, have = len(cur), here[0][agent]
@@ -377,12 +419,28 @@ class _AverageRules(_PerAgentRules):
             and sums[agent] * size > have * (len(b) + 1)
         )
 
+    def column(self, block, sums, flags):
+        """The agents, ascending, that ``block``'s members welcome and that
+        gain by joining it, by the ``size`` and ``have`` vectors; a member
+        of ``block`` may be among them."""
+        # strict gain, for every agent at once: sum * size > have * (len + 1)
+        gains = map(gt, map(mul, sums, self.size),
+                    map(mul, self.have, repeat(len(block) + 1)))
+        return compress(range(len(flags)), map(and_, flags, gains))
+
     def rebase(self, blocks):
         keys, size, have = self.keys, self.size, self.have
         for block in blocks:
             sums, s = keys[block][0], len(block)
             for agent in block:
                 size[agent], have[agent] = s, sums[agent]
+
+    def holders(self, blocks, gone):
+        # asked before `settle`: `size`, `have` and the gone records are
+        # still the base's, so the agents that may join a gone block are its
+        # column, which may name some of its own members too
+        keys, column = self.keys, self.column
+        return {agent for block in gone for agent in column(block, *keys[block])}
 
     def settle(self, gone, fresh):
         # every gone block has its record: it is a block of the base table,
@@ -395,17 +453,10 @@ class _AverageRules(_PerAgentRules):
 
     def joiners(self, blocks, keys, fresh):
         moved = {agent for block in fresh for agent in block}
-        everyone = range(len(self.size))
-        found = []
-        for block, (sums, flags) in fresh.items():
-            # strict gain, for every agent at once: sum * size > have * (len + 1)
-            gains = map(gt, map(mul, sums, self.size),
-                        map(mul, self.have, repeat(len(block) + 1)))
-            found.append([
-                agent for agent in compress(everyone, map(and_, flags, gains))
-                if agent not in moved
-            ])
-        return found
+        return [
+            [agent for agent in self.column(block, *key) if agent not in moved]
+            for block, key in fresh.items()
+        ]
 
 
 class _ApprovalRules(_PerAgentRules):
@@ -422,7 +473,8 @@ class _ApprovalRules(_PerAgentRules):
 
     def __init__(self, game):
         self.approvals = game.approvals
-        self.keys = _Memo(self.key)
+        # `key` is static, so the memo does not refer back to the rule set
+        self.keys = _Memo(partial(self.key, game.approvals))
         self.wanted = tuple(
             {tuple(m for m in c if m != agent): c for c in family}
             for agent, family in enumerate(game.approvals)
@@ -433,8 +485,14 @@ class _ApprovalRules(_PerAgentRules):
                 wanting.setdefault(block, []).append(agent)
         self.wanting = wanting
 
-    def key(self, block):
-        return tuple(m for m in block if block in self.approvals[m])
+    @staticmethod
+    def key(approvals, block):
+        return tuple(m for m in block if block in approvals[m])
+
+    def holders(self, blocks, gone):
+        # only an agent that wants a block may join it
+        wanting = self.wanting
+        return {agent for block in gone for agent in wanting.get(block, ())}
 
     def targets(self, agent, cur, here, blocks, keys):
         wanted = self.wanted[agent]
@@ -467,12 +525,10 @@ class _VerdictRules(_PerAgentRules):
     """Any other game type, a subclass included (it may override ``prefers``):
     each (agent, block) pair is put to ``core.deviation_verdict``."""
 
+    keys = _Keyless()
+
     def __init__(self, game):
         self.verdict = partial(deviation_verdict, game, kind=StabilityKind.IS)
-        self.keys = self  # blocks have no key: keys[block] is None
-
-    def __getitem__(self, block):
-        return None
 
     def targets(self, agent, cur, here, blocks, keys):
         return (b for b in blocks if b is not cur and self.verdict(agent, cur, b) is None)
@@ -540,11 +596,15 @@ class MoveFinder:
     whether an agent may join a block depends on its own block and that
     block only. So a table is patched from a base table, by default the
     last one the finder built (a search passes each state's parent's): only
-    the rows of agents whose block is new are rebuilt; every other row loses
-    the vanished blocks and gains each new block the rule set admits it to,
-    the rule set being asked once per new block which agents outside the
-    new blocks may join it. A partition with no block in common with the
-    base has every row rebuilt, which is a fresh build. The output must
+    the rows of agents whose block is new are rebuilt. The vanished blocks
+    leave the rows of the agents the rule set names as their holders, a
+    superset of those whose base row holds one (the column of a weight
+    game's record, the agents an approval game's index says want the
+    block, every agent otherwise); each row gains each new block the rule
+    set admits it to, the rule set being asked once per new block which
+    agents outside the new blocks may join it. A partition with no block
+    in common with the base has every row rebuilt, which is a fresh build.
+    The output must
     equal ``core.iter_deviations(game, partition, IS)``; a property test
     checks it.
     """
@@ -603,29 +663,31 @@ class MoveFinder:
         keys = [key_of[b] for b in candidates]
         rows = [()] * p.n if base is None else list(base.rows)
         fresh = {b: key_of[b] for b in born}
+        # asked before `settle`, while the rule set still describes the base
+        holders = rules.holders(base.partition.blocks, gone) if gone else ()
         rules.settle(gone, fresh)
-        # `()` sorts before every block, so both bisects below stop before a
-        # row's closing `()`; the bound is computed inline, since a helper
-        # call per bisect was measurably slower
-        for cur, here in zip(blocks, keys):
-            if cur in fresh:
-                # the agent's own block is new: its whole row changes
-                for agent in cur:
-                    rows[agent] = rules.row(agent, cur, here, candidates, keys)
-                continue
+        # the agents whose block is new get their whole row
+        for cur, here in fresh.items():
             for agent in cur:
-                row = rows[agent]
-                if not row:
-                    continue
-                # bisect and re-slice per block: a run step drops and adds at
-                # most two, and a whole-row filter or re-sort was twice as slow
-                end = len(row) - (not row[-1])
-                for block in gone:
-                    at = bisect_left(row, block, 0, end)
-                    if at < end and row[at] == block:
-                        row = row[:at] + row[at + 1:]
-                        end -= 1
-                rows[agent] = row
+                rows[agent] = rules.row(agent, cur, here, candidates, keys)
+        # the vanished blocks leave the other rows that may hold them (a
+        # row just rebuilt holds none, so its bisects find nothing to cut):
+        # a run step drops and adds at most two, so each is bisected out
+        # and the row re-sliced (a whole-row filter or re-sort was twice as
+        # slow). `()` sorts before every block, so the bisects stop before
+        # a row's closing `()`; the bound is inline, as a helper call per
+        # bisect was measurably slower
+        for agent in holders:
+            row = rows[agent]
+            if not row:
+                continue
+            end = len(row) - (not row[-1])
+            for block in gone:
+                at = bisect_left(row, block, 0, end)
+                if at < end and row[at] == block:
+                    row = row[:at] + row[at + 1:]
+                    end -= 1
+            rows[agent] = row
         # every other row gains a born block only where the rules admit it
         for block, agents in zip(fresh, rules.joiners(blocks, keys, fresh)):
             for agent in agents:

@@ -6,7 +6,9 @@ walks states where the table is updated rather than rebuilt and checks it
 against the ``core`` reference enumeration at every step.
 """
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,9 @@ from hedonic_dynamics.dynamics import (
     RunConfig,
     SeededRandom,
     _ApprovalRules,
+    _AverageRules,
     _PerAgentRules,
+    _SummaryRules,
     _VerdictRules,
     run,
 )
@@ -101,11 +105,41 @@ def fraction_fhg(rng, n) -> FractionalGame:
     return FractionalGame([[Fraction(w, rng.choice((1, 2, 3))) for w in row] for row in weights])
 
 
+def mixed_fhg(rng, n) -> FractionalGame:
+    """Fractional game in which about half the rows are all ``int`` and the
+    others mix ``int`` weights with non-integral halves, so that a member's
+    weight sum toward a block is often an ``int`` on a row that is not."""
+    rows = [list(row) for row in rand_fhg(rng, n, -3, 3).weights]
+    for agent, row in enumerate(rows):
+        if rng.random() < 0.5:
+            continue
+        others = [x for x in range(n) if x != agent]
+        for x in [rng.choice(others)] + [x for x in others if rng.random() < 0.3]:
+            row[x] = Fraction(2 * row[x] + 1, 2)
+    return FractionalGame(rows)
+
+
+def threshold_traps(game, block) -> int:
+    """How many (member, outsider) pairs of ``block`` a welcome threshold
+    chosen by the type of the member's sum gets wrong: the sum is an
+    ``int``, the member's row is not all ``int``, and its weight toward
+    the outsider reaches sum / s but not the sum's ceiling."""
+    s, traps = len(block), 0
+    for m in block:
+        total, row = game.member_sum(m, block), game.weights[m]
+        if isinstance(total, int) and not all(isinstance(w, int) for w in row):
+            ceiling = -(-total // s)
+            traps += sum(s * w >= total and w < ceiling
+                         for a, w in enumerate(row) if a not in block)
+    return traps
+
+
 def incremental_games():
     """Two games of each class at n 20-40, two fractional games with
-    ``Fraction`` weights, plus two size and two two-colour games over lazy
-    orders shared by several agents, where a move leaves most blocks alone
-    and the finder updates its table instead of rebuilding it."""
+    ``Fraction`` weights and two whose rows mix ``int`` and ``Fraction``
+    weights, plus two size and two two-colour games over lazy orders
+    shared by several agents, where a move leaves most blocks alone and
+    the finder updates its table instead of rebuilding it."""
     rng = random.Random(211)
     for trial in range(8):
         n = rng.randint(20, 40)
@@ -115,6 +149,8 @@ def incremental_games():
             yield rand_game(rng, trial, n), rng
     for _ in range(2):
         yield fraction_fhg(rng, rng.randint(20, 40)), rng
+    for _ in range(2):
+        yield mixed_fhg(rng, rng.randint(20, 40)), rng
     for trial in range(4):
         yield rand_lazy_game(rng, trial, rng.randint(20, 40)), rng
 
@@ -289,22 +325,31 @@ def test_tables_patched_from_an_earlier_base_match_core():
 def test_has_move_matches_core_on_every_partition():
     # over all partitions an agent's own block key comes back again and
     # again: its gains are kept per own key, not renewed at each change,
-    # and an agent with n memos starts afresh (ratio keys outnumber n)
-    for kind in ("ahg", "hdg"):
-        game = instances.random(kind, 8, 3).game
+    # and an agent with n memos starts afresh (ratio keys outnumber n).
+    # The weight game mixes `int` and `Fraction` weights in a row, where
+    # a welcome threshold must not be chosen by the type of the sum
+    for game in (instances.random("ahg", 8, 3).game, instances.random("hdg", 8, 3).game,
+                 mixed_fhg(random.Random(13), 8)):
+        kind = game.kind
         finder = MoveFinder(game)
         rules = finder._rules
-        stable = 0
+        stable = traps = 0
         own_keys = [set() for _ in range(8)]
         for state in search.enumerate_partitions(8):
             answer = finder.has_move(state)
             assert answer != core.is_stable(game, state, IS), (kind, state)
             stable += not answer
+            if kind == "fhg":
+                traps += sum(threshold_traps(game, block) for block in state.blocks)
+                continue
             for block in state.blocks:
                 for agent in block:
                     own_keys[agent].add(rules.keys[block])
             assert max(map(len, rules.gains)) <= 8, (kind, state)
         assert stable, kind
+        if kind == "fhg":
+            assert traps, kind
+            continue
         assert max(map(len, rules.gains)) > 1, kind
         if kind == "hdg":
             assert max(map(len, own_keys)) > 8
@@ -395,4 +440,126 @@ def test_approval_lookups_match_the_per_agent_answer():
         sub = subclass_of(game, reverse)
         finder = MoveFinder(sub)
         assert type(finder._rules) is _VerdictRules
+        check_against_core(finder, state)
+
+
+def spy_on_holders(rules):
+    """Wraps ``rules.holders``; returns the list of (blocks, gone, named)
+    it has been asked and answered since."""
+    asked = []
+    holders = rules.holders
+
+    def spy(blocks, gone):
+        named = list(holders(blocks, gone))
+        asked.append((blocks, set(gone), set(named)))
+        return named
+
+    rules.holders = spy
+    return asked
+
+
+def test_holders_name_every_row_that_holds_a_vanished_block():
+    # `_patch` takes vanished blocks out of the rows `holders` names only,
+    # so it must name every agent whose base row holds one; bases are the
+    # last table or an earlier one, after walks and jumps
+    rng = random.Random(809)
+    held = {cls: 0 for cls in (_SummaryRules, _AverageRules, _ApprovalRules, _VerdictRules)}
+    narrow = dict.fromkeys(held, 0)
+    earlier = 0
+    for trial in range(12):
+        n = rng.randint(6, 12)
+        game = rand_game(rng, trial, n)
+        if trial >= 8:
+            game = subclass_of(game, trial % 2)
+        finder = MoveFinder(game)
+        rules = finder._rules
+        asked = spy_on_holders(rules)
+        tables = [finder.table(rand_partition(rng, n))]
+        for _ in range(20):
+            base = rng.choice(tables) if rng.random() < 0.5 else finder._last
+            earlier += base is not finder._last
+            if rng.random() < 0.2:
+                state = rand_partition(rng, n)
+            else:
+                state = walk_from(rng, game, base.partition, rng.randint(1, 4))
+            asked.clear()
+            table = finder.table(state, base)
+            assert list(table) == core.enumerate_deviations(game, state, IS), type(game)
+            gone = set(base.partition.blocks) - set(state.blocks)
+            if not gone:
+                continue
+            [(blocks, asked_gone, named)] = asked
+            assert blocks == base.partition.blocks and asked_gone == gone
+            holding = {agent for agent, row in enumerate(base.rows) if gone & set(row)}
+            assert holding <= named, (type(game), holding - named)
+            held[type(rules)] += len(holding)
+            narrow[type(rules)] += len(named) < n
+            tables.append(table)
+    assert all(held.values()), held
+    # the column answers leave out agents; the per-agent ones name everyone
+    assert narrow[_AverageRules] and narrow[_ApprovalRules], narrow
+    assert earlier > 50
+
+
+def test_rule_sets_are_freed_with_their_finder():
+    # no rule set refers back to itself, so its block records go with its
+    # finder by reference counting, not at the next cycle collection
+    rng = random.Random(907)
+    found = set()
+    gc.disable()
+    try:
+        for trial in range(10):
+            n = rng.randint(8, 12)
+            if trial < 4:
+                game = rand_game(rng, trial, n)
+            elif trial < 6:
+                game = rand_lazy_game(rng, trial, n)
+            else:
+                game = subclass_of(rand_game(rng, trial, n), trial % 2)
+            finder = MoveFinder(game)
+            state = rand_partition(rng, n)
+            for _ in range(5):
+                table = finder.table(state)
+                finder.has_move(state)
+                state = (core.apply(state, table.nth(rng.randrange(table.count)))
+                         if table.count else rand_partition(rng, n))
+            rules = weakref.ref(finder._rules)
+            found.add(type(rules()))
+            del finder, table
+            assert rules() is None, type(game)
+        # a run's finder, too
+        game = rand_fhg(rng, 20)
+        before = sum(isinstance(o, _PerAgentRules) for o in gc.get_objects())
+        run(game, Partition.singletons(20), Lexicographic(), RunConfig(max_steps=30))
+        assert sum(isinstance(o, _PerAgentRules) for o in gc.get_objects()) == before
+    finally:
+        gc.enable()
+    assert found == {_SummaryRules, _AverageRules, _ApprovalRules, _VerdictRules}
+
+
+def test_summary_memos_follow_the_last_table():
+    # size and two-colour keys and welcome flags are memos that `settle`
+    # drops as their blocks leave the table, so a long walk keeps those of
+    # the last table only, and a block that comes back is keyed again
+    rng = random.Random(1009)
+    for game in (instances.random("ahg", 24, 5).game, instances.random("hdg", 24, 5).game,
+                 rand_lazy_game(rng, 1, 24)):
+        finder = MoveFinder(game)
+        state = Partition.singletons(game.n)
+        jumps = 0
+        for step in range(120):
+            table = finder.table(state)
+            assert list(table) == core.enumerate_deviations(game, state, IS), game.kind
+            if table.count and step % 15:
+                state = core.apply(state, table.nth(rng.randrange(table.count)))
+            else:
+                state = walk_from(rng, game, rand_partition(rng, game.n), rng.randint(0, 3))
+                jumps += 1
+        finder.table(state)
+        rules = finder._rules
+        live = set(state.blocks) | {()}
+        assert set(rules.keys) == live, game.kind
+        assert all(set(memo) <= live for memo in rules.welcomed), game.kind
+        assert any(rules.welcomed), game.kind
+        assert jumps > 5
         check_against_core(finder, state)
