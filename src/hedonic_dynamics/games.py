@@ -23,11 +23,13 @@ Preference orders come in three flavors:
   axis, also evaluated lazily.
 
 Each order ranks a key by one method, ``rank(key)``: a sort key where lower
-means preferred.  Pairwise comparisons, the single-peakedness check (a
-bool per order and axis), the ascent-credit monitor and the move engine's
-size and ratio rule sets all read it.  The move engine keys a two-color block by its integer
-``(reds, size)`` pair and ranks each pair once per order; orders still
-take the ``Fraction`` at that boundary.
+means preferred.  Pairwise comparisons, the ascent-credit monitor and the
+move engine's size and ratio rule sets all read it.  The move engine keys a
+two-color block by its integer ``(reds, size)`` pair and ranks each pair
+once per order; orders still take the ``Fraction`` at that boundary.  The
+single-peakedness check (a bool per order and axis) reads a second method,
+``ranks(keys)``, which ranks a whole key list in one pass as plain ints, so
+it compares no tuple and no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -35,9 +37,10 @@ from __future__ import annotations
 import enum
 import heapq
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import islice
 from math import gcd
 from operator import itemgetter
@@ -196,6 +199,10 @@ class WeakOrder:
             raise GameDefinitionError(f"key {key!r} outside order domain")
         return rank
 
+    def ranks(self, keys) -> list:
+        """The class index of each key."""
+        return list(map(self.rank, keys))
+
     compare = _compare
 
     @property
@@ -249,8 +256,10 @@ class RatioDomain:
     A lowest-terms fraction p/q is feasible iff a coalition with p reds and
     q-p blues fits inside the population, i.e. ``p <= reds``,
     ``q - p <= blues`` and ``q <= reds + blues`` (taking one copy is always
-    the least demanding witness).  Membership is O(1); enumeration is only
-    used for small instances.
+    the least demanding witness).  Keys are rational: an ``int`` (``bool``
+    included, as in a :class:`WeakOrder`) or a ``Fraction``; a string that
+    would parse as one is not a key.  Membership is O(1); the ascending
+    enumeration walks the Farey sequence of order ``n``, O(n^2).
     """
 
     reds: int
@@ -261,14 +270,10 @@ class RatioDomain:
         return self.reds + self.blues
 
     def __contains__(self, key) -> bool:
-        try:
-            f = Fraction(key)
-        except (TypeError, ValueError):
+        if not isinstance(key, (int, Fraction)):
             return False
-        if not 0 <= f <= 1:
-            return False
-        p, q = f.numerator, f.denominator
-        return p <= self.reds and q - p <= self.blues and q <= self.n
+        p, q = key.numerator, key.denominator
+        return 0 <= p <= self.reds and 0 <= q - p <= self.blues
 
     def __iter__(self):
         """The feasible ratios lazily, each once (in lowest terms), by
@@ -280,8 +285,22 @@ class RatioDomain:
 
     @lru_cache(maxsize=8)
     def enumerate(self) -> tuple[Fraction, ...]:
-        """The feasible ratios, ascending; built and sorted once per domain."""
-        return tuple(sorted(self))
+        """The feasible ratios, ascending; built once per domain.
+
+        The Farey sequence of order ``n`` lists every p/q in [0, 1] with
+        q <= n ascending, in lowest terms, and the next term follows from
+        the last two in integers; the feasible ones are those that pass the
+        membership bounds, so no ``Fraction`` is compared."""
+        n, reds, blues = self.n, self.reds, self.blues
+        keys = []
+        a, b, c, d = 0, 1, 1, n
+        while True:
+            if a <= reds and b - a <= blues:
+                keys.append(Fraction(a, b))
+            if c > n:
+                return tuple(keys)
+            k = (n + b) // d
+            a, b, c, d = c, d, k * c - a, k * d - b
 
 
 class Completion(enum.Enum):
@@ -328,6 +347,18 @@ class ComputedOrder:
         tie = 0 if self.completion is Completion.BOTTOM else key
         return (self._tail, tie)
 
+    def ranks(self, keys) -> list:
+        """The class index of each listed key.  Unlisted keys take ``_tail``
+        (bottom), or ``_tail`` plus their place among the sorted unlisted
+        keys (ascending)."""
+        levels = list(map(self.prefix._rank_of, keys))
+        tail = self._tail
+        if self.completion is Completion.BOTTOM:
+            return [tail if level is None else level for level in levels]
+        unlisted = sorted(k for k, level in zip(keys, levels) if level is None)
+        place = {k: tail + i for i, k in enumerate(unlisted)}
+        return [place[k] if level is None else level for k, level in zip(keys, levels)]
+
     compare = _compare
 
     @property
@@ -367,9 +398,10 @@ class AxisWalkOrder:
     by that extension slot in between, read towards the new entry.  Keys
     right of the whole span come next (ascending), then keys left of it
     (descending).  This ranks the full domain exactly the way
-    :func:`complete_strict_on_axis` would on the sorted key list, but
-    ``rank`` costs O(len(listed)) and the domain is never enumerated,
-    which keeps huge ratio domains workable.
+    :func:`complete_strict_on_axis` would on the sorted key list: ``ranks``
+    runs the same index walk over the sorted domain.  ``rank`` costs
+    O(len(listed)) and never enumerates the domain, which keeps huge ratio
+    domains workable.
     """
 
     __slots__ = ("listed", "domain", "_spans")
@@ -421,6 +453,21 @@ class AxisWalkOrder:
             return (len(self.listed), key)
         return (len(self.listed) + 1, -key)
 
+    def ranks(self, keys) -> list:
+        """The walk's rank of each key as an int, from one pass over the
+        sorted domain: each listed key's index is found by bisection, and
+        each step ranks the index range it covers.  A list other than the
+        sorted domain is read back through each key's index in it."""
+        axis = self.domain.enumerate()
+        ranks = _walk_ranks(self.listed, partial(bisect_left, axis), len(axis))
+        if keys == axis:
+            return ranks
+        index = {key: i for i, key in enumerate(axis)}
+        try:
+            return [ranks[index[key]] for key in keys]
+        except KeyError as exc:
+            raise GameDefinitionError(f"key {exc.args[0]!r} outside order domain") from None
+
     compare = _compare
 
     @property
@@ -463,14 +510,45 @@ def materialize(order, keys: Iterable) -> WeakOrder:
 # ---------------------------------------------------------------------------
 
 
+def _walk_ranks(listed: Sequence, position, d: int) -> list:
+    """The rank of each of the ``d`` axis indices under the walk that
+    ``listed`` spells, where ``position`` maps a listed key to its index.
+
+    The top entry ranks first.  The ranked indices always form an interval,
+    and each further listed entry extends it to one side: the indices it
+    passes over take the next ranks, read towards the new entry.  Once the
+    prefix is exhausted the right remainder follows, ascending, then the
+    left remainder, descending.
+    """
+    ranks = [0] * d  # the top entry's index keeps rank 0
+    lo = hi = position(listed[0])
+    rank = 1
+    for key in listed[1:]:
+        at = position(key)
+        if at > hi:
+            ranks[hi + 1 : at + 1] = range(rank, rank + at - hi)
+            rank += at - hi
+            hi = at
+        elif at < lo:
+            ranks[at:lo] = range(rank + lo - at - 1, rank - 1, -1)
+            rank += lo - at
+            lo = at
+        else:
+            raise GameDefinitionError(
+                f"listed key {key!r} lies inside the already-ranked interval"
+            )
+    ranks[hi + 1 :] = range(rank, rank + d - hi - 1)
+    rank += d - hi - 1
+    ranks[:lo] = range(rank + lo - 1, rank - 1, -1)
+    return ranks
+
+
 def complete_strict_on_axis(listed: Sequence, axis: Sequence) -> WeakOrder:
     """Extend a strict listed prefix to a full strict order along ``axis``.
 
-    Starting from the top entry, the already-ranked keys always form an axis
-    interval; each further listed entry extends that interval to one side,
-    emitting the skipped-over keys on the way.  Once the prefix is exhausted
-    the remaining right side is appended, then the remaining left side.
-    The result is single-peaked on ``axis`` by construction.
+    The keys are ranked by the index walk of :func:`_walk_ranks`, the one
+    :meth:`AxisWalkOrder.ranks` runs, so the result is single-peaked on
+    ``axis`` by construction.
     """
     axis = list(axis)
     pos = {k: i for i, k in enumerate(axis)}
@@ -482,23 +560,10 @@ def complete_strict_on_axis(listed: Sequence, axis: Sequence) -> WeakOrder:
     for k in listed:
         if k not in pos:
             raise GameDefinitionError(f"listed key {k!r} not on axis")
-    emitted = [listed[0]]
-    lo = hi = pos[listed[0]]
-    for key in listed[1:]:
-        p = pos[key]
-        if p > hi:
-            emitted.extend(axis[hi + 1 : p + 1])
-            hi = p
-        elif p < lo:
-            emitted.extend(reversed(axis[p:lo]))
-            lo = p
-        else:
-            raise GameDefinitionError(
-                f"listed key {key!r} lies inside the already-ranked interval"
-            )
-    emitted.extend(axis[hi + 1 :])
-    emitted.extend(reversed(axis[:lo]))
-    return WeakOrder([[k] for k in emitted])
+    emitted = [None] * len(axis)
+    for key, rank in zip(axis, _walk_ranks(listed, pos.__getitem__, len(axis))):
+        emitted[rank] = [key]
+    return WeakOrder(emitted)
 
 
 def complete_weak_interval_closure(
@@ -815,7 +880,7 @@ def single_peaked_check(order, axis=None) -> bool:
     weakly): once a rank has gone up, none comes down again.  That is the
     same as every union of top indifference classes being contiguous.
     """
-    ranks = list(map(order.rank, _axis_keys(order, axis)))
+    ranks = order.ranks(_axis_keys(order, axis))
     rising = False
     for before, after in zip(ranks, ranks[1:]):
         if after > before:

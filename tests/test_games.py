@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hedonic_dynamics import games
+from hedonic_dynamics import games, instances
 from hedonic_dynamics.games import (
     AcyclicQueriedOnNonSimpleAsymmetric,
     AnonymousGame,
@@ -192,6 +192,25 @@ def test_ratio_domain_membership_matches_enumeration():
                 for p in range(0, q + 1):
                     f = Fraction(p, q)
                     assert (f in dom) == (f in realizable)
+
+
+def test_ratio_domain_enumerates_ascending():
+    for reds, blues in ((0, 3), (3, 0), (1, 1), (4, 6), (12, 14), (66, 162)):
+        dom = RatioDomain(reds, blues)
+        assert dom.enumerate() == tuple(sorted(dom)), (reds, blues)
+
+
+def test_ratio_domains_admit_only_rational_keys():
+    dom = RatioDomain(2, 2)
+    assert Fraction(1, 2) in dom and 1 in dom and True in dom and False in dom
+    for key in ("1/2", "1", 0.5, 1.0, None, (1, 2)):
+        assert key not in dom, key
+    assert Fraction(3, 2) not in dom and -1 not in dom
+    assert 2 not in RatioDomain(3, 0)  # 2/1 would pass the red and blue counts
+    with pytest.raises(GameDefinitionError):
+        ComputedOrder([["1/2"]], dom, Completion.BOTTOM)
+    with pytest.raises(GameDefinitionError):
+        AxisWalkOrder(["1/2", "1"], dom)
 
 
 def test_degenerate_single_color_populations_allowed():
@@ -550,3 +569,57 @@ def test_axis_walk_order_rejects_bad_prefixes():
         AxisWalkOrder([4, 12], dom)
     with pytest.raises(GameDefinitionError):
         AnonymousGame([AxisWalkOrder([3], SizeDomain(5))] * 4)
+
+
+def _small_orders(rng):
+    """Orders of every kind over small size and ratio domains, with their
+    sorted keys: weak orders over sizes and ratios, computed orders with
+    each completion and walks, each over both domain kinds."""
+    for _ in range(40):
+        reds = rng.randint(0, 4)
+        for domain in (SizeDomain(rng.randint(1, 8)), RatioDomain(reds, rng.randint(reds == 0, 4))):
+            keys = list(domain.enumerate())
+            yield rand_weak_order(rng, keys), keys
+            yield AxisWalkOrder(rand_walk_prefix(rng, keys), domain), keys
+            listed = rng.sample(keys, rng.randint(1, len(keys)))
+            for completion in Completion:
+                yield ComputedOrder(rand_weak_order(rng, listed).classes, domain, completion), keys
+
+
+def test_ranks_agree_with_compare():
+    rng = random.Random(67)
+    seen = set()
+    for order, keys in _small_orders(rng):
+        shuffled = rng.sample(keys, len(keys))
+        for axis in (keys, shuffled):
+            ranks = order.ranks(axis)
+            assert all(type(r) is int for r in ranks), order
+            for a, ra in zip(axis, ranks):
+                for b, rb in zip(axis, ranks):
+                    assert (ra < rb) - (ra > rb) == order.compare(a, b), (order, a, b)
+        seen.add((type(order), getattr(order, "completion", None), type(keys[-1])))
+    assert len(seen) == 8  # each kind and completion over sizes and ratios
+    # a list with repeats, and a key outside the domain
+    walk = AxisWalkOrder([3, 5, 1], SizeDomain(6))
+    assert walk.ranks([5, 2, 5]) == [2, 3, 2]
+    with pytest.raises(GameDefinitionError):
+        walk.ranks([7])
+    with pytest.raises(GameDefinitionError):
+        WeakOrder([[2], [1]]).ranks([3])
+
+
+def test_natural_sp_compares_no_keys(monkeypatch):
+    game = instances.build("hdg-assembled").game
+    calls = []
+
+    def counted(method):
+        def wrapper(*args):
+            calls.append(method.__qualname__)
+            return method(*args)
+        return wrapper
+
+    monkeypatch.setattr(AxisWalkOrder, "rank", counted(AxisWalkOrder.rank))
+    for kind in (WeakOrder, ComputedOrder, AxisWalkOrder):
+        monkeypatch.setattr(kind, "compare", counted(kind.compare))
+    assert games.naturally_single_peaked(game)
+    assert calls == []
