@@ -446,6 +446,18 @@ def exists_path_to_is(
     A successor is made as a block tuple (``core.successor``) and keyed by
     its canonical bytes; only a new one is queued, with the move table of
     its parent, from which its own table is patched when it is dequeued.
+
+    Successors a commuting earlier move already reached are not built (a
+    sleep set one level deep).  Say state ``s`` was entered from ``p`` by
+    agent ``b``'s move, which made the remainder and the joined block.  A
+    move by an agent ``a < b`` that touches neither block (its agent's
+    block and its target are both untouched, ``()`` being no made block)
+    was a move at ``p`` too, listed before ``b``'s, and commutes with it:
+    its successor at ``s`` is ``p``'s successor by it followed by ``b``'s
+    move.  That successor of ``p`` is queued before ``s``, so it is
+    expanded first, and there ``b``'s move is built or skipped by the same
+    argument.  So the skipped state is already visited, and skipping it
+    changes no visited state, parent link, count or witness.
     """
     finder = MoveFinder(game)
     meter = _Meter(budget)
@@ -453,13 +465,14 @@ def exists_path_to_is(
     start_key = canonicalize(start)
     # per state: its parent's key and the move from there, as (agent, target)
     parents: dict[bytes, tuple | None] = {start_key: None}
-    # (key, block tuple, the parent's move table)
-    queue: list[tuple | None] = [(start_key, start.blocks, None)]
+    # (key, block tuple, the parent's move table, the agent that moved
+    # there, the blocks its move made); the start was entered by no agent
+    queue: list[tuple | None] = [(start_key, start.blocks, None, -1, ())]
     head = 0
     try:
         meter.tick()
         while head < len(queue):
-            key, blocks, base = queue[head]
+            key, blocks, base, mover, made = queue[head]
             # the path is rebuilt from `parents` alone, and a table is
             # freed once the last of its children has been dequeued
             queue[head] = None
@@ -478,13 +491,17 @@ def exists_path_to_is(
             # `table` is the finder's last table, which `iter_moves` lists
             for move in finder.iter_moves(partition):
                 agent, target = move.agent, move.target
-                post = successor(blocks, home(agent), agent, target)[0]
+                cur = home(agent)
+                if agent < mover and target not in made and cur not in made:
+                    continue  # commutes with the move into this state
+                post, remainder, joined = successor(blocks, cur, agent, target)
                 post_key = canonicalize(Partition._trusted(post, n))
                 if post_key in parents:
                     continue
                 meter.tick()
                 parents[post_key] = (key, agent, target)
-                queue.append((post_key, post, table))
+                queue.append((post_key, post, table, agent,
+                              (remainder, joined) if remainder else (joined,)))
     except _BudgetOver as over:
         return BudgetExhausted(over.limit, over.states)
     return NoPath(len(parents))
@@ -501,6 +518,12 @@ def all_paths_converge(
     States are coloured by block tuple, and a ``Partition`` (with its
     parent's home table updated) and its move table (patched from its
     parent's) are made only for a new one.
+
+    Successors a commuting earlier move already reached are not built, by
+    the rule of :func:`exists_path_to_is`: such a move was tried at the
+    parent before the move into this state, so the subtree it led to was
+    finished first (a gray state there would have ended the search), and
+    it holds this state's successor by the move, which is black.
     """
     finder = MoveFinder(game)
     meter = _Meter(budget)
@@ -511,15 +534,20 @@ def all_paths_converge(
         color[start.blocks] = GRAY
         table = finder.table(start)
         # stack frames: (partition, its move table, move iterator, move
-        # that entered it); a frame's iterator starts right after its table
-        # is built, so `iter_moves` lists that table, the finder's last
-        stack = [(start, table, finder.iter_moves(start), None)]
+        # that entered it, the blocks that move made); a frame's iterator
+        # starts right after its table is built, so `iter_moves` lists
+        # that table, the finder's last
+        stack = [(start, table, finder.iter_moves(start), None, ())]
         while stack:
-            partition, table, moves, _ = stack[-1]
+            partition, table, moves, entry, made = stack[-1]
             blocks, home = partition.blocks, partition.coalition_of
+            mover = entry.agent if entry else -1  # the start: no agent
             for move in moves:
-                agent = move.agent
-                post = successor(blocks, home(agent), agent, move.target)[0]
+                agent, target = move.agent, move.target
+                cur = home(agent)
+                if agent < mover and target not in made and cur not in made:
+                    continue  # commutes with the move into this state
+                post, remainder, joined = successor(blocks, cur, agent, target)
                 state = color.get(post)
                 if state == BLACK:
                     continue
@@ -536,8 +564,8 @@ def all_paths_converge(
                 color[post] = GRAY
                 child = apply(partition, move)
                 child_table = finder.table(child, table)
-                stack.append(
-                    (child, child_table, finder.iter_moves(child), move))
+                stack.append((child, child_table, finder.iter_moves(child), move,
+                              (remainder, joined) if remainder else (joined,)))
                 break
             else:
                 color[blocks] = BLACK

@@ -14,7 +14,7 @@ from hedonic_dynamics.core import (
     StabilityKind,
     canonicalize,
 )
-from hedonic_dynamics.dynamics import replay
+from hedonic_dynamics.dynamics import MoveFinder, replay
 from hedonic_dynamics.instances import build, reduce, toy_formula_catalog
 from hedonic_dynamics.instances import random as random_instance
 from hedonic_dynamics.search import (
@@ -636,26 +636,32 @@ def reference_path(game, start):
 
 
 def reference_cycle(game, start):
-    """Depth-first search on ``core`` alone: ``(whether a cycle is
-    reachable, states reachable)``."""
+    """Depth-first search on ``core`` alone, in the engine's order: ``(the
+    first lasso met as (moves, prefix_len, cycle_len) or None, states
+    reachable)``."""
     GRAY, BLACK = 1, 2
     color = {start.blocks: GRAY}
-    stack = [(start, core.iter_deviations(game, start, StabilityKind.IS))]
-    cyclic = False
+    # frames: (state, its moves, the move that entered it)
+    stack = [(start, core.iter_deviations(game, start, StabilityKind.IS), None)]
+    lasso = None
     while stack:
-        state, moves = stack[-1]
+        state, moves, _ = stack[-1]
         for move in moves:
             post = core.apply(state, move)
             seen = color.get(post.blocks)
-            cyclic |= seen == GRAY
+            if seen == GRAY and lasso is None:
+                path = [f[2] for f in stack[1:]] + [move]
+                prefix = [f[0].blocks for f in stack].index(post.blocks)
+                lasso = (path, prefix, len(path) - prefix)
             if seen is None:
                 color[post.blocks] = GRAY
-                stack.append((post, core.iter_deviations(game, post, StabilityKind.IS)))
+                stack.append(
+                    (post, core.iter_deviations(game, post, StabilityKind.IS), move))
                 break
         else:
             color[state.blocks] = BLACK
             stack.pop()
-    return cyclic, len(color)
+    return lasso, len(color)
 
 
 def test_searches_match_a_reference_search_on_core():
@@ -681,10 +687,12 @@ def test_searches_match_a_reference_search_on_core():
                     assert isinstance(out, PathFound), label
                     assert list(out.trace.moves) == path, label
                 cases[type(out).__name__] += 1
-                cyclic, reachable = reference_cycle(game, start)
+                lasso, reachable = reference_cycle(game, start)
                 out = all_paths_converge(game, start)
-                if cyclic:
+                if lasso is not None:
                     assert isinstance(out, CycleReachable), label
+                    got = (list(out.trace.moves), out.prefix_len, out.cycle_len)
+                    assert got == lasso, label
                     states = replay(game, start, out.trace.moves).states()
                     assert states[out.prefix_len] == states[-1], label
                     assert out.prefix_len + out.cycle_len == len(states) - 1
@@ -692,6 +700,89 @@ def test_searches_match_a_reference_search_on_core():
                     assert out == ConvergesAlways(states_explored=reachable), label
                 cases[type(out).__name__] += 1
     assert min(cases.values()) >= 2, cases
+
+
+def test_searches_skip_only_successors_already_reached(monkeypatch):
+    # each search may leave a move of an expanded state unbuilt only when
+    # the state it leads to was reached before that state was expanded; a
+    # state counts once its moves were all listed (a lasso ends the DFS
+    # with the stack's listings unfinished)
+    log = []  # ("expand" or "done", blocks), ("build", blocks, agent, target, post)
+    real_successor, real_iter_moves = search.successor, MoveFinder.iter_moves
+
+    def recording_successor(blocks, cur, agent, target):
+        made = real_successor(blocks, cur, agent, target)
+        log.append(("build", blocks, agent, target, made[0]))
+        return made
+
+    def recording_iter_moves(self, partition):
+        # a generator: the event is logged when the search starts listing
+        log.append(("expand", partition.blocks))
+        yield from real_iter_moves(self, partition)
+        log.append(("done", partition.blocks))
+
+    monkeypatch.setattr(search, "successor", recording_successor)
+    monkeypatch.setattr(MoveFinder, "iter_moves", recording_iter_moves)
+    skipped = collections.Counter()
+    for kind, n, seed, sub in itertools.product(
+            ("ahg", "hdg", "fhg", "dhg"), (5, 6), (1, 2, 3), (False, True)):
+        for search_fn in (exists_path_to_is, all_paths_converge):
+            game = random_instance(kind, n, seed).game
+            if sub:
+                game = subclass_of(game, reverse=seed % 2 == 1)
+            for start in (Partition.singletons(n), Partition.grand(n)):
+                log.clear()
+                search_fn(game, start)
+                reached = {start.blocks: -1}
+                expanded, done = {}, set()
+                built = collections.defaultdict(set)
+                for at, event in enumerate(log):
+                    if event[0] == "expand":
+                        expanded[event[1]] = at
+                    elif event[0] == "done":
+                        done.add(event[1])
+                    else:
+                        _, blocks, agent, target, post = event
+                        built[blocks].add((agent, target))
+                        reached.setdefault(post, at)
+                for blocks in done:
+                    at, state = expanded[blocks], Partition(blocks)
+                    for move in core.iter_deviations(game, state, StabilityKind.IS):
+                        if (move.agent, move.target) in built[blocks]:
+                            continue
+                        skipped[kind, search_fn.__name__] += 1
+                        post = core.apply(state, move).blocks
+                        assert reached.get(post, at) < at, (kind, n, seed, blocks, move)
+    assert len(skipped) == 8, skipped  # every class, both searches
+
+
+#: answers on bundled starts, recorded before either search skipped
+#: commuting moves: ``NoPath``/``ConvergesAlways`` counts, (steps, move
+#: digest) of a path, (prefix, cycle, move digest) of a lasso
+BUNDLED_REACH_GOLDEN = {
+    ("fhg15", "rotation-start", "path"): NoPath(1440),
+    ("fhg-clique(4)", "blocks", "converge"): ConvergesAlways(1180),
+    ("fhg-clique(4)", "blocks", "path"): (6, "21c6cdc80b9ee8af"),
+    ("ahg7", "singletons", "path"): (4, "d47f7cf59098707e"),
+    ("ahg7", "singletons", "converge"): (6, 6, "e76f81d6d53a96e3"),
+    ("hdg10-weak", "singletons", "path"): (6, "e1938bfc2f852ba5"),
+    ("hdg10-weak", "singletons", "converge"): (10, 6, "e52efa0affdb9e1a"),
+    ("hdg12-no-sp", "singletons", "path"): (6, "f4bb9b2b7d98bf01"),
+    ("hdg12-no-sp", "singletons", "converge"): (19, 6, "80c27b170258e9e7"),
+}
+
+
+@pytest.mark.parametrize("name, start, question", sorted(BUNDLED_REACH_GOLDEN))
+def test_search_golden_on_bundled_starts(name, start, question):
+    inst = build(name)
+    search_fn = exists_path_to_is if question == "path" else all_paths_converge
+    out = search_fn(inst.game, inst.starts[start])
+    if isinstance(out, PathFound):
+        out = (len(out.trace), move_digest(out.trace.moves))
+    elif isinstance(out, CycleReachable):
+        assert out.prefix_len + out.cycle_len == len(out.trace)
+        out = (out.prefix_len, out.cycle_len, move_digest(out.trace.moves))
+    assert out == BUNDLED_REACH_GOLDEN[name, start, question]
 
 
 def test_reachability_budget_exhaustion():
