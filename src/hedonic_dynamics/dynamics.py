@@ -25,7 +25,6 @@ from .core import (
     StabilityKind,
     apply,
     deviation_failure,
-    deviation_verdict,
 )
 from .games import (
     AnonymousGame,
@@ -528,7 +527,7 @@ class _VerdictRules(_PerAgentRules):
     keys = _Keyless()
 
     def __init__(self, game):
-        self.verdict = partial(deviation_verdict, game, kind=StabilityKind.IS)
+        self.verdict = partial(core.deviation_verdict, game, kind=StabilityKind.IS)
 
     def targets(self, agent, cur, here, blocks, keys):
         return (b for b in blocks if b is not cur and self.verdict(agent, cur, b) is None)
@@ -635,6 +634,22 @@ class MoveFinder:
                 # targets are lazy: stop at the first candidate the agent may
                 # join (a loop, since `()` is falsy)
                 for _ in targets(agent, cur, here, candidates, keys):
+                    return True
+        return False
+
+    def clash(self, a: core.Coalition, b: core.Coalition) -> bool:
+        """Whether an IS move runs between the disjoint blocks ``a`` and
+        ``b``, in either direction: a member of one gains by joining the
+        other and is welcomed there. ``b = ()``: a member of ``a`` would
+        rather be alone. Each member is asked, as in :meth:`has_move`,
+        about the one-block candidate tuple of the other block."""
+        targets, key_of = self._rules.targets, self._rules.keys
+        key_a, key_b = key_of[a], key_of[b]
+        for cur, here, other, keys in ((a, key_a, (b,), (key_b,)),
+                                       (b, key_b, (a,), (key_a,))):
+            for agent in cur:
+                # a loop, since the target may be `()`, which is falsy
+                for _ in targets(agent, cur, here, other, keys):
                     return True
         return False
 

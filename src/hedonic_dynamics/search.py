@@ -12,24 +12,24 @@ strategies build only stable partitions, by one cover search over blocks no
 member would leave (labelled coalitions for weight games, per-type count
 vectors for size and two-color games): IS deviations depend only on the
 mover's block and the target block, so a block that clashes with one
-already placed is rejected.  Answers are deterministic; ``BudgetExhausted``
-is returned rather than ever guessing.
+already placed is rejected.  Every move question, the clash included, is
+put to the one move engine, ``dynamics.MoveFinder``; ``core`` is only the
+reference oracle the tests check it against.  Answers are deterministic;
+``BudgetExhausted`` is returned rather than ever guessing.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cache, partial
 from itertools import islice, product
+from operator import add
 
 from .core import (
     DeviationMove,
     Partition,
-    StabilityKind,
     apply,
     canonicalize,
-    deviation_verdict,
     successor,
 )
 from .dynamics import MoveFinder, Trace, replay
@@ -72,7 +72,9 @@ class TypeReduced:
     games) are interchangeable, so stability depends only on how many of
     each type sit in each coalition.  Shapes are built by ``PrunedFHG``'s
     clash-free cover search over the parts no member would leave, listed
-    non-increasing.  ``states_checked`` counts placed parts plus covers.
+    non-increasing; two parts clash when ``MoveFinder.clash`` finds a move
+    between two disjoint blocks of their shapes.  ``states_checked`` counts
+    placed parts plus covers.
     """
 
 
@@ -88,11 +90,14 @@ class PrunedFHG:
     matter who else joins.
 
     Covers are built one block at a time, always the block holding the
-    lowest free agent.  A block is rejected when it clashes with a block
-    already placed: a member of either strictly gains by joining the other
-    and every member there weakly approves.  Each pair's verdict is computed
-    once per search, and the clash-free complete covers are exactly the
-    stable partitions.
+    lowest free agent.  The free agents are an integer bitmask and the pool
+    is grouped by lowest agent, each block with its mask, so a block fits
+    when its mask lies inside the free one.  A block is rejected when it
+    clashes with a block already placed: a member of either strictly gains
+    by joining the other and every member there weakly approves.  The move
+    engine (``MoveFinder.clash``) gives each pair's verdict, once per pair
+    of pool indices in a search, and the clash-free complete covers are
+    exactly the stable partitions.
     """
 
 
@@ -274,39 +279,39 @@ def _plain_stable(game, meter: _Meter):
             yield partition
 
 
-def _clash(game, a, b) -> bool:
-    """An IS deviation runs between blocks ``a`` and ``b``, in either
-    direction; ``_clash(game, a, ())``: a member of ``a`` would rather be
-    alone.  A cover by blocks without that is stable iff none clash."""
-    return any(
-        deviation_verdict(game, m, cur, target, StabilityKind.IS) is None
-        for cur, target in ((a, b), (b, a))
-        for m in cur
-    )
+def _covers(pool, first, options, clash, meter: _Meter):
+    """Covers by blocks of ``pool`` no two of which clash (Knuth's
+    Algorithm X with the clash test as its pruning rule), as tuples of
+    blocks.
 
-
-def _covers(first, options, clash, meter: _Meter):
-    """Covers by pool blocks no two of which clash (Knuth's Algorithm X
-    with the clash test as its pruning rule), as tuples of blocks.
-
-    ``options(rest)`` lists the blocks that may be placed while ``rest`` is
-    left to cover, each with what is left after it (``None`` once covered).
-    Each placed block and each complete cover ticks ``meter``.
+    ``options(rest)`` lists the indices of the blocks that may be placed
+    while ``rest`` is left to cover, each with what is left after it
+    (``None`` once covered).  ``clash(a, b)`` is asked of two pool blocks,
+    ``a`` placed first, once per pair of their indices.  Each placed block
+    and each complete cover ticks ``meter``.
     """
-    placed: list = []
+    size = len(pool)
+    known: dict[int, bool] = {}  # by `earlier * size + later`
+    placed: list[int] = []
 
     def extend(rest):
         if rest is None:
             meter.tick()
-            yield tuple(placed)
+            yield tuple(pool[at] for at in placed)
             return
-        for block, left in options(rest):
-            if any(clash(other, block) for other in placed):
-                continue
-            meter.tick()
-            placed.append(block)
-            yield from extend(left)
-            placed.pop()
+        for at, left in options(rest):
+            for other in placed:
+                pair = other * size + at
+                hit = known.get(pair)
+                if hit is None:
+                    hit = known[pair] = clash(pool[other], pool[at])
+                if hit:
+                    break
+            else:
+                meter.tick()
+                placed.append(at)
+                yield from extend(left)
+                placed.pop()
 
     yield from extend(first)
 
@@ -346,9 +351,10 @@ def _type_reduced_shapes(game, types: list[list[int]], meter: _Meter):
     """The IS-stable shapes (see ``TypeReduced``).  Agents of one type are
     interchangeable, so a part is tested on the block ``_fill_shape`` gives
     it and a pair of parts on two disjoint such blocks."""
+    finder = MoveFinder(game)
     counts = tuple(len(group) for group in types)
     parts = product(*(range(c, -1, -1) for c in counts))  # decreasing
-    alone = lambda part: _clash(game, *_fill_shape(types, [part]), ())
+    alone = lambda part: finder.clash(*_fill_shape(types, [part]), ())
     pool = [part for part in parts if any(part) and not alone(part)]
 
     def options(rest):
@@ -361,10 +367,10 @@ def _type_reduced_shapes(game, types: list[list[int]], meter: _Meter):
             part = pool[at]
             if part[first] and all(p <= c for p, c in zip(part, left)):
                 after = tuple(c - p for c, p in zip(left, part))
-                yield part, ((after, at) if any(after) else None)
+                yield at, ((after, at) if any(after) else None)
 
-    clash = cache(lambda p, q: _clash(game, *_fill_shape(types, (p, q))))
-    yield from _covers((counts, 0), options, clash, meter)
+    clash = lambda p, q: finder.clash(*_fill_shape(types, (p, q)))
+    yield from _covers(pool, (counts, 0), options, clash, meter)
 
 
 def forbidden_pairs(game: FractionalGame) -> set[tuple[int, int]]:
@@ -387,30 +393,35 @@ def forbidden_pairs(game: FractionalGame) -> set[tuple[int, int]]:
 
 
 def tolerable_coalitions(game: FractionalGame, meter: _Meter):
-    """All coalitions in which every member's weight sum is nonnegative.
+    """All coalitions in which every member's weight sum is nonnegative, in
+    depth-first order of their member lists; each state of the enumeration
+    ticks ``meter``.
 
     Coalitions containing a forbidden pair are cut off before expansion;
     the nonnegativity test itself is not monotone (a negative member may be
-    rescued by a later joiner), so it only filters emission.
+    rescued by a later joiner), so it only filters emission.  The sums are
+    one vector over all agents, each joiner's column added to it.
     """
     n = game.n
-    w = game.weights
-    bad = forbidden_pairs(game)
+    columns = tuple(zip(*game.weights))  # [x][a]: a's weight toward x
+    forbid = [0] * n  # per agent, the agents it may not share a coalition with
+    for i, j in forbidden_pairs(game):
+        forbid[i] |= 1 << j
+        forbid[j] |= 1 << i
     out: list[tuple[int, ...]] = []
+    members: list[int] = []
 
-    def extend(members: list[int], sums: list[int]):
+    def extend(mask: int, toward):
         meter.tick()
-        if members and all(s >= 0 for s in sums):
+        if members and min(map(toward.__getitem__, members)) >= 0:
             out.append(tuple(members))
-        last = members[-1] if members else -1
-        for j in range(last + 1, n):
-            if any((min(i, j), max(i, j)) in bad for i in members):
-                continue
-            extend(members + [j], [s + w[i][j] for i, s in zip(members, sums)] + [
-                sum(w[j][i] for i in members)
-            ])
+        for j in range(members[-1] + 1 if members else 0, n):
+            if not forbid[j] & mask:
+                members.append(j)
+                extend(mask | 1 << j, list(map(add, toward, columns[j])))
+                members.pop()
 
-    extend([], [])
+    extend(0, [0] * n)
     return out
 
 
@@ -420,17 +431,19 @@ def _pruned_fhg_candidates(game, meter: _Meter):
     agent not yet covered."""
     if not isinstance(game, FractionalGame):
         raise ValueError("coalition pruning needs a weighted-average game")
-    by_agent: dict[int, list[tuple[int, ...]]] = {a: [] for a in range(game.n)}
-    for coalition in tolerable_coalitions(game, meter):
-        by_agent[coalition[0]].append(coalition)
+    pool = tolerable_coalitions(game, meter)
+    # per lowest agent, its pool blocks as (index, agent bitmask)
+    by_low: list[list[tuple[int, int]]] = [[] for _ in range(game.n)]
+    for at, block in enumerate(pool):
+        by_low[block[0]].append((at, sum(1 << a for a in block)))
 
     def options(free):
-        for coalition in by_agent[min(free)]:
-            if free.issuperset(coalition):
-                yield coalition, (free.difference(coalition) or None)
+        for at, mask in by_low[(free & -free).bit_length() - 1]:
+            if mask & free == mask:
+                yield at, free ^ mask or None
 
-    clash = cache(partial(_clash, game))
-    for cover in _covers(frozenset(range(game.n)), options, clash, meter):
+    finder = MoveFinder(game)
+    for cover in _covers(pool, (1 << game.n) - 1, options, finder.clash, meter):
         yield Partition(cover)
 
 

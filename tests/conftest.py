@@ -6,6 +6,7 @@ generator so that cross-checks between the two are meaningful.
 
 import hashlib
 import random
+from fractions import Fraction
 
 from hedonic_dynamics import games
 from hedonic_dynamics.core import NEW_SINGLETON, Partition
@@ -80,6 +81,27 @@ def rand_fhg(rng, n, lo=-5, hi=5, symmetric=False, simple=False) -> games.Fracti
             rows[i][j] = w
             if symmetric:
                 rows[j][i] = w
+    return games.FractionalGame(rows)
+
+
+def fraction_fhg(rng, n) -> games.FractionalGame:
+    """Fractional game whose weights are negative, zero and positive
+    ``Fraction``s with small denominators, so that averages tie now and then."""
+    weights = rand_fhg(rng, n, -3, 3).weights
+    return games.FractionalGame([[Fraction(w, rng.choice((1, 2, 3))) for w in row] for row in weights])
+
+
+def mixed_fhg(rng, n) -> games.FractionalGame:
+    """Fractional game in which about half the rows are all ``int`` and the
+    others mix ``int`` weights with non-integral halves, so that a member's
+    weight sum toward a block is often an ``int`` on a row that is not."""
+    rows = [list(row) for row in rand_fhg(rng, n, -3, 3).weights]
+    for agent, row in enumerate(rows):
+        if rng.random() < 0.5:
+            continue
+        others = [x for x in range(n) if x != agent]
+        for x in [rng.choice(others)] + [x for x in others if rng.random() < 0.3]:
+            row[x] = Fraction(2 * row[x] + 1, 2)
     return games.FractionalGame(rows)
 
 

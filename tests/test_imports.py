@@ -6,7 +6,9 @@ A stdlib ``ast`` scan: each name bound by a module-level ``import`` or
 Package ``__init__.py`` files are exempt, since their imports are
 re-exports.  ``from __future__`` imports bind no name and are skipped.
 A second scan keeps each module's underscore names its own: a name that two
-modules share is public.
+modules share is public.  A third keeps the reference oracle,
+``core.deviation_verdict``, out of the fast paths: outside ``core`` only
+the verdict rules of ``dynamics`` may name it.
 """
 
 import ast
@@ -71,3 +73,47 @@ def test_the_scan_flags_only_private_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_source_module_imports_private_names(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def scopes_naming(source: str, name: str) -> list:
+    """Where ``source`` names ``name``, as a bare name, an attribute or an
+    imported name: per use, the dotted path of the classes and functions
+    around it (``""`` at module level)."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and name in (node.name, node.asname)):
+            found.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_the_scan_finds_every_use_with_its_scope():
+    source = (
+        "from .core import f\n"
+        "import core\n\n"
+        "class A:\n"
+        "    def g(self):\n"
+        "        return core.f, f\n\n"
+        "x = 'f'\n"
+    )
+    assert scopes_naming(source, "f") == ["", "A.g", "A.g"]
+
+
+def test_only_core_and_the_verdict_rules_name_the_oracle():
+    uses = {
+        path.relative_to(ROOT / "src").as_posix(): set(
+            scopes_naming(path.read_text(encoding="utf-8"), "deviation_verdict"))
+        for path in SOURCES
+    }
+    del uses["hedonic_dynamics/core.py"]
+    assert {name: scopes for name, scopes in uses.items() if scopes} == {
+        "hedonic_dynamics/dynamics.py": {"_VerdictRules.__init__"}
+    }

@@ -7,9 +7,9 @@ against the ``core`` reference enumeration at every step.
 """
 
 import gc
+import itertools
 import random
 import weakref
-from fractions import Fraction
 
 import pytest
 
@@ -29,9 +29,11 @@ from hedonic_dynamics.dynamics import (
     _VerdictRules,
     run,
 )
-from hedonic_dynamics.games import DichotomousGame, FractionalGame
+from hedonic_dynamics.games import DichotomousGame
 
 from conftest import (
+    fraction_fhg,
+    mixed_fhg,
     move_digest,
     rand_fhg,
     rand_game,
@@ -96,27 +98,6 @@ GOLDEN = {
 @pytest.mark.parametrize("kind, policy_name", sorted(GOLDEN))
 def test_golden_traces(kind, policy_name):
     assert golden_run(kind, policy_name) == GOLDEN[kind, policy_name]
-
-
-def fraction_fhg(rng, n) -> FractionalGame:
-    """Fractional game whose weights are negative, zero and positive
-    ``Fraction``s with small denominators, so that averages tie now and then."""
-    weights = rand_fhg(rng, n, -3, 3).weights
-    return FractionalGame([[Fraction(w, rng.choice((1, 2, 3))) for w in row] for row in weights])
-
-
-def mixed_fhg(rng, n) -> FractionalGame:
-    """Fractional game in which about half the rows are all ``int`` and the
-    others mix ``int`` weights with non-integral halves, so that a member's
-    weight sum toward a block is often an ``int`` on a row that is not."""
-    rows = [list(row) for row in rand_fhg(rng, n, -3, 3).weights]
-    for agent, row in enumerate(rows):
-        if rng.random() < 0.5:
-            continue
-        others = [x for x in range(n) if x != agent]
-        for x in [rng.choice(others)] + [x for x in others if rng.random() < 0.3]:
-            row[x] = Fraction(2 * row[x] + 1, 2)
-    return FractionalGame(rows)
 
 
 def threshold_traps(game, block) -> int:
@@ -563,3 +544,56 @@ def test_summary_memos_follow_the_last_table():
         assert any(rules.welcomed), game.kind
         assert jumps > 5
         check_against_core(finder, state)
+
+
+def reference_clash(game, a, b) -> bool:
+    """Whether a member of ``a`` may join ``b`` or one of ``b`` may join
+    ``a`` (``b = ()``: a member of ``a`` may go alone), by core's verdict."""
+    return any(
+        core.deviation_verdict(game, m, cur, target, IS) is None
+        for cur, target in ((a, b), (b, a))
+        for m in cur
+    )
+
+
+def disjoint_pairs(n):
+    """Every ordered pair of disjoint blocks of agents 0..n-1, the first
+    nonempty, the second possibly ``()``."""
+    for sides in itertools.product((0, 1, 2), repeat=n):  # in neither, a, b
+        a = tuple(x for x, side in enumerate(sides) if side == 1)
+        if a:
+            yield a, tuple(x for x, side in enumerate(sides) if side == 2)
+
+
+def clash_games():
+    """Random games of all four classes at n 2-6, fractional games with
+    ``Fraction`` weights and with rows mixing ``int`` and ``Fraction``, and
+    a subclass game of each class, as is and turned around."""
+    rng = random.Random(1103)
+    for trial in range(16):
+        yield rand_game(rng, trial, rng.randint(2, 6))
+    for _ in range(3):
+        yield fraction_fhg(rng, rng.randint(3, 6))
+        yield mixed_fhg(rng, rng.randint(3, 6))
+    for trial in range(8):
+        yield subclass_of(rand_game(rng, trial, rng.randint(3, 6)), trial >= 4)
+
+
+def test_clash_matches_core_on_every_pair_of_disjoint_blocks():
+    # the cover searches answer their clashes through the engine, so it
+    # must agree with the oracle in both directions and on `()`; a subclass
+    # game gets the verdict rules, which ask the oracle itself
+    seen = set()
+    for game in clash_games():
+        finder = MoveFinder(game)
+        if type(game).__name__.startswith("Sub"):
+            assert type(finder._rules) is _VerdictRules
+        for a, b in disjoint_pairs(game.n):
+            answer = finder.clash(a, b)
+            assert answer == reference_clash(game, a, b), (type(game).__name__, a, b)
+            if b:
+                assert finder.clash(b, a) == answer
+            seen.add((type(finder._rules), answer, not b))
+    for rules in (_SummaryRules, _AverageRules, _ApprovalRules, _VerdictRules):
+        for answer, alone in itertools.product((False, True), repeat=2):
+            assert (rules, answer, alone) in seen, (rules, answer, alone)

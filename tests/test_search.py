@@ -39,6 +39,8 @@ from hedonic_dynamics.search import (
 )
 
 from conftest import (
+    fraction_fhg,
+    mixed_fhg,
     move_digest,
     rand_ahg,
     rand_dhg,
@@ -350,10 +352,68 @@ def test_pruned_agrees_with_plain_on_random_games():
             assert sorted(canonicalize(p) for p in covers) == stable
 
 
+class SignFirstFHG(games.FractionalGame):
+    """A weight game whose agents rank a coalition by the sign of their
+    average first and, among coalitions they like, prefer the smaller
+    average: not the stock order, but an agent with a negative average
+    still walks out, so ``PrunedFHG``'s pool still holds every block of a
+    stable partition."""
+
+    __slots__ = ()
+
+    def prefers(self, agent, a, b):
+        signs = [(s > 0) - (s < 0) for s in (self.member_sum(agent, c) for c in (a, b))]
+        if signs[0] != signs[1]:
+            return (signs[0] > signs[1]) - (signs[0] < signs[1])
+        stock = super().prefers(agent, a, b)
+        return -stock if signs[0] > 0 else stock
+
+
+def stable_keys(game) -> list:
+    return sorted(
+        canonicalize(p)
+        for p in enumerate_partitions(game.n)
+        if core.is_stable(game, p, StabilityKind.IS)
+    )
+
+
+def test_cover_strategies_keep_a_subclass_games_preferences():
+    # a subclass may override `prefers`, so its clashes go to the verdict
+    # rules; answering them by the stock rules would drop the override
+    rng = random.Random(9091)
+    overridden = 0
+    for _ in range(30):
+        stock = rand_fhg(rng, rng.randint(3, 7))
+        game = SignFirstFHG(stock.weights)
+        plain = exists_is_partition(game, Plain())
+        assert exists_is_partition(game, PrunedFHG()) == plain
+        covers = search._pruned_fhg_candidates(game, search._Meter(SearchBudget()))
+        stable = stable_keys(game)
+        assert sorted(canonicalize(p) for p in covers) == stable
+        overridden += stable != stable_keys(stock)
+    assert overridden >= 10
+    overridden = 0
+    for trial in range(24):
+        n = rng.randint(3, 7)
+        if trial % 2:
+            reds = rng.randint(0, n)
+            stock = rand_hdg(rng, reds, n - reds)
+        else:
+            stock = games.AnonymousGame(
+                shared_orders(rng, n, range(1, n + 1), rng.randint(1, 3)))
+        shapes = stable_shapes(stock)
+        game = subclass_of(stock, reverse=trial % 4 >= 2)
+        assert sorted(typed_covers(game)) == stable_shapes(game)
+        overridden += stable_shapes(game) != shapes
+        plain = exists_is_partition(game, Plain())
+        assert type(exists_is_partition(game, TypeReduced())) is type(plain)
+    assert overridden >= 5
+
+
 def test_pruned_budget_counts_pool_blocks_and_covers():
     no_is = build("fhg15").game
     full = exists_is_partition(no_is, PrunedFHG())
-    assert isinstance(full, NoStablePartition)
+    assert full == NoStablePartition(841)
     short = exists_is_partition(
         no_is, PrunedFHG(), SearchBudget(max_states=full.states_checked - 1)
     )
@@ -479,6 +539,29 @@ def test_forbidden_pairs_and_tolerable_pool():
     hostile = games.FractionalGame([[0, -1, 0], [-1, 0, 0], [0, 0, 0]])
     pool = tolerable_coalitions(hostile, search._Meter(SearchBudget()))
     assert sorted(pool) == [(0,), (0, 2), (1,), (1, 2), (2,)]
+
+
+def brute_force_pool(game) -> list:
+    """Every coalition with no forbidden pair in which every member's
+    weight sum is nonnegative, in the order of ``tolerable_coalitions``:
+    sorted member tuples, a prefix before its extensions."""
+    n, w, bad = game.n, game.weights, forbidden_pairs(game)
+    return sorted(
+        c
+        for size in range(1, n + 1)
+        for c in itertools.combinations(range(n), size)
+        if not any(pair in bad for pair in itertools.combinations(c, 2))
+        and all(sum(w[m][x] for x in c) >= 0 for m in c)
+    )
+
+
+def test_tolerable_pool_matches_brute_force_in_order():
+    # order as well as content: the meter ticks along the pool's order
+    rng = random.Random(4721)
+    for trial in range(30):
+        game = (rand_fhg, fraction_fhg, mixed_fhg)[trial % 3](rng, rng.randint(2, 10))
+        assert tolerable_coalitions(game, search._Meter(SearchBudget())) == (
+            brute_force_pool(game)), trial
 
 
 def test_forbidden_pair_members_always_drag_someone_negative():
