@@ -270,6 +270,17 @@ class _SummaryRules(_PerAgentRules):
     colour joins; the fresh singleton ``()`` is keyed like any block. Keys
     and welcome flags are memos: ``settle`` drops those of the blocks that
     leave the base table, so they follow the table, not the run's length.
+
+    Rows and joiners are asked by key, not per block. Per table and mover
+    colour, ``row`` takes once the candidates that welcome that colour;
+    the agents of the colour whose gains agree on those candidates' keys
+    (their signature) share one row, built once and cut at each agent's
+    own block, so a first table from singletons, with a handful of keys,
+    costs O(n) lookups plus one scan per signature. ``joiners`` looks up
+    each staying agent's gains once and puts each born block to it as a
+    welcome flag and a key. No gain or welcome is asked for a join that
+    cannot happen: a block holding every agent of the mover's colour is
+    left out of that colour's candidates.
     """
 
     def __init__(self, game, colour, key, ranks, joined):
@@ -287,6 +298,11 @@ class _SummaryRules(_PerAgentRules):
         #: agent, as many as a size game has own keys, so ratio keys, of
         #: which there are O(n²), cannot make them grow along a long run.
         self.gains = tuple({} for _ in range(game.n))
+        #: the number of agents of each colour
+        self.total = (game.n - sum(colour), sum(colour))
+        #: per mover colour, the current table's welcoming candidates and
+        #: shared rows (see `row`); emptied by `settle`
+        self.shared = {}
 
     def settle(self, gone, fresh):
         # keys and welcome flags are pure memos, remade on demand should a
@@ -297,6 +313,7 @@ class _SummaryRules(_PerAgentRules):
             keys.pop(block, None)
             for memo in welcomed:
                 memo.pop(block, None)
+        self.shared.clear()
 
     @staticmethod
     def welcome(keys, ranks, joined, block, colour):
@@ -313,8 +330,9 @@ class _SummaryRules(_PerAgentRules):
         mine = self.gains[agent]
         if len(mine) == len(self.gains):
             mine.clear()
-        # lazy, and never asked about the mover's own block: its key plus
-        # one member can fall outside the order's domain (size n + 1)
+        # lazy, and asked only of keys that an agent of the mover's colour
+        # can join (see `_welcoming`): any other key plus one member can
+        # fall outside the order's domain (size n + 1)
         gains = mine[here] = _Memo(lambda key: rank(joined(key, colour)) < now)
         return gains
 
@@ -328,6 +346,85 @@ class _SummaryRules(_PerAgentRules):
             b for b, key in zip(blocks, keys)
             if b is not cur and welcomed[b] and gains[key]
         )
+
+    def _welcoming(self, c, cur, blocks, keys):
+        """The table's view for the agents of colour ``c``: the candidates
+        of ``blocks`` (keyed ``keys``) that welcome such an agent, their
+        keys, those keys once each, in order, and an empty dict for the
+        shared rows. ``cur``, the own block of such an agent, is left out
+        if it holds them all, as no agent can then join it; any other
+        candidate's key joined by colour ``c`` is that of a coalition, so
+        its gains and welcome are in the orders' domain."""
+        reds = sum(map(self.colour.__getitem__, cur))
+        if (reds if c else len(cur) - reds) == self.total[c]:
+            at = blocks.index(cur)
+            blocks, keys = blocks[:at] + blocks[at + 1:], keys[:at] + keys[at + 1:]
+        flags = list(map(self.welcomed[c].__getitem__, blocks))
+        keys = list(compress(keys, flags))
+        return list(compress(blocks, flags)), keys, list(dict.fromkeys(keys)), {}
+
+    @staticmethod
+    def _shared_row(signature, blocks, keys, distinct):
+        """The blocks of ``blocks``, keyed ``keys``, whose key gains by
+        ``signature``: a flag per key of ``distinct``."""
+        gains = dict(zip(distinct, signature))
+        return tuple(compress(blocks, map(gains.__getitem__, keys)))
+
+    def row(self, agent, cur, here, blocks, keys):
+        # `blocks` and `keys` are the table's candidates, the same for every
+        # row asked between two `settle`s
+        c = self.colour[agent]
+        try:
+            welcoming, their_keys, distinct, rows = self.shared[c]
+        except KeyError:
+            welcoming, their_keys, distinct, rows = self.shared[c] = self._welcoming(
+                c, cur, blocks, keys)
+        try:
+            gains = self.gains[agent][here]
+        except KeyError:
+            gains = self._gains(agent, here)
+        # a byte per key: a bytes object caches its hash, and a tuple built
+        # from an iterator would be resized, which fills the tuple free lists
+        signature = bytes(map(gains.__getitem__, distinct))
+        try:
+            row = rows[signature]
+        except KeyError:
+            row = rows[signature] = self._shared_row(signature, welcoming, their_keys, distinct)
+        # `()` sorts before every block: the bisect stops before a closing `()`
+        end = len(row) - (not row[-1]) if row else 0
+        at = bisect_left(row, cur, 0, end)
+        if at < end and row[at] == cur:
+            # one copy to cut from, not two slices: as many large tuples made
+            # and dropped per row left the heap measurably larger
+            row = list(row)
+            del row[at]
+            return tuple(row)
+        return row
+
+    def joiners(self, blocks, keys, fresh):
+        found = {block: [] for block in fresh}
+        gains, colour, welcomed = self.gains, self.colour, self.welcomed
+        # per mover colour, the born blocks that welcome it, asked for the
+        # first staying agent of the colour, which is outside all of them
+        welcoming = {}
+        for cur, here in zip(blocks, keys):
+            if cur in fresh:
+                continue
+            for agent in cur:
+                c = colour[agent]
+                try:
+                    born = welcoming[c]
+                except KeyError:
+                    flags = welcomed[c]
+                    born = welcoming[c] = [(b, key) for b, key in fresh.items() if flags[b]]
+                try:
+                    mine = gains[agent][here]
+                except KeyError:
+                    mine = self._gains(agent, here)
+                for block, key in born:
+                    if mine[key]:
+                        found[block].append(agent)
+        return found.values()
 
 
 def _size_rules(game):

@@ -9,6 +9,7 @@ against the ``core`` reference enumeration at every step.
 import gc
 import itertools
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -29,7 +30,7 @@ from hedonic_dynamics.dynamics import (
     _VerdictRules,
     run,
 )
-from hedonic_dynamics.games import DichotomousGame
+from hedonic_dynamics.games import Color, DichotomousGame, DiversityGame
 
 from conftest import (
     fraction_fhg,
@@ -37,6 +38,7 @@ from conftest import (
     move_digest,
     rand_fhg,
     rand_game,
+    rand_hdg,
     rand_lazy_game,
     rand_partition,
     subclass_of,
@@ -115,25 +117,42 @@ def threshold_traps(game, block) -> int:
     return traps
 
 
+def staircase(rng, n) -> Partition:
+    """The agents, shuffled, in blocks of sizes 1, 2, 3, ..., the last one
+    what is left: every block has a key of its own."""
+    agents = list(range(n))
+    rng.shuffle(agents)
+    blocks, size = [], 1
+    while agents:
+        blocks.append(agents[:size])
+        agents, size = agents[size:], size + 1
+    return Partition(blocks)
+
+
 def incremental_games():
     """Two games of each class at n 20-40, two fractional games with
     ``Fraction`` weights and two whose rows mix ``int`` and ``Fraction``
     weights, plus two size and two two-colour games over lazy orders
     shared by several agents, where a move leaves most blocks alone and
-    the finder updates its table instead of rebuilding it."""
+    the finder updates its table instead of rebuilding it; then a
+    two-colour game started from a staircase, where most blocks keep a key
+    of their own, so that few rows can be shared. Each comes with its
+    random stream and its start, ``None`` for a random one."""
     rng = random.Random(211)
     for trial in range(8):
         n = rng.randint(20, 40)
         if trial % 4 == 3:
-            yield club_dhg(n, trial), rng
+            yield club_dhg(n, trial), rng, None
         else:
-            yield rand_game(rng, trial, n), rng
+            yield rand_game(rng, trial, n), rng, None
     for _ in range(2):
-        yield fraction_fhg(rng, rng.randint(20, 40)), rng
+        yield fraction_fhg(rng, rng.randint(20, 40)), rng, None
     for _ in range(2):
-        yield mixed_fhg(rng, rng.randint(20, 40)), rng
+        yield mixed_fhg(rng, rng.randint(20, 40)), rng, None
     for trial in range(4):
-        yield rand_lazy_game(rng, trial, rng.randint(20, 40)), rng
+        yield rand_lazy_game(rng, trial, rng.randint(20, 40)), rng, None
+    reds = rng.randint(4, 30)
+    yield rand_hdg(rng, reds, 36 - reds), rng, staircase(rng, 36)
 
 
 def check_rows(table):
@@ -185,13 +204,20 @@ def spy_on_patches(finder):
 
 
 def test_table_updates_match_core_along_walks_and_jumps():
-    for game, rng in incremental_games():
+    for game, rng, start in incremental_games():
         finder = MoveFinder(game)
         patched_to = spy_on_patches(finder)
-        state = Partition.singletons(game.n) if rng.random() < 0.5 else rand_partition(rng, game.n)
+        staircase_start = start is not None
+        if start is None:
+            start = Partition.singletons(game.n) if rng.random() < 0.5 else rand_partition(rng, game.n)
+        state = start
         suspended = None
-        patched = 0
+        patched = walked = keyed = 0
         for _ in range(30):
+            if staircase_start:
+                walked += 1
+                keys = set(map(finder._rules.keys.__getitem__, state.blocks))
+                keyed += len(keys) > len(state.blocks) / 2
             reference = core.enumerate_deviations(game, state, IS)
             assert list(finder.iter_moves(state)) == reference, (game.kind, state)
             patched += patched_to(state)
@@ -209,6 +235,8 @@ def test_table_updates_match_core_along_walks_and_jumps():
                 break
             state = core.apply(state, rng.choice(reference))
         assert patched, game.kind
+        if staircase_start:  # most states there have mostly distinct keys
+            assert walked > 5 and keyed > walked / 2, (walked, keyed)
         moves, rest = suspended
         assert list(moves) == rest  # resumed after the finder moved on
         for _ in range(3):  # jumps to unrelated partitions
@@ -544,6 +572,114 @@ def test_summary_memos_follow_the_last_table():
         assert any(rules.welcomed), game.kind
         assert jumps > 5
         check_against_core(finder, state)
+
+
+def edge_partitions(game):
+    """Partitions of a size or two-colour game at the edge of its key
+    domain, where a gain or a welcome asked for a join that cannot happen
+    would fall outside the orders' domain: the grand coalition, every
+    (n-1)-member block, and a block holding every agent of one colour,
+    with the others alone or together."""
+    n = game.n
+    yield Partition.grand(n)
+    for alone in range(n):
+        yield Partition([[a for a in range(n) if a != alone], [alone]])
+    if isinstance(game, DiversityGame):
+        for colour in Color:
+            held = [a for a in range(n) if game.colors[a] is colour]
+            rest = [a for a in range(n) if game.colors[a] is not colour]
+            if held and rest:
+                yield Partition([held] + [[a] for a in rest])
+                yield Partition([held, rest])
+
+
+def test_tables_at_the_edge_of_the_key_domain_match_core():
+    # each edge partition's table, built first, patched from singletons and
+    # patched from a random earlier base, and the tables patched from it
+    rng = random.Random(1051)
+    size_and_colour = [instances.random(kind, 8, seed).game
+                       for kind in ("ahg", "hdg") for seed in (1, 2, 3)]
+    size_and_colour += [rand_lazy_game(rng, trial, 8) for trial in range(4)]
+    size_and_colour += [rand_hdg(rng, reds, 8 - reds) for reds in (1, 4, 7)]
+    cases = 0
+    for game in size_and_colour:
+        for state in edge_partitions(game):
+            reference = core.enumerate_deviations(game, state, IS)
+            finder = MoveFinder(game)
+            check_against_core(finder, state)  # the finder's first table
+            finder = MoveFinder(game)
+            finder.table(Partition.singletons(game.n))
+            check_against_core(finder, state)
+            base = finder.table(rand_partition(rng, game.n))
+            finder.table(Partition.singletons(game.n))
+            table = finder.table(state, base)
+            check_rows(table)
+            assert list(table) == reference, (game.kind, state)
+            for move in reference[:4]:
+                check_against_core(finder, core.apply(state, move))
+                finder.table(state)
+            cases += 1
+    assert cases > 100
+
+
+def spy_on_shared_rows(rules):
+    """Wraps ``rules._shared_row``; returns the list of the signatures it
+    has built a row for since."""
+    built = []
+    shared_row = rules._shared_row
+    rules._shared_row = lambda signature, *args: (
+        built.append(signature) or shared_row(signature, *args))
+    return built
+
+
+def test_first_table_from_singletons_shares_rows_by_gain_signature():
+    # from singletons every block is keyed 1 but `()`, so the 400 rows of
+    # a size game are two shared rows, each cut at its agent's singleton;
+    # every row is the per-agent answer, which the tests above check
+    game = instances.random("ahg", 400, 1).game
+    finder = MoveFinder(game)
+    rules = finder._rules
+    built = spy_on_shared_rows(rules)
+    start = Partition.singletons(game.n)
+    table = finder.table(start)
+    assert len(built) == 2
+    candidates = start.blocks + ((),)
+    keys = [rules.keys[b] for b in candidates]
+    assert table.rows == [
+        tuple(rules.targets(agent, candidates[agent], 1, candidates, keys))
+        for agent in range(game.n)
+    ]
+    # a step rebuilds two rows at most, from the two shared rows at most
+    built.clear()
+    state = core.apply(start, table.nth(table.count // 2))
+    table = finder.table(state)
+    assert 0 < len(built) <= 2
+    check_rows(table)
+
+
+def test_summary_walk_memory_stays_bounded():
+    # an engine-only walk, a table per step, with a jump to a random
+    # partition every 20 tables: shared rows and signatures live for one
+    # table, and gains are asked only of the welcoming keys, as the rows
+    # of the per-agent test asked them. The peak was 2.89-2.95 MB under
+    # Python 3.10-3.13 before the shared rows (2.67-2.73 MB with them);
+    # the bound is the highest of those plus 10 %
+    game = instances.random("hdg", 64, 1).game
+    rng = random.Random(64)
+    state = Partition.singletons(game.n)
+    tracemalloc.start()
+    try:
+        finder = MoveFinder(game)
+        for step in range(2000):
+            table = finder.table(state)
+            if table.count and step % 20:
+                state = core.apply(state, table.nth(rng.randrange(table.count)))
+            else:
+                state = rand_partition(rng, game.n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.25 * 10**6, peak
 
 
 def reference_clash(game, a, b) -> bool:
