@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import compress, repeat
-from operator import add, and_, ge, gt, mul
+from operator import add, and_, countOf, ge, gt, mul
 from typing import Iterator, Sequence
 
 from . import core
@@ -237,7 +237,8 @@ class _PerAgentRules:
 
     def joiners(self, blocks, keys, fresh):
         """Per block of ``fresh``, in order, the agents outside the blocks of
-        ``fresh`` that may join it."""
+        ``fresh`` that may join it; asked only when some block of
+        ``blocks`` is not in ``fresh``."""
         found = {block: [] for block in fresh}
         new, new_keys = list(fresh), list(fresh.values())
         targets = self.targets
@@ -699,7 +700,8 @@ class MoveFinder:
     block, every agent otherwise); each row gains each new block the rule
     set admits it to, the rule set being asked once per new block which
     agents outside the new blocks may join it. A partition with no block
-    in common with the base has every row rebuilt, which is a fresh build.
+    in common with the base has every row rebuilt, which is a fresh build:
+    no agent is outside the new blocks, so the rule set is not asked.
     The output must
     equal ``core.iter_deviations(game, partition, IS)``; a property test
     checks it.
@@ -800,8 +802,10 @@ class MoveFinder:
                     row = row[:at] + row[at + 1:]
                     end -= 1
             rows[agent] = row
-        # every other row gains a born block only where the rules admit it
-        for block, agents in zip(fresh, rules.joiners(blocks, keys, fresh)):
+        # every other row gains a born block only where the rules admit it;
+        # with no block kept there is no other row, so nothing to ask
+        joiners = rules.joiners(blocks, keys, fresh) if len(fresh) < len(blocks) else ()
+        for block, agents in zip(fresh, joiners):
             for agent in agents:
                 row = rows[agent]
                 at = bisect_left(row, block, 0, len(row) - (not row[-1]) if row else 0)
@@ -816,49 +820,72 @@ class MoveFinder:
 
 def passes_filter(game, move: DeviationMove) -> bool:
     """The solitary-homogeneity filter's verdict on a move."""
-    return _filter_test(game)(move.agent, move.target)
+    colors = _filter_colours(game)
+    return _single_colour(colors, move.target) is not colors[move.agent]
 
 
-def _filter_test(game):
-    """``admits(agent, block)``: whether the filter lets ``agent`` join
-    ``block`` (``()``: a fresh singleton, always allowed)."""
-    colors = game.colors
-
-    def admits(agent, block):
-        # the joined block is single-coloured iff every member has the
-        # mover's colour; a block's first member settles most blocks
-        mine = colors[agent]
-        return (
-            not block
-            or colors[block[0]] is not mine
-            or any(colors[m] is not mine for m in block)
-        )
-
-    return admits
+def _filter_colours(game):
+    """The agents' colours the filter reads, or :class:`DynamicsError` if
+    ``game`` has none."""
+    if not isinstance(game, DiversityGame):
+        raise DynamicsError("the solitary-homogeneity filter needs a two-color game")
+    return game.colors
 
 
-def _pick_admissible(table, admits, rng) -> DeviationMove | None:
+def _single_colour(colors, block):
+    """The colour of every member of ``block``, or ``None`` if it has both
+    or is the fresh singleton ``()``. The filter lets an agent join
+    ``block`` iff this is not the agent's colour: the joined block would
+    be single-coloured."""
+    if not block:
+        return None
+    first = colors[block[0]]
+    return None if any(colors[m] is not first for m in block) else first
+
+
+def _pick_admissible(table, colors, rng) -> DeviationMove | None:
     """Among the table's moves that pass the filter, the first, or with
-    ``rng`` a uniform one; only the picked move is built."""
-    admissible = (pair for pair in table.pairs() if admits(*pair))
+    ``rng`` a uniform one: the index a full listing of them would be drawn
+    at, found by counting each row's admissible moves. Only the picked
+    move is built."""
+    # each block's single colour, once per table
+    colour_of = _Memo(partial(_single_colour, colors))
+    rows = table.rows
     if rng is None:
-        pick = next(admissible, None)
+        k, agents = 0, range(len(rows))
     else:
-        admissible = list(admissible)
-        pick = admissible[rng.below(len(admissible))] if admissible else None
-    return None if pick is None else DeviationMove._trusted(*pick)
+        # a row's admissible moves: all but the blocks of the mover's colour
+        counts = [
+            len(row) - countOf(map(colour_of.__getitem__, row), colors[agent])
+            for agent, row in enumerate(rows)
+        ]
+        total = sum(counts)
+        if not total:
+            return None
+        k = rng.below(total)
+        for agent, count in enumerate(counts):
+            if k < count:
+                break
+            k -= count
+        agents = (agent,)
+    for agent in agents:
+        mine = colors[agent]
+        for block in rows[agent]:
+            if colour_of[block] is not mine:
+                if not k:
+                    return DeviationMove._trusted(agent, block)
+                k -= 1
+    return None
 
 
 def _unwrap_policy(game, policy):
-    """The base policy, and the filter test if ``policy`` is filtered."""
-    base, admits = policy, None
+    """The base policy, and the agents' colours if ``policy`` is filtered."""
+    base, colors = policy, None
     if isinstance(policy, Filtered):
-        if not isinstance(game, DiversityGame):
-            raise DynamicsError("the solitary-homogeneity filter needs a two-color game")
-        base, admits = policy.base, _filter_test(game)
+        base, colors = policy.base, _filter_colours(game)
     if not isinstance(base, (Lexicographic, SeededRandom, Scripted)):
         raise DynamicsError(f"unknown policy {policy!r}")  # a nested filter too
-    return base, admits
+    return base, colors
 
 
 def _step(game, state, move, step_index, monitors=(), filtered=False,
@@ -885,7 +912,7 @@ def _step(game, state, move, step_index, monitors=(), filtered=False,
 def run(game, start: Partition, policy: Policy, config: RunConfig = RunConfig()) -> RunOutcome:
     """Drive the dynamics from ``start`` until convergence, a revisited state,
     or the step budget; see the policy classes for how moves get picked."""
-    base, admits = _unwrap_policy(game, policy)
+    base, colors = _unwrap_policy(game, policy)
     finder = MoveFinder(game)
     rng = SplitMix64(base.seed) if isinstance(base, SeededRandom) else None
     script = iter(base.moves) if isinstance(base, Scripted) else None
@@ -909,16 +936,16 @@ def run(game, start: Partition, policy: Policy, config: RunConfig = RunConfig())
             table = finder.table(state)
             if not table.count:
                 return Converged(state, len(steps), trace())
-            if admits is None:
+            if colors is None:
                 # the index into the canonical order a listed draw would use
                 move = table.nth(rng.below(table.count) if rng else 0)
             else:
-                move = _pick_admissible(table, admits, rng)
+                move = _pick_admissible(table, colors, rng)
                 if move is None:
                     raise FilterStarvation(step_index)
 
         step = _step(game, state, move, step_index, monitors,
-                     filtered=admits is not None, scheduled=script is None)
+                     filtered=colors is not None, scheduled=script is None)
         steps.append(step)
         state = step.result
         seen_at = visited.get(state.blocks)

@@ -28,6 +28,7 @@ from hedonic_dynamics.dynamics import (
     StepLimitReached,
     Trace,
     TraceStep,
+    _pick_admissible,
     passes_filter,
     replay,
     run,
@@ -41,6 +42,7 @@ from hedonic_dynamics.games import (
     WeakOrder,
 )
 from hedonic_dynamics.instances import build, walk_moves
+from hedonic_dynamics.prng import SplitMix64
 
 from conftest import (
     rand_ahg,
@@ -258,6 +260,11 @@ def test_filter_requires_two_color_game():
     g = AnonymousGame([WeakOrder([[1], [2]])] * 2)
     with pytest.raises(DynamicsError):
         run(g, Partition.singletons(2), Filtered(Lexicographic()))
+    # the verdict on one move, too, in every class without colours
+    rng = random.Random(257)
+    for game in (g, rand_fhg(rng, 3), rand_dhg(rng, 3)):
+        with pytest.raises(DynamicsError, match="needs a two-color game"):
+            passes_filter(game, DeviationMove(0, (1,)))
 
 
 class _SizeLovingReds(DiversityGame):
@@ -275,6 +282,83 @@ def test_filter_starvation_is_reported_not_converged():
         run(g, Partition.singletons(2), Filtered(Lexicographic()))
     with pytest.raises(FilterStarvation):
         run(g, Partition.singletons(2), Filtered(SeededRandom(1)))
+
+
+def listed_pick(table, game, rng):
+    """The filtered pick by a full listing, the reference for the counted
+    draw: every (agent, block) pair the filter admits, in order, then the
+    first, or with ``rng`` the one at a drawn index."""
+    colors = game.colors
+
+    def admits(agent, block):
+        mine = colors[agent]
+        return (
+            not block
+            or colors[block[0]] is not mine
+            or any(colors[m] is not mine for m in block)
+        )
+
+    admissible = [pair for pair in table.pairs() if admits(*pair)]
+    if not admissible:
+        return None
+    return DeviationMove(*admissible[rng.below(len(admissible)) if rng else 0])
+
+
+def filter_tables():
+    """Tables of two-colour games: random games from singletons, from
+    random partitions and from partitions whose blocks are single-coloured
+    but for one; hdg-assembled from singletons and along a random walk;
+    and a table whose every move the filter rejects."""
+    rng = random.Random(263)
+    for _ in range(16):
+        reds = rng.randint(1, 9)
+        game = rand_hdg(rng, reds, rng.randint(1, 9))
+        finder = MoveFinder(game)
+        red = next(a for a in range(game.n) if game.colors[a] is R)
+        blue = next(a for a in range(game.n) if game.colors[a] is B)
+        blocks = [[red, blue]]
+        for c in (R, B):
+            blocks.append([])
+            for agent in range(game.n):
+                if game.colors[agent] is c and agent not in (red, blue):
+                    if blocks[-1] and rng.random() < 0.5:
+                        blocks.append([])
+                    blocks[-1].append(agent)
+        for state in (Partition.singletons(game.n), rand_partition(rng, game.n),
+                      Partition([block for block in blocks if block])):
+            yield game, finder.table(state)
+    game = build("hdg-assembled").game
+    finder = MoveFinder(game)
+    state = Partition.singletons(game.n)
+    for step in range(6):
+        table = finder.table(state)
+        yield game, table
+        state = core.apply(state, table.nth(rng.randrange(table.count)))
+    starving = _SizeLovingReds([R, R], [WeakOrder([[1]])] * 2)
+    yield starving, MoveFinder(starving).table(Partition.singletons(2))
+
+
+def test_counted_filtered_draw_picks_the_listed_move():
+    # the counted draw takes the same index into the same order as a full
+    # listing of the admissible moves, and the same one draw from the
+    # generator, none if nothing is admissible
+    pairs = bitten = alone = one_colour = starved = 0
+    for game, table in filter_tables():
+        first = _pick_admissible(table, game.colors, None)
+        assert first == listed_pick(table, game, None), table.partition
+        starved += first is None and table.count > 0
+        bitten += not all(passes_filter(game, move) for move in table)
+        for seed in range(5 if game.n < 100 else 20):
+            ours, theirs = SplitMix64(seed), SplitMix64(seed)
+            pick = _pick_admissible(table, game.colors, ours)
+            assert pick == listed_pick(table, game, theirs), (table.partition, seed)
+            assert ours.next_raw() == theirs.next_raw()
+            pairs += 1
+            if pick is not None:
+                alone += pick.target is NEW_SINGLETON
+                one_colour += len({game.colors[m] for m in pick.target}) == 1
+    assert pairs >= 200 and starved == 1
+    assert bitten > 10 and alone > 10 and one_colour > 10, (bitten, alone, one_colour)
 
 
 def test_scripted_move_rejected_by_filter():

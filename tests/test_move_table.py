@@ -510,6 +510,65 @@ def test_holders_name_every_row_that_holds_a_vanished_block():
     assert earlier > 50
 
 
+def spy_on_joiners(rules):
+    """Wraps ``rules.joiners``; returns the list of the born blocks it has
+    been asked about since, a set per query."""
+    asked = []
+    joiners = rules.joiners
+    rules.joiners = lambda blocks, keys, fresh: (
+        asked.append(set(fresh)) or joiners(blocks, keys, fresh))
+    return asked
+
+
+def unrelated_partition(rng, base):
+    """A random partition that shares no block with ``base``."""
+    while True:
+        state = rand_partition(rng, base.n)
+        if not set(state.blocks) & set(base.blocks):
+            return state
+
+
+def test_fresh_tables_ask_no_joiners():
+    # a table that keeps no block of its base, the first one or a jump,
+    # rebuilds every row and leaves no agent outside its born blocks, so
+    # `joiners` has nothing to answer and is not asked; a patch that keeps
+    # a block asks it once, about the born blocks
+    rng = random.Random(1213)
+    classes = (_SummaryRules, _AverageRules, _ApprovalRules, _VerdictRules)
+    fresh, kept = dict.fromkeys(classes, 0), dict.fromkeys(classes, 0)
+    for trial in range(16):
+        n = rng.randint(4, 10)
+        game = rand_game(rng, trial, n)
+        if trial >= 8:
+            game = subclass_of(game, trial % 2)
+        finder = MoveFinder(game)
+        rules = finder._rules
+        asked = spy_on_joiners(rules)
+        state = rand_partition(rng, n)
+        tables = [finder.table(state)]
+        assert not asked
+        assert list(tables[0]) == core.enumerate_deviations(game, state, IS)
+        fresh[type(rules)] += 1
+        for _ in range(16):
+            base = rng.choice(tables) if rng.random() < 0.5 else finder._last
+            if rng.random() < 0.4:
+                state = unrelated_partition(rng, base.partition)
+            else:
+                state = walk_from(rng, game, base.partition, rng.randint(1, 3))
+            asked.clear()
+            table = finder.table(state, base)
+            assert list(table) == core.enumerate_deviations(game, state, IS), type(game)
+            stayed = set(state.blocks) & set(base.partition.blocks)
+            if not stayed:
+                assert not asked, (type(game), state)
+                fresh[type(rules)] += 1
+            elif stayed != set(state.blocks):
+                assert asked == [set(state.blocks) - stayed], (type(game), state)
+                kept[type(rules)] += 1
+            tables.append(table)
+    assert all(fresh.values()) and all(kept.values()), (fresh, kept)
+
+
 def test_rule_sets_are_freed_with_their_finder():
     # no rule set refers back to itself, so its block records go with its
     # finder by reference counting, not at the next cycle collection
