@@ -7,9 +7,9 @@ Three questions are answered exactly, by enumeration:
 - from a given start, does every sequence of deviations reach one.
 
 Everything here is exponential in the worst case — the point is certified
-answers on instances small enough to settle by brute force.  Two
-strategies build only stable partitions, by one cover search over blocks no
-member would leave (labelled coalitions for weight games, per-type count
+answers on instances small enough to settle by brute force.  Every
+existence strategy builds only stable partitions, by one cover search over
+blocks no member would leave (labelled coalitions, or per-type count
 vectors for size and two-color games): IS deviations depend only on the
 mover's block and the target block, so a block that clashes with one
 already placed is rejected.  Every move question, the clash included, is
@@ -60,7 +60,15 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class Plain:
-    """Enumerate every labeled partition."""
+    """Assemble stable partitions from every block no member would leave.
+
+    Each of the 2^n - 1 blocks of agents is tested once, in the order of
+    its agent bitmask, and kept when no member would rather be alone
+    (``MoveFinder.clash(block, ())``); the stable partitions are then the
+    clash-free covers by the kept blocks, found by ``PrunedFHG``'s search.
+    Games of more than ``PARTITION_CAP`` agents are refused before any
+    block is tested.
+    """
 
 
 @dataclass(frozen=True)
@@ -123,9 +131,10 @@ class StableExists:
 class NoStablePartition:
     """The whole space was scanned without finding a stable partition.
 
-    ``states_checked`` counts the candidates scanned; for ``PrunedFHG`` it
-    counts pool-enumeration states plus placed blocks plus complete covers,
-    for ``TypeReduced`` placed parts plus complete covers.
+    ``states_checked`` counts the candidates scanned: for ``Plain`` the
+    pool blocks tested plus placed blocks plus complete covers, for
+    ``PrunedFHG`` pool-enumeration states plus placed blocks plus complete
+    covers, for ``TypeReduced`` placed parts plus complete covers.
     """
 
     states_checked: int
@@ -195,6 +204,12 @@ class _Meter:
 # --- partition enumeration --------------------------------------------------
 
 
+def _check_cap(n: int) -> None:
+    if n > PARTITION_CAP:
+        raise CapExceeded(
+            f"enumerating partitions of {n} agents exceeds the cap {PARTITION_CAP}")
+
+
 def enumerate_partitions(n: int):
     """All partitions of agents 0..n-1, by placement: agent i joins each
     block of agents 0..i-1 in turn, then opens a new one.
@@ -206,9 +221,7 @@ def enumerate_partitions(n: int):
     """
     if n < 1:
         raise ValueError("need at least one agent")
-    if n > PARTITION_CAP:
-        raise CapExceeded(
-            f"enumerating partitions of {n} agents exceeds the cap {PARTITION_CAP}")
+    _check_cap(n)
     blocks: list[tuple] = []
     last = n - 1
 
@@ -242,16 +255,20 @@ def exists_is_partition(
     Completed scans return the witness with the smallest canonical encoding;
     if the budget runs out after at least one witness was seen, that witness
     is still returned (existence is settled even though the scan is not).
+    The witness is put to ``MoveFinder.has_move`` before it is returned, a
+    check that does not rest on the clash rule the covers were built by; a
+    witness with a move raises ``RuntimeError``.
     """
     meter = _Meter(budget)
+    finder = MoveFinder(game)
     if isinstance(strategy, TypeReduced):
         types = _agent_types(game)
-        shapes = _type_reduced_shapes(game, types, meter)
+        shapes = _type_reduced_shapes(game, types, finder, meter)
         stable = (Partition(_fill_shape(types, shape)) for shape in shapes)
     elif isinstance(strategy, PrunedFHG):
-        stable = _pruned_fhg_candidates(game, meter)
+        stable = _pruned_fhg_candidates(game, finder, meter)
     else:
-        stable = _plain_stable(game, meter)
+        stable = _plain_candidates(game, finder, meter)
 
     best: Partition | None = None
     best_key: bytes | None = None
@@ -261,22 +278,27 @@ def exists_is_partition(
             if best_key is None or key < best_key:
                 best, best_key = partition, key
     except _BudgetOver as over:
-        if best is not None:
-            return StableExists(best)
-        return BudgetExhausted(over.limit, over.states)
-    if best is not None:
-        return StableExists(best)
-    return NoStablePartition(meter.states)
+        if best is None:
+            return BudgetExhausted(over.limit, over.states)
+    if best is None:
+        return NoStablePartition(meter.states)
+    if finder.has_move(best):
+        raise RuntimeError(f"internal error: the search's witness {best} has a move")
+    return StableExists(best)
 
 
-def _plain_stable(game, meter: _Meter):
-    """The stable partitions among all labeled ones; each candidate ticks
-    ``meter``."""
-    finder = MoveFinder(game)
-    for partition in enumerate_partitions(game.n):
+def _plain_candidates(game, finder: MoveFinder, meter: _Meter):
+    """The IS-stable partitions, as clash-free covers by the blocks no
+    member would leave (see ``Plain``); each block tested ticks ``meter``."""
+    n = game.n
+    _check_cap(n)
+    pool = []
+    for mask in range(1, 1 << n):
         meter.tick()
-        if not finder.has_move(partition):
-            yield partition
+        block = tuple(a for a in range(n) if mask >> a & 1)
+        if not finder.clash(block, ()):
+            pool.append(block)
+    yield from _labelled_covers(n, pool, finder, meter)
 
 
 def _covers(pool, first, options, clash, meter: _Meter):
@@ -293,13 +315,13 @@ def _covers(pool, first, options, clash, meter: _Meter):
     size = len(pool)
     known: dict[int, bool] = {}  # by `earlier * size + later`
     placed: list[int] = []
-
-    def extend(rest):
-        if rest is None:
-            meter.tick()
-            yield tuple(pool[at] for at in placed)
-            return
-        for at, left in options(rest):
+    block = pool.__getitem__
+    # per depth, the options not yet tried there; a loop rather than
+    # recursion, so that no closure refers to itself and the search's
+    # state is freed as soon as it is dropped, not at the next collection
+    stack = [options(first)]
+    while stack:
+        for at, left in stack[-1]:
             for other in placed:
                 pair = other * size + at
                 hit = known.get(pair)
@@ -310,10 +332,16 @@ def _covers(pool, first, options, clash, meter: _Meter):
             else:
                 meter.tick()
                 placed.append(at)
-                yield from extend(left)
+                if left is not None:
+                    stack.append(options(left))
+                    break
+                meter.tick()
+                yield tuple(map(block, placed))
                 placed.pop()
-
-    yield from extend(first)
+        else:
+            stack.pop()
+            if placed:
+                placed.pop()
 
 
 def _agent_types(game) -> list[list[int]]:
@@ -347,11 +375,11 @@ def _fill_shape(types: list[list[int]], parts) -> list[tuple[int, ...]]:
     return blocks
 
 
-def _type_reduced_shapes(game, types: list[list[int]], meter: _Meter):
+def _type_reduced_shapes(game, types: list[list[int]], finder: MoveFinder,
+                         meter: _Meter):
     """The IS-stable shapes (see ``TypeReduced``).  Agents of one type are
     interchangeable, so a part is tested on the block ``_fill_shape`` gives
     it and a pair of parts on two disjoint such blocks."""
-    finder = MoveFinder(game)
     counts = tuple(len(group) for group in types)
     parts = product(*(range(c, -1, -1) for c in counts))  # decreasing
     alone = lambda part: finder.clash(*_fill_shape(types, [part]), ())
@@ -425,15 +453,22 @@ def tolerable_coalitions(game: FractionalGame, meter: _Meter):
     return out
 
 
-def _pruned_fhg_candidates(game, meter: _Meter):
-    """The IS-stable partitions, as covers by tolerable coalitions in which
-    no two blocks clash (see ``PrunedFHG``), each block holding the lowest
-    agent not yet covered."""
+def _pruned_fhg_candidates(game, finder: MoveFinder, meter: _Meter):
+    """The IS-stable partitions, as clash-free covers by tolerable
+    coalitions (see ``PrunedFHG``)."""
     if not isinstance(game, FractionalGame):
         raise ValueError("coalition pruning needs a weighted-average game")
     pool = tolerable_coalitions(game, meter)
+    yield from _labelled_covers(game.n, pool, finder, meter)
+
+
+def _labelled_covers(n: int, pool, finder: MoveFinder, meter: _Meter):
+    """The covers of agents ``0..n-1`` by blocks of ``pool`` (sorted agent
+    tuples) in which no two blocks clash, as partitions; each block placed
+    holds the lowest agent not yet covered, so the blocks come out in
+    canonical order."""
     # per lowest agent, its pool blocks as (index, agent bitmask)
-    by_low: list[list[tuple[int, int]]] = [[] for _ in range(game.n)]
+    by_low: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for at, block in enumerate(pool):
         by_low[block[0]].append((at, sum(1 << a for a in block)))
 
@@ -442,9 +477,8 @@ def _pruned_fhg_candidates(game, meter: _Meter):
             if mask & free == mask:
                 yield at, free ^ mask or None
 
-    finder = MoveFinder(game)
-    for cover in _covers(pool, (1 << game.n) - 1, options, finder.clash, meter):
-        yield Partition(cover)
+    for cover in _covers(pool, (1 << n) - 1, options, finder.clash, meter):
+        yield Partition._trusted(cover, n)
 
 
 # --- reachability -----------------------------------------------------------

@@ -75,7 +75,8 @@ def pair_chase_dhg():
 def typed_covers(game) -> list:
     """The shapes ``TypeReduced`` checks: its clash-free typed covers."""
     meter = search._Meter(SearchBudget())
-    return list(search._type_reduced_shapes(game, search._agent_types(game), meter))
+    types = search._agent_types(game)
+    return list(search._type_reduced_shapes(game, types, MoveFinder(game), meter))
 
 
 def stable_shapes(game) -> list:
@@ -214,12 +215,14 @@ def test_existence_tie_breaks_to_smallest_canonical_encoding():
 
 
 def test_existence_budget_paths():
-    # stable partition scanned early: still reported when the budget dies
+    # stable partition scanned early: still reported when the budget dies;
+    # the first complete cover is the 12th tick, after the 7 pool blocks
     early = exists_is_partition(
-        pair_chase_dhg(), Plain(), SearchBudget(max_states=1)
+        pair_chase_dhg(), Plain(), SearchBudget(max_states=12)
     )
     assert isinstance(early, StableExists)
-    # the loner game's only stable partition is all-singletons, scanned last
+    # the loner game's only stable partition is all-singletons, its only
+    # cover, found after the 7 pool blocks are tested
     out = exists_is_partition(loner_game(3), Plain(), SearchBudget(max_states=3))
     assert out == BudgetExhausted(limit="states", states_explored=3)
     full = exists_is_partition(loner_game(3))
@@ -348,7 +351,7 @@ def test_pruned_agrees_with_plain_on_random_games():
                 if core.is_stable(game, p, StabilityKind.IS)
             )
             meter = search._Meter(SearchBudget())
-            covers = search._pruned_fhg_candidates(game, meter)
+            covers = search._pruned_fhg_candidates(game, MoveFinder(game), meter)
             assert sorted(canonicalize(p) for p in covers) == stable
 
 
@@ -387,7 +390,8 @@ def test_cover_strategies_keep_a_subclass_games_preferences():
         game = SignFirstFHG(stock.weights)
         plain = exists_is_partition(game, Plain())
         assert exists_is_partition(game, PrunedFHG()) == plain
-        covers = search._pruned_fhg_candidates(game, search._Meter(SearchBudget()))
+        covers = search._pruned_fhg_candidates(
+            game, MoveFinder(game), search._Meter(SearchBudget()))
         stable = stable_keys(game)
         assert sorted(canonicalize(p) for p in covers) == stable
         overridden += stable != stable_keys(stock)
@@ -408,6 +412,105 @@ def test_cover_strategies_keep_a_subclass_games_preferences():
         plain = exists_is_partition(game, Plain())
         assert type(exists_is_partition(game, TypeReduced())) is type(plain)
     assert overridden >= 5
+
+
+class RankedGame(games.DichotomousGame):
+    """A hedonic game with arbitrary preferences: each agent ranks the
+    coalitions holding it by a table, higher being better, ties allowed."""
+
+    __slots__ = ("ranks",)
+
+    def __init__(self, ranks):
+        super().__init__(len(ranks), [[] for _ in ranks])
+        self.ranks = ranks
+
+    def prefers(self, agent, a, b):
+        rank = self.ranks[agent]
+        return (rank[a] > rank[b]) - (rank[a] < rank[b])
+
+
+def rand_ranked(rng, n) -> RankedGame:
+    ranks = []
+    for agent in range(n):
+        own = [c for k in range(1, n + 1)
+               for c in itertools.combinations(range(n), k) if agent in c]
+        ranks.append({c: rng.randint(0, len(own)) for c in own})
+    return RankedGame(ranks)
+
+
+def test_plain_matches_a_brute_force_scan_on_core(monkeypatch):
+    # `Plain` builds its answer by the clash rule, so it is checked against
+    # the least canonical partition `core` finds stable among all of them
+    rng = random.Random(1729)
+    draws = [
+        lambda n: rand_ahg(rng, n, strict=rng.random() < 0.5),
+        lambda n: rand_hdg(rng, n // 2, n - n // 2, strict=rng.random() < 0.5),
+        lambda n: rand_fhg(rng, n, symmetric=rng.random() < 0.5),
+        lambda n: rand_dhg(rng, n, density=rng.random()),
+    ]
+    cases = [draw(n) for draw in draws for n in (1, 2, 3, 4, 5, 6, 7, 8)]
+    cases += [subclass_of(draw(rng.randint(3, 6)), reverse)
+              for draw in draws for reverse in (False, True)]
+    cases += [pair_chase_dhg(), loner_game(5), fraction_fhg(rng, 5), mixed_fhg(rng, 5)]
+    ranked = [rand_ranked(rng, 3) for _ in range(3000)]
+    cases += [g for g in ranked if not stable_keys(g)]  # no stable partition
+    cases += [rand_ranked(rng, 4) for _ in range(10)]
+
+    pools = []
+    labelled_covers = search._labelled_covers
+
+    def spy(n, pool, *rest):
+        pools.append(pool)
+        return labelled_covers(n, pool, *rest)
+
+    monkeypatch.setattr(search, "_labelled_covers", spy)
+    empty = 0
+    for game in cases:
+        stable = stable_keys(game)
+        answer = exists_is_partition(game, Plain())
+        if stable:
+            assert canonicalize(answer.witness) == stable[0], game
+        else:
+            assert isinstance(answer, NoStablePartition), game
+            empty += 1
+        if type(game) is games.FractionalGame:
+            meter = search._Meter(SearchBudget())
+            assert set(pools[-1]) == set(tolerable_coalitions(game, meter))
+    assert empty >= 5
+
+
+def test_witness_is_checked_apart_from_the_clash_rule(monkeypatch):
+    # a clash rule that misses every move lets unstable covers through; the
+    # search must then raise rather than return one as its witness
+    monkeypatch.setattr(MoveFinder, "clash", lambda self, a, b: False)
+    rng = random.Random(4242)
+    cases = [(rand_ahg(rng, n), strategy) for n in (3, 4, 5)
+             for strategy in (Plain(), TypeReduced())]
+    cases += [(rand_hdg(rng, 2, n - 2), strategy) for n in (3, 4, 5)
+              for strategy in (Plain(), TypeReduced())]
+    fhgs = [rand_fhg(rng, n) for n in (4, 5, 6) for _ in range(4)]
+    cases += [(game, strategy) for game in fhgs for strategy in (Plain(), PrunedFHG())]
+    cases += [(rand_dhg(rng, n, density=0.5), Plain()) for n in (3, 4, 5)]
+    cases += [(loner_game(4), strategy) for strategy in (Plain(), TypeReduced())]
+    raised = collections.Counter()
+    for game, strategy in cases:
+        try:
+            answer = exists_is_partition(game, strategy)
+        except RuntimeError as exc:
+            assert "has a move" in str(exc)
+            raised[type(strategy)] += 1
+        else:
+            assert core.is_stable(game, answer.witness, StabilityKind.IS)
+    assert min(raised[kind] for kind in (Plain, TypeReduced, PrunedFHG)) >= 2
+
+
+def test_plain_refuses_games_over_the_cap_before_testing_blocks(monkeypatch):
+    def clash(self, a, b):
+        raise AssertionError(f"block {a} tested")
+
+    monkeypatch.setattr(MoveFinder, "clash", clash)
+    with pytest.raises(CapExceeded):
+        exists_is_partition(loner_game(search.PARTITION_CAP + 1), Plain())
 
 
 def test_pruned_budget_counts_pool_blocks_and_covers():
@@ -446,50 +549,54 @@ def test_type_reduced_budget_counts_parts_and_covers():
 #: accepts: (answer, ticks of the full scan, answer under a budget of one
 #: tick less, answer under half the ticks), an answer being the witness's
 #: digest, ``("none", states)`` or ``(limit, states)``; recorded before the
-#: cover strategies stopped re-testing their covers for moves
+#: cover strategies stopped re-testing their covers for moves.  The ``Plain``
+#: rows' ticks, cut and half answers were re-recorded when ``Plain`` moved
+#: onto the cover search (a tick per pool block tested, placed block and
+#: cover, instead of one per labelled partition); every full-scan answer
+#: stayed the same
 EXISTENCE_GOLDEN = {
-    ("ahg", 4, Plain): ("6cd6fd7cc26e", 15, "6cd6fd7cc26e", "6cd6fd7cc26e"),
+    ("ahg", 4, Plain): ("6cd6fd7cc26e", 30, "6cd6fd7cc26e", ("states", 15)),
     ("ahg", 4, TypeReduced): ("6cd6fd7cc26e", 15, "6cd6fd7cc26e", "6cd6fd7cc26e"),
-    ("ahg", 5, Plain): ("b09de8b672bd", 52, "b09de8b672bd", ("states", 26)),
+    ("ahg", 5, Plain): ("b09de8b672bd", 44, "b09de8b672bd", ("states", 22)),
     ("ahg", 5, TypeReduced): ("b09de8b672bd", 13, "b09de8b672bd", "b09de8b672bd"),
-    ("ahg", 6, Plain): ("1d3c31ea5a81", 203, "1d3c31ea5a81", ("states", 101)),
+    ("ahg", 6, Plain): ("1d3c31ea5a81", 104, "1d3c31ea5a81", ("states", 52)),
     ("ahg", 6, TypeReduced): ("1d3c31ea5a81", 41, "1d3c31ea5a81", "1d3c31ea5a81"),
-    ("ahg", 7, Plain): ("c242871c65b5", 877, "c242871c65b5", "c242871c65b5"),
+    ("ahg", 7, Plain): ("c242871c65b5", 327, "073f714fcfbd", "0cf91e31ccdb"),
     ("ahg", 7, TypeReduced): ("c242871c65b5", 200, "c242871c65b5", "c242871c65b5"),
-    ("ahg", 8, Plain): ("db7e29fada0e", 4140, "db7e29fada0e", "db7e29fada0e"),
+    ("ahg", 8, Plain): ("db7e29fada0e", 585, "dcffc267d1c1", "b16a01493bf2"),
     ("ahg", 8, TypeReduced): ("db7e29fada0e", 330, "db7e29fada0e", "db7e29fada0e"),
-    ("ahg", 9, Plain): ("7674e85374b4", 21147, "7674e85374b4", "7674e85374b4"),
+    ("ahg", 9, Plain): ("7674e85374b4", 1195, "7674e85374b4", "cc6d3afcf108"),
     ("ahg", 9, TypeReduced): ("7674e85374b4", 684, "7674e85374b4", "7674e85374b4"),
-    ("hdg", 4, Plain): ("6cd6fd7cc26e", 15, "6cd6fd7cc26e", "6cd6fd7cc26e"),
+    ("hdg", 4, Plain): ("6cd6fd7cc26e", 28, "90c13352ff62", ("states", 14)),
     ("hdg", 4, TypeReduced): ("6cd6fd7cc26e", 13, "6cd6fd7cc26e", "6cd6fd7cc26e"),
-    ("hdg", 5, Plain): ("549b7c70dcda", 52, "549b7c70dcda", "549b7c70dcda"),
+    ("hdg", 5, Plain): ("549b7c70dcda", 68, "cbb5336f2eb8", ("states", 34)),
     ("hdg", 5, TypeReduced): ("549b7c70dcda", 37, "549b7c70dcda", "549b7c70dcda"),
-    ("hdg", 6, Plain): ("aeac62c81d95", 203, "aeac62c81d95", "aeac62c81d95"),
+    ("hdg", 6, Plain): ("aeac62c81d95", 120, "aeac62c81d95", ("states", 60)),
     ("hdg", 6, TypeReduced): ("aeac62c81d95", 57, "aeac62c81d95", "aeac62c81d95"),
-    ("hdg", 7, Plain): ("e6cee67c856a", 877, "e6cee67c856a", "e6cee67c856a"),
+    ("hdg", 7, Plain): ("e6cee67c856a", 425, "e6cee67c856a", "3d88bb1cdd4f"),
     ("hdg", 7, TypeReduced): ("e6cee67c856a", 298, "e6cee67c856a", "e6cee67c856a"),
-    ("hdg", 8, Plain): ("6a457007b729", 4140, "6a457007b729", "6a457007b729"),
+    ("hdg", 8, Plain): ("6a457007b729", 789, "916bef1cdb0f", "b37772e7a580"),
     ("hdg", 8, TypeReduced): ("6a457007b729", 534, "6a457007b729", "6a457007b729"),
-    ("hdg", 9, Plain): ("f6e7dce58b64", 21147, "f6e7dce58b64", "f6e7dce58b64"),
+    ("hdg", 9, Plain): ("f6e7dce58b64", 2096, "f6e7dce58b64", "ee4a580d7fc4"),
     ("hdg", 9, TypeReduced): ("f6e7dce58b64", 1585, "f6e7dce58b64", "f6e7dce58b64"),
-    ("fhg", 4, Plain): ("22d472d8f7da", 15, "22d472d8f7da", ("states", 7)),
+    ("fhg", 4, Plain): ("22d472d8f7da", 22, ("states", 21), ("states", 11)),
     ("fhg", 4, PrunedFHG): ("22d472d8f7da", 15, ("states", 14), ("states", 7)),
-    ("fhg", 5, Plain): ("a372cc366359", 52, "a372cc366359", ("states", 26)),
+    ("fhg", 5, Plain): ("a372cc366359", 49, "646b6607cd56", ("states", 24)),
     ("fhg", 5, PrunedFHG): ("a372cc366359", 32, "a372cc366359", ("states", 16)),
-    ("fhg", 6, Plain): ("0b98ed2ffcef", 203, "0b98ed2ffcef", "0b98ed2ffcef"),
+    ("fhg", 6, Plain): ("0b98ed2ffcef", 88, "de6da4cb96c9", ("states", 44)),
     ("fhg", 6, PrunedFHG): ("0b98ed2ffcef", 61, "0b98ed2ffcef", ("states", 30)),
-    ("fhg", 7, Plain): ("a02e195be3d7", 877, "a02e195be3d7", "a02e195be3d7"),
+    ("fhg", 7, Plain): ("a02e195be3d7", 248, "a02e195be3d7", ("states", 124)),
     ("fhg", 7, PrunedFHG): ("a02e195be3d7", 249, "a02e195be3d7", ("states", 124)),
-    ("fhg", 8, Plain): ("eae76203df33", 4140, "eae76203df33", "eae76203df33"),
+    ("fhg", 8, Plain): ("eae76203df33", 367, "eae76203df33", ("states", 183)),
     ("fhg", 8, PrunedFHG): ("eae76203df33", 368, "eae76203df33", ("states", 184)),
-    ("fhg", 9, Plain): ("f97f5df7381e", 21147, "f97f5df7381e", ("states", 10573)),
+    ("fhg", 9, Plain): ("f97f5df7381e", 586, "d9f84814fa3f", ("states", 293)),
     ("fhg", 9, PrunedFHG): ("f97f5df7381e", 332, "f97f5df7381e", ("states", 166)),
-    ("dhg", 4, Plain): ("458d2bb698c3", 15, "458d2bb698c3", ("states", 7)),
-    ("dhg", 5, Plain): ("6484c68c0c85", 52, "6484c68c0c85", "6484c68c0c85"),
-    ("dhg", 6, Plain): ("4ab0c84bff39", 203, "4ab0c84bff39", "4ab0c84bff39"),
-    ("dhg", 7, Plain): ("36ba80dfe034", 877, "36ba80dfe034", "36ba80dfe034"),
-    ("dhg", 8, Plain): ("52322b243955", 4140, "52322b243955", "52322b243955"),
-    ("dhg", 9, Plain): ("52682d06497a", 21147, "52682d06497a", "52682d06497a"),
+    ("dhg", 4, Plain): ("458d2bb698c3", 23, "458d2bb698c3", ("states", 11)),
+    ("dhg", 5, Plain): ("6484c68c0c85", 55, "25be25a6e9a1", ("states", 27)),
+    ("dhg", 6, Plain): ("4ab0c84bff39", 160, "4ab0c84bff39", "d5acab78b4b3"),
+    ("dhg", 7, Plain): ("36ba80dfe034", 314, "36ba80dfe034", "2adbf8d504f2"),
+    ("dhg", 8, Plain): ("52322b243955", 1415, "52322b243955", "49bc3cb40c60"),
+    ("dhg", 9, Plain): ("52682d06497a", 1092, "52682d06497a", "607690a31243"),
 }
 
 
