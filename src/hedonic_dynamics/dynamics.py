@@ -715,9 +715,8 @@ class MoveFinder:
         self._last: MoveTable | None = None
 
     def iter_moves(self, partition: Partition) -> Iterator[DeviationMove]:
-        """The moves of ``partition`` in order, built one at a time; a
-        search that patches from a parent's table builds it with
-        :meth:`table` first, which this then finds as the last one."""
+        """The moves of ``partition`` in order, built one at a time from
+        its :meth:`table`; the searches read the table's rows instead."""
         yield from self.table(partition)
 
     def has_move(self, partition: Partition) -> bool:

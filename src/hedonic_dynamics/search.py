@@ -25,13 +25,7 @@ from dataclasses import dataclass
 from itertools import islice, product
 from operator import add
 
-from .core import (
-    DeviationMove,
-    Partition,
-    apply,
-    canonicalize,
-    successor,
-)
+from .core import DeviationMove, Partition, canonicalize, successor
 from .dynamics import MoveFinder, Trace, replay
 from .games import AnonymousGame, DiversityGame, FractionalGame
 
@@ -484,70 +478,79 @@ def _labelled_covers(n: int, pool, finder: MoveFinder, meter: _Meter):
 # --- reachability -----------------------------------------------------------
 
 
+def _expansion(table, mover: int, made: tuple):
+    """The moves of ``table``'s partition a search builds, as ``(agent,
+    agent's block, target)`` in the canonical order: ascending agent, then
+    row order.  The state was entered by ``mover``'s move (``-1``: the
+    start), which made the blocks ``made``.
+
+    A move by an agent below ``mover`` that touches neither made block
+    (``()`` is none) is left out, a sleep set one level deep (Godefroid
+    1996).  It was a move at the parent too, listed before ``mover``'s, and
+    commutes with it, so the state it leads to was reached first: the BFS
+    expanded the parent's successor by it before this state (and there
+    ``mover``'s move was built, or left out by the same rule), and the DFS
+    finished that successor's subtree (a gray state there would have ended
+    the search).  No visited state, count, witness or lasso changes.
+    """
+    rows = table.rows
+    # each agent's block, kept only while the state is listed
+    home = [()] * len(rows)
+    for block in table.partition.blocks:
+        for agent in block:
+            home[agent] = block
+    for agent, row in enumerate(rows):
+        cur = home[agent]
+        asleep = agent < mover and cur not in made
+        for target in row:
+            if not asleep or target in made:
+                yield agent, cur, target
+
+
 def exists_path_to_is(
     game, start: Partition, budget: SearchBudget = SearchBudget()
 ) -> ReachabilityAnswer:
     """Breadth-first search of the reachable deviation graph; the first
     stable partition dequeued yields a shortest witness path.
 
-    A successor is made as a block tuple (``core.successor``) and keyed by
-    its canonical bytes; only a new one is queued, with the move table of
-    its parent, from which its own table is patched when it is dequeued.
-
-    Successors a commuting earlier move already reached are not built (a
-    sleep set one level deep).  Say state ``s`` was entered from ``p`` by
-    agent ``b``'s move, which made the remainder and the joined block.  A
-    move by an agent ``a < b`` that touches neither block (its agent's
-    block and its target are both untouched, ``()`` being no made block)
-    was a move at ``p`` too, listed before ``b``'s, and commutes with it:
-    its successor at ``s`` is ``p``'s successor by it followed by ``b``'s
-    move.  That successor of ``p`` is queued before ``s``, so it is
-    expanded first, and there ``b``'s move is built or skipped by the same
-    argument.  So the skipped state is already visited, and skipping it
-    changes no visited state, parent link, count or witness.
+    States are keyed by their block tuple, which ``core.successor`` keeps
+    canonical, and a new one is queued with its parent's move table, from
+    which its own is patched when it is dequeued; its moves are read from
+    the table's rows by :func:`_expansion`.  ``DeviationMove``s are built
+    only for the witness.
     """
     finder = MoveFinder(game)
     meter = _Meter(budget)
     n = start.n
-    start_key = canonicalize(start)
-    # per state: its parent's key and the move from there, as (agent, target)
-    parents: dict[bytes, tuple | None] = {start_key: None}
-    # (key, block tuple, the parent's move table, the agent that moved
-    # there, the blocks its move made); the start was entered by no agent
-    queue: list[tuple | None] = [(start_key, start.blocks, None, -1, ())]
+    # per state: its parent's blocks and the move from there, (agent, target)
+    parents: dict[tuple, tuple | None] = {start.blocks: None}
+    # (blocks, the parent's move table, the agent that moved there, the
+    # blocks its move made); the start was entered by no agent
+    queue: list[tuple | None] = [(start.blocks, None, -1, ())]
     head = 0
     try:
         meter.tick()
         while head < len(queue):
-            key, blocks, base, mover, made = queue[head]
+            blocks, base, mover, made = queue[head]
             # the path is rebuilt from `parents` alone, and a table is
             # freed once the last of its children has been dequeued
             queue[head] = None
             head += 1
-            partition = Partition._trusted(blocks, n)
-            table = finder.table(partition, base)
+            table = finder.table(Partition._trusted(blocks, n), base)
             if not table.count:
                 steps = []
-                walk = key
-                while parents[walk] is not None:
-                    walk, agent, target = parents[walk]
+                while parents[blocks] is not None:
+                    blocks, agent, target = parents[blocks]
                     steps.append(DeviationMove(agent, target))
                 steps.reverse()
                 return PathFound(replay(game, start, steps))
-            home = partition.coalition_of
-            # `table` is the finder's last table, which `iter_moves` lists
-            for move in finder.iter_moves(partition):
-                agent, target = move.agent, move.target
-                cur = home(agent)
-                if agent < mover and target not in made and cur not in made:
-                    continue  # commutes with the move into this state
+            for agent, cur, target in _expansion(table, mover, made):
                 post, remainder, joined = successor(blocks, cur, agent, target)
-                post_key = canonicalize(Partition._trusted(post, n))
-                if post_key in parents:
+                if post in parents:
                     continue
                 meter.tick()
-                parents[post_key] = (key, agent, target)
-                queue.append((post_key, post, table, agent,
+                parents[post] = (blocks, agent, target)
+                queue.append((post, table, agent,
                               (remainder, joined) if remainder else (joined,)))
     except _BudgetOver as over:
         return BudgetExhausted(over.limit, over.states)
@@ -562,38 +565,26 @@ def all_paths_converge(
     Every partition has finitely many deviations, so some run fails to
     terminate exactly when a cycle is reachable; the answer then carries a
     lasso: a path from the start followed by one loop around the cycle.
-    States are coloured by block tuple, and a ``Partition`` (with its
-    parent's home table updated) and its move table (patched from its
-    parent's) are made only for a new one.
-
-    Successors a commuting earlier move already reached are not built, by
-    the rule of :func:`exists_path_to_is`: such a move was tried at the
-    parent before the move into this state, so the subtree it led to was
-    finished first (a gray state there would have ended the search), and
-    it holds this state's successor by the move, which is black.
+    States are coloured by block tuple.  A new state's move table is
+    patched from its parent's, and its moves are read from the rows by
+    :func:`_expansion`, suspended on the stack while its subtree is
+    searched.  ``DeviationMove``s are built only for a lasso.
     """
     finder = MoveFinder(game)
     meter = _Meter(budget)
+    n = start.n
     GRAY, BLACK = 1, 2
     color: dict[tuple, int] = {}  # keyed by the partition's block tuple
     try:
         meter.tick()
         color[start.blocks] = GRAY
         table = finder.table(start)
-        # stack frames: (partition, its move table, move iterator, move
-        # that entered it, the blocks that move made); a frame's iterator
-        # starts right after its table is built, so `iter_moves` lists
-        # that table, the finder's last
-        stack = [(start, table, finder.iter_moves(start), None, ())]
+        # stack frames: (blocks, move table, its expansion, the move that
+        # entered it as (agent, target))
+        stack = [(start.blocks, table, _expansion(table, -1, ()), None)]
         while stack:
-            partition, table, moves, entry, made = stack[-1]
-            blocks, home = partition.blocks, partition.coalition_of
-            mover = entry.agent if entry else -1  # the start: no agent
-            for move in moves:
-                agent, target = move.agent, move.target
-                cur = home(agent)
-                if agent < mover and target not in made and cur not in made:
-                    continue  # commutes with the move into this state
+            blocks, table, moves, _ = stack[-1]
+            for agent, cur, target in moves:
                 post, remainder, joined = successor(blocks, cur, agent, target)
                 state = color.get(post)
                 if state == BLACK:
@@ -601,18 +592,19 @@ def all_paths_converge(
                 if state == GRAY:
                     # lasso: the stack up to `post` is the prefix, the rest
                     # plus this move closes the cycle
-                    path_moves = [f[3] for f in stack[1:]] + [move]
-                    cycle_start = [f[0].blocks for f in stack].index(post)
+                    entries = [f[3] for f in stack[1:]] + [(agent, target)]
+                    path_moves = [DeviationMove(*entry) for entry in entries]
+                    cycle_start = [f[0] for f in stack].index(post)
                     trace = replay(game, start, path_moves)
                     return CycleReachable(
                         trace, cycle_start, len(path_moves) - cycle_start
                     )
                 meter.tick()
                 color[post] = GRAY
-                child = apply(partition, move)
-                child_table = finder.table(child, table)
-                stack.append((child, child_table, finder.iter_moves(child), move,
-                              (remainder, joined) if remainder else (joined,)))
+                child = finder.table(Partition._trusted(post, n), table)
+                made = (remainder, joined) if remainder else (joined,)
+                stack.append((post, child, _expansion(child, agent, made),
+                              (agent, target)))
                 break
             else:
                 color[blocks] = BLACK

@@ -29,7 +29,7 @@ def test_tracer_installs_over_the_library_and_uninstalls():
         (dynamics.MoveFinder, "iter_moves", vars(dynamics.MoveFinder)["iter_moves"]),
         (dynamics.MoveFinder, "has_move", vars(dynamics.MoveFinder)["has_move"]),
         (core, "apply", core.apply),
-        (search, "apply", search.apply),
+        (search, "replay", search.replay),
         (dynamics, "run", dynamics.run),
     ]
     game = instances.random("ahg", 30, 4).game
@@ -42,12 +42,16 @@ def test_tracer_installs_over_the_library_and_uninstalls():
         outcome = dynamics.run(
             game, Partition.singletons(30), SeededRandom(5), RunConfig(max_steps=20))
         path = search.exists_path_to_is(reach.game, reach.starts["initial"])
+        # no search lists moves through `iter_moves`, which the tracer
+        # still wraps by name and counts the moves of
+        listed = list(dynamics.MoveFinder(game).iter_moves(Partition.singletons(30)))
         answer = search.exists_is_partition(small, search.Plain())
     finally:
         tracer.uninstall()
     for owner, name, original in originals:
         assert vars(owner)[name] is original, name
     assert len(outcome.trace) > 0
+    assert listed
     assert isinstance(path, (search.PathFound, search.NoPath))
     assert isinstance(answer, (search.StableExists, search.NoStablePartition))
     spans = tracer.table()
@@ -56,6 +60,5 @@ def test_tracer_installs_over_the_library_and_uninstalls():
     assert spans["dynamics.has_move"]["calls"] > 0
     assert spans["core.apply"]["calls"] >= len(outcome.trace)
     assert tracer.moves_yielded > 0
-    layers = tracer.layer_metrics()
-    assert layers["search.reach_states"][0] > 0
-    assert layers["search.candidates"][0] > 0
+    assert len(tracer.reach_keys) == 1  # one key set per reachability search
+    assert tracer.layer_metrics()["search.candidates"][0] > 0
