@@ -656,15 +656,10 @@ class MoveTable:
         self.rows = rows
         self.count = sum(map(len, rows))
 
-    def pairs(self) -> Iterator[tuple[int, core.Coalition]]:
-        """(agent, block) per move, in order; ``()`` is the fresh singleton."""
+    def __iter__(self) -> Iterator[DeviationMove]:
         for agent, row in enumerate(self.rows):
             for block in row:
-                yield agent, block
-
-    def __iter__(self) -> Iterator[DeviationMove]:
-        for agent, block in self.pairs():
-            yield DeviationMove._trusted(agent, block)
+                yield DeviationMove._trusted(agent, block)
 
     def nth(self, k: int) -> DeviationMove:
         """``list(self)[k]``, without building the other moves."""
@@ -700,11 +695,11 @@ class MoveFinder:
     block, every agent otherwise); each row gains each new block the rule
     set admits it to, the rule set being asked once per new block which
     agents outside the new blocks may join it. A partition with no block
-    in common with the base has every row rebuilt, which is a fresh build:
-    no agent is outside the new blocks, so the rule set is not asked.
-    The output must
-    equal ``core.iter_deviations(game, partition, IS)``; a property test
-    checks it.
+    in common with the base has every row rebuilt, which is a fresh build
+    from empty rows: no base row is kept and no agent is outside the new
+    blocks, so the rule set is asked for neither holders nor joiners.
+    The output must equal ``core.iter_deviations(game, partition, IS)``; a
+    property test checks it.
     """
 
     def __init__(self, game):
@@ -774,10 +769,14 @@ class MoveFinder:
         blocks = p.blocks
         candidates = blocks + ((),)
         keys = [key_of[b] for b in candidates]
-        rows = [()] * p.n if base is None else list(base.rows)
         fresh = {b: key_of[b] for b in born}
+        # a table that keeps no block of its base (or has none) rebuilds
+        # every row: it starts from empty rows and asks neither `holders`
+        # nor `joiners`, as no row outside the new blocks is left
+        kept = len(fresh) < len(blocks)
+        rows = list(base.rows) if kept else [()] * p.n
         # asked before `settle`, while the rule set still describes the base
-        holders = rules.holders(base.partition.blocks, gone) if gone else ()
+        holders = rules.holders(base.partition.blocks, gone) if kept else ()
         rules.settle(gone, fresh)
         # the agents whose block is new get their whole row
         for cur, here in fresh.items():
@@ -801,9 +800,8 @@ class MoveFinder:
                     row = row[:at] + row[at + 1:]
                     end -= 1
             rows[agent] = row
-        # every other row gains a born block only where the rules admit it;
-        # with no block kept there is no other row, so nothing to ask
-        joiners = rules.joiners(blocks, keys, fresh) if len(fresh) < len(blocks) else ()
+        # every other row gains a born block only where the rules admit it
+        joiners = rules.joiners(blocks, keys, fresh) if kept else ()
         for block, agents in zip(fresh, joiners):
             for agent in agents:
                 row = rows[agent]

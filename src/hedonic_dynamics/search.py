@@ -59,9 +59,9 @@ class Plain:
     Each of the 2^n - 1 blocks of agents is tested once, in the order of
     its agent bitmask, and kept when no member would rather be alone
     (``MoveFinder.clash(block, ())``); the stable partitions are then the
-    clash-free covers by the kept blocks, found by ``PrunedFHG``'s search.
-    Games of more than ``PARTITION_CAP`` agents are refused before any
-    block is tested.
+    clash-free covers by the kept blocks, found by ``PrunedFHG``'s search,
+    which stops at its first cover. Games of more than ``PARTITION_CAP``
+    agents are refused before any block is tested.
     """
 
 
@@ -92,7 +92,8 @@ class PrunedFHG:
     matter who else joins.
 
     Covers are built one block at a time, always the block holding the
-    lowest free agent.  The free agents are an integer bitmask and the pool
+    lowest free agent, tried in text order, so the first cover has the least
+    canonical encoding.  The free agents are an integer bitmask and the pool
     is grouped by lowest agent, each block with its mask, so a block fits
     when its mask lies inside the free one.  A block is rejected when it
     clashes with a block already placed: a member of either strictly gains
@@ -244,33 +245,30 @@ def enumerate_partitions(n: int):
 def exists_is_partition(
     game, strategy: Strategy = Plain(), budget: SearchBudget = SearchBudget()
 ) -> ExistenceAnswer:
-    """Scan the whole partition space for an individually stable partition.
+    """Search the partition space for an individually stable partition.
 
-    Completed scans return the witness with the smallest canonical encoding;
-    if the budget runs out after at least one witness was seen, that witness
-    is still returned (existence is settled even though the scan is not).
-    The witness is put to ``MoveFinder.has_move`` before it is returned, a
-    check that does not rest on the clash rule the covers were built by; a
-    witness with a move raises ``RuntimeError``.
+    The witness is the stable partition with the least canonical encoding.
+    ``Plain`` and ``PrunedFHG`` return their first cover, which is that one,
+    or ``BudgetExhausted``, whatever the budget; ``TypeReduced`` keeps the
+    least of its covers and, if the budget runs out after one, returns the
+    least seen. The witness is put to ``MoveFinder.has_move`` before it is
+    returned, a check that does not rest on the clash rule the covers were
+    built by; a witness with a move raises ``RuntimeError``.
     """
     meter = _Meter(budget)
     finder = MoveFinder(game)
-    if isinstance(strategy, TypeReduced):
-        types = _agent_types(game)
-        shapes = _type_reduced_shapes(game, types, finder, meter)
-        stable = (Partition(_fill_shape(types, shape)) for shape in shapes)
-    elif isinstance(strategy, PrunedFHG):
-        stable = _pruned_fhg_candidates(game, finder, meter)
-    else:
-        stable = _plain_candidates(game, finder, meter)
-
     best: Partition | None = None
-    best_key: bytes | None = None
     try:
-        for partition in stable:
-            key = canonicalize(partition)
-            if best_key is None or key < best_key:
-                best, best_key = partition, key
+        if isinstance(strategy, TypeReduced):
+            types = _agent_types(game)
+            for shape in _type_reduced_shapes(game, types, finder, meter):
+                partition = Partition(_fill_shape(types, shape))
+                if best is None or canonicalize(partition) < canonicalize(best):
+                    best = partition
+        else:
+            covers = (_pruned_fhg_candidates if isinstance(strategy, PrunedFHG)
+                      else _plain_candidates)
+            best = next(covers(game, finder, meter), None)
     except _BudgetOver as over:
         if best is None:
             return BudgetExhausted(over.limit, over.states)
@@ -457,10 +455,13 @@ def _pruned_fhg_candidates(game, finder: MoveFinder, meter: _Meter):
 
 
 def _labelled_covers(n: int, pool, finder: MoveFinder, meter: _Meter):
-    """The covers of agents ``0..n-1`` by blocks of ``pool`` (sorted agent
-    tuples) in which no two blocks clash, as partitions; each block placed
-    holds the lowest agent not yet covered, so the blocks come out in
-    canonical order."""
+    """The clash-free covers of agents ``0..n-1`` by blocks of ``pool``
+    (sorted agent tuples), as partitions, in increasing ``canonicalize``
+    order: each block placed holds the lowest agent left, and is tried by
+    its text plus ``"|"``, as in the encoding. A cover's last block has no
+    ``"|"`` after it (``"|"`` sorts above ``","`` and the digits), but it
+    holds every agent left, so no sibling option's text extends its own."""
+    pool = sorted(pool, key=lambda block: ",".join(map(str, block)) + "|")
     # per lowest agent, its pool blocks as (index, agent bitmask)
     by_low: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for at, block in enumerate(pool):

@@ -298,7 +298,7 @@ def listed_pick(table, game, rng):
             or any(colors[m] is not mine for m in block)
         )
 
-    admissible = [pair for pair in table.pairs() if admits(*pair)]
+    admissible = [(m.agent, m.target) for m in table if admits(m.agent, m.target)]
     if not admissible:
         return None
     return DeviationMove(*admissible[rng.below(len(admissible)) if rng else 0])

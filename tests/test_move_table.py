@@ -470,11 +470,12 @@ def spy_on_holders(rules):
 def test_holders_name_every_row_that_holds_a_vanished_block():
     # `_patch` takes vanished blocks out of the rows `holders` names only,
     # so it must name every agent whose base row holds one; bases are the
-    # last table or an earlier one, after walks and jumps
+    # last table or an earlier one, after walks and jumps. A table that
+    # keeps no block of its base rebuilds every row and asks nothing
     rng = random.Random(809)
     held = {cls: 0 for cls in (_SummaryRules, _AverageRules, _ApprovalRules, _VerdictRules)}
     narrow = dict.fromkeys(held, 0)
-    earlier = 0
+    earlier = rebuilt = 0
     for trial in range(12):
         n = rng.randint(6, 12)
         game = rand_game(rng, trial, n)
@@ -495,7 +496,9 @@ def test_holders_name_every_row_that_holds_a_vanished_block():
             table = finder.table(state, base)
             assert list(table) == core.enumerate_deviations(game, state, IS), type(game)
             gone = set(base.partition.blocks) - set(state.blocks)
-            if not gone:
+            if not gone or gone == set(base.partition.blocks):
+                assert asked == []
+                rebuilt += bool(gone)
                 continue
             [(blocks, asked_gone, named)] = asked
             assert blocks == base.partition.blocks and asked_gone == gone
@@ -507,7 +510,7 @@ def test_holders_name_every_row_that_holds_a_vanished_block():
     assert all(held.values()), held
     # the column answers leave out agents; the per-agent ones name everyone
     assert narrow[_AverageRules] and narrow[_ApprovalRules], narrow
-    assert earlier > 50
+    assert earlier > 50 and rebuilt
 
 
 def spy_on_joiners(rules):

@@ -207,22 +207,73 @@ def test_existence_on_the_pair_chase_ring():
     assert answer.witness == Partition.grand(3)
 
 
-def test_existence_tie_breaks_to_smallest_canonical_encoding():
+def test_existence_tie_breaks_to_smallest_canonical_encoding(monkeypatch):
     # with no approvals at all, every partition is stable; the grand
     # coalition has the smallest encoding
     empty = games.DichotomousGame(3, [[], [], []])
     answer = exists_is_partition(empty)
     assert isinstance(answer, StableExists)
     assert answer.witness == Partition.grand(3)
+    # at n = 11 the least encoding is not the grand coalition's: "0,1,10"
+    # sorts before "0,1,2,...". A budget just large enough for the first
+    # cover (the pool, then two placed blocks and the cover) gives it, and
+    # no encoding is computed to find it
+    monkeypatch.setattr(search, "canonicalize", None)
+    least = Partition([(0, 1, 10), tuple(range(2, 10))])
+    for game, strategy, pool in (
+        (games.DichotomousGame(11, [[]] * 11), Plain(), 2**11 - 1),
+        (games.FractionalGame([[0] * 11 for _ in range(11)]), PrunedFHG(), 2**11),
+    ):
+        ticks = pool + 3
+        answer = exists_is_partition(game, strategy, SearchBudget(max_states=ticks))
+        assert answer == StableExists(least)
+        assert exists_is_partition(
+            game, strategy, SearchBudget(max_states=ticks - 1)
+        ) == BudgetExhausted("states", ticks - 1)
+
+
+def test_labelled_covers_come_out_in_encoding_order():
+    """Both labelled strategies list their covers in strictly increasing
+    canonical encoding, so their first is the least. In the all-indifferent
+    games at n = 11-12 every partition is stable and encoding order is not
+    agent order ("0,1,10" sorts before "0,1,2"); only their first 3 000
+    covers are read."""
+
+    def encodings(covers, game, limit=None):
+        meter = search._Meter(SearchBudget())
+        listed = covers(game, MoveFinder(game), meter)
+        return [canonicalize(p) for p in itertools.islice(listed, limit)]
+
+    plain, pruned = search._plain_candidates, search._pruned_fhg_candidates
+    cases = [
+        (plain, random_instance(kind, n, seed).game, None)
+        for kind in ("ahg", "hdg", "fhg", "dhg")
+        for n in range(2, 9)
+        for seed in (n, 7 * n + 1)
+    ]
+    cases += [
+        (pruned, random_instance("fhg", n, seed).game, None)
+        for n in range(2, 13)
+        for seed in (n, 7 * n + 1)
+    ]
+    for n in (11, 12):
+        cases.append((plain, games.DichotomousGame(n, [[]] * n), 3000))
+        cases.append((pruned, games.FractionalGame([[0] * n for _ in range(n)]), 3000))
+    listed = 0
+    for covers, game, limit in cases:
+        keys = encodings(covers, game, limit)
+        assert all(a < b for a, b in zip(keys, keys[1:])), (covers.__name__, game)
+        listed += len(keys) > 1
+    assert listed > 40, listed
 
 
 def test_existence_budget_paths():
-    # stable partition scanned early: still reported when the budget dies;
-    # the first complete cover is the 12th tick, after the 7 pool blocks
+    # the first complete cover, the grand coalition, is the 9th tick, after
+    # the 7 pool blocks and its one placed block
     early = exists_is_partition(
         pair_chase_dhg(), Plain(), SearchBudget(max_states=12)
     )
-    assert isinstance(early, StableExists)
+    assert early == StableExists(Partition.grand(3))
     # the loner game's only stable partition is all-singletons, its only
     # cover, found after the 7 pool blocks are tested
     out = exists_is_partition(loner_game(3), Plain(), SearchBudget(max_states=3))
@@ -524,14 +575,14 @@ def test_pruned_budget_counts_pool_blocks_and_covers():
     )
     assert short == BudgetExhausted("states", full.states_checked - 1)
     # with all weights zero every partition is stable; the first cover
-    # found is the singletons, after 8 pool states (every subset of three
-    # agents), 3 placed blocks and 1 complete cover
+    # found is the grand coalition, the least, after 8 pool states (every
+    # subset of three agents), 1 placed block and 1 complete cover
     indifferent = games.FractionalGame([[0] * 3 for _ in range(3)])
     assert exists_is_partition(
-        indifferent, PrunedFHG(), SearchBudget(max_states=11)
-    ) == BudgetExhausted("states", 11)
-    early = exists_is_partition(indifferent, PrunedFHG(), SearchBudget(max_states=12))
-    assert early == StableExists(Partition.singletons(3))
+        indifferent, PrunedFHG(), SearchBudget(max_states=9)
+    ) == BudgetExhausted("states", 9)
+    early = exists_is_partition(indifferent, PrunedFHG(), SearchBudget(max_states=10))
+    assert early == StableExists(Partition.grand(3))
     assert exists_is_partition(indifferent, PrunedFHG()) == StableExists(
         Partition.grand(3)
     )
@@ -548,57 +599,58 @@ def test_type_reduced_budget_counts_parts_and_covers():
 
 
 #: seeded ``random(kind, n, 7n + 1)`` games, every strategy each class
-#: accepts: (answer, ticks of the full scan, answer under a budget of one
-#: tick less, answer under half the ticks), an answer being the witness's
-#: digest, ``("none", states)`` or ``(limit, states)``; recorded before the
-#: cover strategies stopped re-testing their covers for moves.  The ``Plain``
-#: rows' ticks, cut and half answers were re-recorded when ``Plain`` moved
-#: onto the cover search (a tick per pool block tested, placed block and
-#: cover, instead of one per labelled partition); every full-scan answer
-#: stayed the same
+#: accepts: (answer, ticks of the unbudgeted search, answer under a budget
+#: of one tick less, answer under half the ticks), an answer being the
+#: witness's digest, ``("none", states)`` or ``(limit, states)``; recorded
+#: before the cover strategies stopped re-testing their covers for moves.
+#: The ``Plain`` rows' ticks, cut and half answers were re-recorded when
+#: ``Plain`` moved onto the cover search (a tick per pool block tested,
+#: placed block and cover, instead of one per labelled partition), and the
+#: ``Plain`` and ``PrunedFHG`` rows' again when both stopped at their first
+#: cover, which comes out least; every witness stayed the same
 EXISTENCE_GOLDEN = {
-    ("ahg", 4, Plain): ("6cd6fd7cc26e", 30, "6cd6fd7cc26e", ("states", 15)),
+    ("ahg", 4, Plain): ("6cd6fd7cc26e", 18, ("states", 17), ("states", 9)),
     ("ahg", 4, TypeReduced): ("6cd6fd7cc26e", 15, "6cd6fd7cc26e", "6cd6fd7cc26e"),
-    ("ahg", 5, Plain): ("b09de8b672bd", 44, "b09de8b672bd", ("states", 22)),
+    ("ahg", 5, Plain): ("b09de8b672bd", 36, ("states", 35), ("states", 18)),
     ("ahg", 5, TypeReduced): ("b09de8b672bd", 13, "b09de8b672bd", "b09de8b672bd"),
-    ("ahg", 6, Plain): ("1d3c31ea5a81", 104, "1d3c31ea5a81", ("states", 52)),
+    ("ahg", 6, Plain): ("1d3c31ea5a81", 67, ("states", 66), ("states", 33)),
     ("ahg", 6, TypeReduced): ("1d3c31ea5a81", 41, "1d3c31ea5a81", "1d3c31ea5a81"),
-    ("ahg", 7, Plain): ("c242871c65b5", 327, "073f714fcfbd", "0cf91e31ccdb"),
+    ("ahg", 7, Plain): ("c242871c65b5", 131, ("states", 130), ("states", 65)),
     ("ahg", 7, TypeReduced): ("c242871c65b5", 200, "c242871c65b5", "c242871c65b5"),
-    ("ahg", 8, Plain): ("db7e29fada0e", 585, "dcffc267d1c1", "b16a01493bf2"),
+    ("ahg", 8, Plain): ("db7e29fada0e", 259, ("states", 258), ("states", 129)),
     ("ahg", 8, TypeReduced): ("db7e29fada0e", 330, "db7e29fada0e", "db7e29fada0e"),
-    ("ahg", 9, Plain): ("7674e85374b4", 1195, "7674e85374b4", "cc6d3afcf108"),
+    ("ahg", 9, Plain): ("7674e85374b4", 518, ("states", 517), ("states", 259)),
     ("ahg", 9, TypeReduced): ("7674e85374b4", 684, "7674e85374b4", "7674e85374b4"),
-    ("hdg", 4, Plain): ("6cd6fd7cc26e", 28, "90c13352ff62", ("states", 14)),
+    ("hdg", 4, Plain): ("6cd6fd7cc26e", 18, ("states", 17), ("states", 9)),
     ("hdg", 4, TypeReduced): ("6cd6fd7cc26e", 13, "6cd6fd7cc26e", "6cd6fd7cc26e"),
-    ("hdg", 5, Plain): ("549b7c70dcda", 68, "cbb5336f2eb8", ("states", 34)),
+    ("hdg", 5, Plain): ("549b7c70dcda", 34, ("states", 33), ("states", 17)),
     ("hdg", 5, TypeReduced): ("549b7c70dcda", 37, "549b7c70dcda", "549b7c70dcda"),
-    ("hdg", 6, Plain): ("aeac62c81d95", 120, "aeac62c81d95", ("states", 60)),
+    ("hdg", 6, Plain): ("aeac62c81d95", 66, ("states", 65), ("states", 33)),
     ("hdg", 6, TypeReduced): ("aeac62c81d95", 57, "aeac62c81d95", "aeac62c81d95"),
-    ("hdg", 7, Plain): ("e6cee67c856a", 425, "e6cee67c856a", "3d88bb1cdd4f"),
+    ("hdg", 7, Plain): ("e6cee67c856a", 130, ("states", 129), ("states", 65)),
     ("hdg", 7, TypeReduced): ("e6cee67c856a", 298, "e6cee67c856a", "e6cee67c856a"),
-    ("hdg", 8, Plain): ("6a457007b729", 789, "916bef1cdb0f", "b37772e7a580"),
+    ("hdg", 8, Plain): ("6a457007b729", 259, ("states", 258), ("states", 129)),
     ("hdg", 8, TypeReduced): ("6a457007b729", 534, "6a457007b729", "6a457007b729"),
-    ("hdg", 9, Plain): ("f6e7dce58b64", 2096, "f6e7dce58b64", "ee4a580d7fc4"),
+    ("hdg", 9, Plain): ("f6e7dce58b64", 514, ("states", 513), ("states", 257)),
     ("hdg", 9, TypeReduced): ("f6e7dce58b64", 1585, "f6e7dce58b64", "f6e7dce58b64"),
-    ("fhg", 4, Plain): ("22d472d8f7da", 22, ("states", 21), ("states", 11)),
-    ("fhg", 4, PrunedFHG): ("22d472d8f7da", 15, ("states", 14), ("states", 7)),
-    ("fhg", 5, Plain): ("a372cc366359", 49, "646b6607cd56", ("states", 24)),
-    ("fhg", 5, PrunedFHG): ("a372cc366359", 32, "a372cc366359", ("states", 16)),
-    ("fhg", 6, Plain): ("0b98ed2ffcef", 88, "de6da4cb96c9", ("states", 44)),
-    ("fhg", 6, PrunedFHG): ("0b98ed2ffcef", 61, "0b98ed2ffcef", ("states", 30)),
-    ("fhg", 7, Plain): ("a02e195be3d7", 248, "a02e195be3d7", ("states", 124)),
-    ("fhg", 7, PrunedFHG): ("a02e195be3d7", 249, "a02e195be3d7", ("states", 124)),
-    ("fhg", 8, Plain): ("eae76203df33", 367, "eae76203df33", ("states", 183)),
-    ("fhg", 8, PrunedFHG): ("eae76203df33", 368, "eae76203df33", ("states", 184)),
-    ("fhg", 9, Plain): ("f97f5df7381e", 586, "d9f84814fa3f", ("states", 293)),
-    ("fhg", 9, PrunedFHG): ("f97f5df7381e", 332, "f97f5df7381e", ("states", 166)),
-    ("dhg", 4, Plain): ("458d2bb698c3", 23, "458d2bb698c3", ("states", 11)),
-    ("dhg", 5, Plain): ("6484c68c0c85", 55, "25be25a6e9a1", ("states", 27)),
-    ("dhg", 6, Plain): ("4ab0c84bff39", 160, "4ab0c84bff39", "d5acab78b4b3"),
-    ("dhg", 7, Plain): ("36ba80dfe034", 314, "36ba80dfe034", "2adbf8d504f2"),
-    ("dhg", 8, Plain): ("52322b243955", 1415, "52322b243955", "49bc3cb40c60"),
-    ("dhg", 9, Plain): ("52682d06497a", 1092, "52682d06497a", "607690a31243"),
+    ("fhg", 4, Plain): ("22d472d8f7da", 19, ("states", 18), ("states", 9)),
+    ("fhg", 4, PrunedFHG): ("22d472d8f7da", 12, ("states", 11), ("states", 6)),
+    ("fhg", 5, Plain): ("a372cc366359", 35, ("states", 34), ("states", 17)),
+    ("fhg", 5, PrunedFHG): ("a372cc366359", 18, ("states", 17), ("states", 9)),
+    ("fhg", 6, Plain): ("0b98ed2ffcef", 66, ("states", 65), ("states", 33)),
+    ("fhg", 6, PrunedFHG): ("0b98ed2ffcef", 39, ("states", 38), ("states", 19)),
+    ("fhg", 7, Plain): ("a02e195be3d7", 140, ("states", 139), ("states", 70)),
+    ("fhg", 7, PrunedFHG): ("a02e195be3d7", 141, ("states", 140), ("states", 70)),
+    ("fhg", 8, Plain): ("eae76203df33", 259, ("states", 258), ("states", 129)),
+    ("fhg", 8, PrunedFHG): ("eae76203df33", 260, ("states", 259), ("states", 130)),
+    ("fhg", 9, Plain): ("f97f5df7381e", 516, ("states", 515), ("states", 258)),
+    ("fhg", 9, PrunedFHG): ("f97f5df7381e", 262, ("states", 261), ("states", 131)),
+    ("dhg", 4, Plain): ("458d2bb698c3", 19, ("states", 18), ("states", 9)),
+    ("dhg", 5, Plain): ("6484c68c0c85", 33, ("states", 32), ("states", 16)),
+    ("dhg", 6, Plain): ("4ab0c84bff39", 68, ("states", 67), ("states", 34)),
+    ("dhg", 7, Plain): ("36ba80dfe034", 131, ("states", 130), ("states", 65)),
+    ("dhg", 8, Plain): ("52322b243955", 258, ("states", 257), ("states", 129)),
+    ("dhg", 9, Plain): ("52682d06497a", 514, ("states", 513), ("states", 257)),
 }
 
 
@@ -630,6 +682,10 @@ def test_existence_golden_sweep(monkeypatch):
             for s in (states - 1, states // 2)
         )
         assert (full, states, cut, half) == golden, (kind, n, strategy)
+        if strategy is not TypeReduced:
+            # a labelled search returns the full scan's witness or runs out
+            for answer in (cut, half):
+                assert answer == full or answer[0] == "states", (kind, n, strategy)
 
 
 def test_forbidden_pairs_and_tolerable_pool():
