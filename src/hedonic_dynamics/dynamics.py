@@ -909,6 +909,8 @@ def _step(game, state, move, step_index, monitors=(), filtered=False,
 def run(game, start: Partition, policy: Policy, config: RunConfig = RunConfig()) -> RunOutcome:
     """Drive the dynamics from ``start`` until convergence, a revisited state,
     or the step budget; see the policy classes for how moves get picked."""
+    if start.n != game.n:
+        raise ValueError(f"the start has {start.n} agents, the game {game.n}")
     base, colors = _unwrap_policy(game, policy)
     finder = MoveFinder(game)
     rng = SplitMix64(base.seed) if isinstance(base, SeededRandom) else None

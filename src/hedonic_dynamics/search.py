@@ -480,10 +480,10 @@ def _labelled_covers(n: int, pool, finder: MoveFinder, meter: _Meter):
 
 
 def _expansion(table, mover: int, made: tuple):
-    """The moves of ``table``'s partition a search builds, as ``(agent,
-    agent's block, target)`` in the canonical order: ascending agent, then
-    row order.  The state was entered by ``mover``'s move (``-1``: the
-    start), which made the blocks ``made``.
+    """The successors of ``table``'s partition a search builds, as ``(blocks
+    after, agent, target, blocks the move made)``, in the canonical order of
+    their moves: ascending agent, then row order.  The state was entered by
+    ``mover``'s move (``-1``: the start), which made the blocks ``made``.
 
     A move by an agent below ``mover`` that touches neither made block
     (``()`` is none) is left out, a sleep set one level deep (Godefroid
@@ -491,13 +491,14 @@ def _expansion(table, mover: int, made: tuple):
     commutes with it, so the state it leads to was reached first: the BFS
     expanded the parent's successor by it before this state (and there
     ``mover``'s move was built, or left out by the same rule), and the DFS
-    finished that successor's subtree (a gray state there would have ended
-    the search).  No visited state, count, witness or lasso changes.
+    finished that successor's subtree (a state on the stack there would
+    have ended the search).  No visited state, count, witness or lasso
+    changes.
     """
-    rows = table.rows
+    blocks, rows = table.partition.blocks, table.rows
     # each agent's block, kept only while the state is listed
     home = [()] * len(rows)
-    for block in table.partition.blocks:
+    for block in blocks:
         for agent in block:
             home[agent] = block
     for agent, row in enumerate(rows):
@@ -505,7 +506,19 @@ def _expansion(table, mover: int, made: tuple):
         asleep = agent < mover and cur not in made
         for target in row:
             if not asleep or target in made:
-                yield agent, cur, target
+                post, remainder, joined = successor(blocks, cur, agent, target)
+                yield (post, agent, target,
+                       (remainder, joined) if remainder else (joined,))
+
+
+def _moves_to(links: dict, blocks: tuple) -> list:
+    """The moves from the start to ``blocks``, read back through ``links``."""
+    steps = []
+    while links[blocks] is not None:
+        blocks, agent, target = links[blocks]
+        steps.append(DeviationMove(agent, target))
+    steps.reverse()
+    return steps
 
 
 def exists_path_to_is(
@@ -515,47 +528,40 @@ def exists_path_to_is(
     stable partition dequeued yields a shortest witness path.
 
     States are keyed by their block tuple, which ``core.successor`` keeps
-    canonical, and a new one is queued with its parent's move table, from
-    which its own is patched when it is dequeued; its moves are read from
-    the table's rows by :func:`_expansion`.  ``DeviationMove``s are built
-    only for the witness.
+    canonical, and linked to the state they were first reached from; a new
+    one is queued with its parent's move table, from which its own is
+    patched when it is dequeued, and its successors are made by
+    :func:`_expansion`.  ``DeviationMove``s are built only for the witness.
     """
+    if start.n != game.n:
+        raise ValueError(f"the start has {start.n} agents, the game {game.n}")
     finder = MoveFinder(game)
     meter = _Meter(budget)
-    n = start.n
-    # per state: its parent's blocks and the move from there, (agent, target)
-    parents: dict[tuple, tuple | None] = {start.blocks: None}
+    # per state, the link it was first reached by: (parent's blocks, agent,
+    # target), or None for the start
+    links: dict[tuple, tuple | None] = {start.blocks: None}
     # (blocks, the parent's move table, the agent that moved there, the
     # blocks its move made); the start was entered by no agent
     queue: list[tuple | None] = [(start.blocks, None, -1, ())]
-    head = 0
     try:
         meter.tick()
-        while head < len(queue):
-            blocks, base, mover, made = queue[head]
-            # the path is rebuilt from `parents` alone, and a table is
+        # the loop reads the states appended while it runs
+        for head, (blocks, base, mover, made) in enumerate(queue):
+            # the path is rebuilt from `links` alone, and a table is
             # freed once the last of its children has been dequeued
             queue[head] = None
-            head += 1
-            table = finder.table(Partition._trusted(blocks, n), base)
+            table = finder.table(Partition._trusted(blocks, start.n), base)
             if not table.count:
-                steps = []
-                while parents[blocks] is not None:
-                    blocks, agent, target = parents[blocks]
-                    steps.append(DeviationMove(agent, target))
-                steps.reverse()
-                return PathFound(replay(game, start, steps))
-            for agent, cur, target in _expansion(table, mover, made):
-                post, remainder, joined = successor(blocks, cur, agent, target)
-                if post in parents:
+                return PathFound(replay(game, start, _moves_to(links, blocks)))
+            for post, agent, target, post_made in _expansion(table, mover, made):
+                if post in links:
                     continue
                 meter.tick()
-                parents[post] = (blocks, agent, target)
-                queue.append((post, table, agent,
-                              (remainder, joined) if remainder else (joined,)))
+                links[post] = (blocks, agent, target)
+                queue.append((post, table, agent, post_made))
     except _BudgetOver as over:
         return BudgetExhausted(over.limit, over.states)
-    return NoPath(len(parents))
+    return NoPath(len(links))
 
 
 def all_paths_converge(
@@ -566,50 +572,45 @@ def all_paths_converge(
     Every partition has finitely many deviations, so some run fails to
     terminate exactly when a cycle is reachable; the answer then carries a
     lasso: a path from the start followed by one loop around the cycle.
-    States are coloured by block tuple.  A new state's move table is
-    patched from its parent's, and its moves are read from the rows by
-    :func:`_expansion`, suspended on the stack while its subtree is
-    searched.  ``DeviationMove``s are built only for a lasso.
+    States are keyed by block tuple and linked as in
+    :func:`exists_path_to_is`; a finished state's link is set to ``None``.  A
+    new state's move table is patched from its parent's, and its successors
+    are made by :func:`_expansion`, suspended on the stack while its
+    subtree is searched.  ``DeviationMove``s are built only for a lasso.
     """
+    if start.n != game.n:
+        raise ValueError(f"the start has {start.n} agents, the game {game.n}")
     finder = MoveFinder(game)
     meter = _Meter(budget)
-    n = start.n
-    GRAY, BLACK = 1, 2
-    color: dict[tuple, int] = {}  # keyed by the partition's block tuple
+    links: dict[tuple, tuple | None] = {start.blocks: None}
+    depth = {start.blocks: 0}  # the states on the stack
     try:
         meter.tick()
-        color[start.blocks] = GRAY
         table = finder.table(start)
-        # stack frames: (blocks, move table, its expansion, the move that
-        # entered it as (agent, target))
-        stack = [(start.blocks, table, _expansion(table, -1, ()), None)]
+        # stack frames: (blocks, move table, its expansion)
+        stack = [(start.blocks, table, _expansion(table, -1, ()))]
         while stack:
-            blocks, table, moves, _ = stack[-1]
-            for agent, cur, target in moves:
-                post, remainder, joined = successor(blocks, cur, agent, target)
-                state = color.get(post)
-                if state == BLACK:
+            blocks, table, moves = stack[-1]
+            for post, agent, target, made in moves:
+                if post in depth:
+                    # lasso: the path to `post` is the prefix, the rest of
+                    # the stack plus this move closes the cycle
+                    steps = _moves_to(links, blocks) + [DeviationMove(agent, target)]
+                    return CycleReachable(replay(game, start, steps),
+                                          depth[post], len(steps) - depth[post])
+                if post in links:
                     continue
-                if state == GRAY:
-                    # lasso: the stack up to `post` is the prefix, the rest
-                    # plus this move closes the cycle
-                    entries = [f[3] for f in stack[1:]] + [(agent, target)]
-                    path_moves = [DeviationMove(*entry) for entry in entries]
-                    cycle_start = [f[0] for f in stack].index(post)
-                    trace = replay(game, start, path_moves)
-                    return CycleReachable(
-                        trace, cycle_start, len(path_moves) - cycle_start
-                    )
                 meter.tick()
-                color[post] = GRAY
-                child = finder.table(Partition._trusted(post, n), table)
-                made = (remainder, joined) if remainder else (joined,)
-                stack.append((post, child, _expansion(child, agent, made),
-                              (agent, target)))
+                links[post] = (blocks, agent, target)
+                depth[post] = len(stack)
+                child = finder.table(Partition._trusted(post, start.n), table)
+                stack.append((post, child, _expansion(child, agent, made)))
                 break
             else:
-                color[blocks] = BLACK
+                # finished: only a lasso reads links, and only on the stack
+                links[blocks] = None
+                del depth[blocks]
                 stack.pop()
     except _BudgetOver as over:
         return BudgetExhausted(over.limit, over.states)
-    return ConvergesAlways(len(color))
+    return ConvergesAlways(len(links))

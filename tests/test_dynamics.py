@@ -127,6 +127,14 @@ def test_converged_in_zero_steps_on_stable_start():
     assert out.final == Partition.singletons(3)
 
 
+@pytest.mark.parametrize("n", [3, 9])
+def test_run_rejects_a_start_of_another_size(n):
+    game = build("ahg7").game
+    for policy in (Lexicographic(), Scripted(())):
+        with pytest.raises(ValueError, match=f"the start has {n} agents, the game 7"):
+            run(game, Partition.singletons(n), policy)
+
+
 def test_cycle_detected_on_pair_chasing_dhg():
     g = three_cycle_dhg()
     out = run(g, Partition.singletons(3), Lexicographic())

@@ -8,7 +8,10 @@ re-exports.  ``from __future__`` imports bind no name and are skipped.
 A second scan keeps each module's underscore names its own: a name that two
 modules share is public.  A third keeps the reference oracle,
 ``core.deviation_verdict``, out of the fast paths: outside ``core`` only
-the verdict rules of ``dynamics`` may name it.
+the verdict rules of ``dynamics`` may name it.  A fourth finds code that
+nothing in the package calls: every module-level function and public
+method under ``src/`` is named somewhere under ``src/``, or is on
+``UNCALLED`` with the reason it stays.
 """
 
 import ast
@@ -117,3 +120,78 @@ def test_only_core_and_the_verdict_rules_name_the_oracle():
     assert {name: scopes for name, scopes in uses.items() if scopes} == {
         "hedonic_dynamics/dynamics.py": {"_VerdictRules.__init__"}
     }
+
+
+def uncalled_functions(sources: dict) -> list:
+    """The module-level functions and public methods of ``sources`` (a
+    text per module name) that none of them names, as ``module:name`` or
+    ``module:Class.name``.  A bare name, an attribute or an imported name
+    counts as a use; a string, a docstring included, does not."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.asname or node.name)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, defs) and node.name not in named:
+                found.append(f"{module}:{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                found.extend(
+                    f"{module}:{node.name}.{item.name}" for item in node.body
+                    if isinstance(item, defs) and not item.name.startswith("_")
+                    and item.name not in named)
+    return found
+
+
+def test_the_scan_flags_only_functions_nothing_names():
+    source = (
+        '"""Mentions unused and Box.spare."""\n'
+        "def used():\n"
+        "    return Box().size()\n\n"
+        "def _helper():\n"
+        "    return used\n\n"
+        "def unused():\n"
+        "    return _helper()\n\n"
+        "class Box:\n"
+        "    def size(self):\n"
+        "        return 'spare'\n\n"
+        "    def spare(self):\n"
+        "        pass\n\n"
+        "    def _own(self):\n"
+        "        pass\n"
+    )
+    assert uncalled_functions({"m": source, "n": "from m import used\n"}) == [
+        "m:unused", "m:Box.spare"]
+
+
+#: functions nothing under ``src/`` calls, each with the reason it stays
+UNCALLED = {
+    "hedonic_dynamics/dynamics.py:MoveFinder.iter_moves":
+        "the benchmark lists moves with it and its tracer wraps it by name",
+    "hedonic_dynamics/cli.py:dumps_instance":
+        "the benchmark's run-long set-up writes its instance with it",
+    "hedonic_dynamics/cli.py:revalidate_trace_doc":
+        "the benchmark re-checks the trace files it writes with it",
+    "hedonic_dynamics/prng.py:SplitMix64.next_raw":
+        "the published SplitMix64 draw, which the test vectors pin",
+    "hedonic_dynamics/games.py:single_peaked_brute":
+        "the reference check that single_peaked_check is tested against",
+    "hedonic_dynamics/games.py:materialize":
+        "the reference order that the lazy orders are tested against",
+}
+
+
+def test_every_source_function_is_named_in_the_package_or_allowed():
+    sources = {
+        path.relative_to(ROOT / "src").as_posix(): path.read_text(encoding="utf-8")
+        for path in SOURCES
+    }
+    assert sorted(uncalled_functions(sources)) == sorted(UNCALLED)

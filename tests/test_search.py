@@ -805,6 +805,32 @@ def test_path_search_memory_stays_bounded():
     assert peak < 4.2 * 2**20, peak
 
 
+def test_convergence_search_memory_drops_finished_links():
+    # the DFS keeps a link only while its state is on the stack, so a run
+    # that stores 20 000 states and finishes nearly all of them peaks where
+    # a colour map did: about 4.6 MB under Python 3.11, against 5.8 MB when
+    # every finished state keeps its (parent, agent, target) link.  The
+    # full collection first is as in the path search's test above
+    game = random_instance("ahg", 11, 1).game
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = all_paths_converge(game, Partition.grand(11), SearchBudget(max_states=20_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == BudgetExhausted(limit="states", states_explored=20_000)
+    assert peak < 5.2 * 2**20, peak
+
+
+@pytest.mark.parametrize("search_fn", [exists_path_to_is, all_paths_converge])
+@pytest.mark.parametrize("n", [3, 9])
+def test_reachability_rejects_a_start_of_another_size(search_fn, n):
+    game = build("ahg7").game
+    with pytest.raises(ValueError, match=f"the start has {n} agents, the game 7"):
+        search_fn(game, Partition.singletons(n))
+
+
 def test_path_search_single_agent():
     out = exists_path_to_is(loner_game(1), Partition.singletons(1))
     assert isinstance(out, PathFound)
