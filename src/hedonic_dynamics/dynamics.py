@@ -906,11 +906,16 @@ def _step(game, state, move, step_index, monitors=(), filtered=False,
     return TraceStep(move, post, {m.name: m.on_step(state, move, post) for m in monitors})
 
 
+def _check_start(game, start: Partition) -> None:
+    """Raise ``ValueError`` unless ``start`` partitions the game's agents."""
+    if start.n != game.n:
+        raise ValueError(f"the start has {start.n} agents, the game {game.n}")
+
+
 def run(game, start: Partition, policy: Policy, config: RunConfig = RunConfig()) -> RunOutcome:
     """Drive the dynamics from ``start`` until convergence, a revisited state,
     or the step budget; see the policy classes for how moves get picked."""
-    if start.n != game.n:
-        raise ValueError(f"the start has {start.n} agents, the game {game.n}")
+    _check_start(game, start)
     base, colors = _unwrap_policy(game, policy)
     finder = MoveFinder(game)
     rng = SplitMix64(base.seed) if isinstance(base, SeededRandom) else None
@@ -961,6 +966,7 @@ def replay(game, start: Partition, moves: Sequence[DeviationMove]) -> Trace:
     """Validate and apply a move list; raises :class:`ScriptedMoveInvalid`
     at the first move that is not an IS deviation, naming the violated
     condition and the agent it fails for."""
+    _check_start(game, start)
     state = start
     steps = []
     for step_index, move in enumerate(moves):
@@ -972,6 +978,7 @@ def replay(game, start: Partition, moves: Sequence[DeviationMove]) -> Trace:
 def validate_trace(game, trace: Trace) -> None:
     """Post-hoc check of a finished trace using only core predicates; fails
     like :func:`replay`, with :class:`ScriptedMoveInvalid`."""
+    _check_start(game, trace.start)
     state = trace.start
     for step_index, recorded in enumerate(trace.steps):
         state = _step(game, state, recorded.move, step_index).result

@@ -21,8 +21,9 @@ reference oracle the tests check it against.  Answers are deterministic;
 from __future__ import annotations
 
 import time
+from copy import copy
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import islice, product, tee
 from operator import add
 
 from .core import DeviationMove, Partition, canonicalize, successor
@@ -56,12 +57,14 @@ class SearchBudget:
 class Plain:
     """Assemble stable partitions from every block no member would leave.
 
-    Each of the 2^n - 1 blocks of agents is tested once, in the order of
-    its agent bitmask, and kept when no member would rather be alone
-    (``MoveFinder.clash(block, ())``); the stable partitions are then the
-    clash-free covers by the kept blocks, found by ``PrunedFHG``'s search,
-    which stops at its first cover. Games of more than ``PARTITION_CAP``
-    agents are refused before any block is tested.
+    Each lowest agent's blocks are listed depth-first, in the order of the
+    block's text plus ``"|"``, only as far as the cover search reads them;
+    each block is tested once, when it is first reached, and kept when no
+    member would rather be alone (``MoveFinder.clash(block, ())``). The
+    stable partitions are the clash-free covers by the kept blocks, found
+    by ``PrunedFHG``'s search, which stops at its first cover. Games of
+    more than ``PARTITION_CAP`` agents are refused before any block is
+    tested.
     """
 
 
@@ -93,13 +96,15 @@ class PrunedFHG:
 
     Covers are built one block at a time, always the block holding the
     lowest free agent, tried in text order, so the first cover has the least
-    canonical encoding.  The free agents are an integer bitmask and the pool
-    is grouped by lowest agent, each block with its mask, so a block fits
-    when its mask lies inside the free one.  A block is rejected when it
-    clashes with a block already placed: a member of either strictly gains
-    by joining the other and every member there weakly approves.  The move
-    engine (``MoveFinder.clash``) gives each pair's verdict, once per pair
-    of pool indices in a search, and the clash-free complete covers are
+    canonical encoding.  Each lowest agent's pool is listed depth-first in
+    that order, a forbidden pair cutting off every coalition that holds it,
+    and is read only as far as the search needs it.  The free agents are an
+    integer bitmask and each pool block is kept as its mask, so a block
+    fits when its mask lies inside the free one.  A block is rejected when
+    it clashes with a block already placed: a member of either strictly
+    gains by joining the other and every member there weakly approves.  The
+    move engine (``MoveFinder.clash``) gives each pair's verdict, once per
+    pair of blocks in a search, and the clash-free complete covers are
     exactly the stable partitions.
     """
 
@@ -128,8 +133,11 @@ class NoStablePartition:
 
     ``states_checked`` counts the candidates scanned: for ``Plain`` the
     pool blocks tested plus placed blocks plus complete covers, for
-    ``PrunedFHG`` pool-enumeration states plus placed blocks plus complete
-    covers, for ``TypeReduced`` placed parts plus complete covers.
+    ``PrunedFHG`` the coalitions its pool listings reached (those with no
+    forbidden pair) plus placed blocks plus complete covers, for
+    ``TypeReduced`` placed parts plus complete covers.  A pool listing is
+    only read as far as some node of the cover search reads it, so a
+    block no node reaches is not counted.
     """
 
     states_checked: int
@@ -281,33 +289,34 @@ def exists_is_partition(
 
 def _plain_candidates(game, finder: MoveFinder, meter: _Meter):
     """The IS-stable partitions, as clash-free covers by the blocks no
-    member would leave (see ``Plain``); each block tested ticks ``meter``."""
-    n = game.n
-    _check_cap(n)
-    pool = []
-    for mask in range(1, 1 << n):
-        meter.tick()
-        block = tuple(a for a in range(n) if mask >> a & 1)
-        if not finder.clash(block, ()):
-            pool.append(block)
-    yield from _labelled_covers(n, pool, finder, meter)
+    member would leave (see ``Plain``)."""
+    _check_cap(game.n)
+    listings = _plain_listings(game, finder, meter)
+    yield from _labelled_covers(game.n, listings, finder, meter)
 
 
-def _covers(pool, first, options, clash, meter: _Meter):
-    """Covers by blocks of ``pool`` no two of which clash (Knuth's
-    Algorithm X with the clash test as its pruning rule), as tuples of
-    blocks.
+def _plain_listings(game, finder: MoveFinder, meter: _Meter) -> list:
+    """The ``_pool_listings`` of the blocks no member would leave; each
+    block tested ticks ``meter``."""
 
-    ``options(rest)`` lists the indices of the blocks that may be placed
-    while ``rest`` is left to cover, each with what is left after it
-    (``None`` once covered).  ``clash(a, b)`` is asked of two pool blocks,
-    ``a`` placed first, once per pair of their indices.  Each placed block
-    and each complete cover ticks ``meter``.
+    def grow(_, block, mask):
+        return None, not finder.clash(block, ())
+
+    return _pool_listings(game.n, grow, None, meter)
+
+
+def _covers(width: int, first, options, clash, meter: _Meter):
+    """Covers by blocks no two of which clash (Knuth's Algorithm X with the
+    clash test as its pruning rule), as tuples of the blocks' ids.
+
+    ``options(rest)`` lists the ids, integers below ``width``, of the
+    blocks that may be placed while ``rest`` is left to cover, each with
+    what is left after it (``None`` once covered).  ``clash(a, b)`` is
+    asked of the ids of two blocks, ``a`` placed first, once per pair.
+    Each placed block and each complete cover ticks ``meter``.
     """
-    size = len(pool)
-    known: dict[int, bool] = {}  # by `earlier * size + later`
+    known: dict[int, bool] = {}  # by `earlier * width + later`
     placed: list[int] = []
-    block = pool.__getitem__
     # per depth, the options not yet tried there; a loop rather than
     # recursion, so that no closure refers to itself and the search's
     # state is freed as soon as it is dropped, not at the next collection
@@ -315,10 +324,10 @@ def _covers(pool, first, options, clash, meter: _Meter):
     while stack:
         for at, left in stack[-1]:
             for other in placed:
-                pair = other * size + at
+                pair = other * width + at
                 hit = known.get(pair)
                 if hit is None:
-                    hit = known[pair] = clash(pool[other], pool[at])
+                    hit = known[pair] = clash(other, at)
                 if hit:
                     break
             else:
@@ -328,7 +337,7 @@ def _covers(pool, first, options, clash, meter: _Meter):
                     stack.append(options(left))
                     break
                 meter.tick()
-                yield tuple(map(block, placed))
+                yield tuple(placed)
                 placed.pop()
         else:
             stack.pop()
@@ -389,8 +398,9 @@ def _type_reduced_shapes(game, types: list[list[int]], finder: MoveFinder,
                 after = tuple(c - p for c, p in zip(left, part))
                 yield at, ((after, at) if any(after) else None)
 
-    clash = lambda p, q: finder.clash(*_fill_shape(types, (p, q)))
-    yield from _covers(pool, (counts, 0), options, clash, meter)
+    clash = lambda p, q: finder.clash(*_fill_shape(types, (pool[p], pool[q])))
+    for cover in _covers(len(pool), (counts, 0), options, clash, meter):
+        yield tuple(map(pool.__getitem__, cover))
 
 
 def forbidden_pairs(game: FractionalGame) -> set[tuple[int, int]]:
@@ -413,14 +423,21 @@ def forbidden_pairs(game: FractionalGame) -> set[tuple[int, int]]:
 
 
 def tolerable_coalitions(game: FractionalGame, meter: _Meter):
-    """All coalitions in which every member's weight sum is nonnegative, in
-    depth-first order of their member lists; each state of the enumeration
-    ticks ``meter``.
+    """All coalitions in which every member's weight sum is nonnegative, as
+    sorted member tuples in increasing order (a coalition before its
+    extensions); each state of the enumeration ticks ``meter``."""
+    listings = _tolerable_listings(game, meter)
+    return sorted(_members(mask) for listing in listings for mask in listing)
 
-    Coalitions containing a forbidden pair are cut off before expansion;
-    the nonnegativity test itself is not monotone (a negative member may be
-    rescued by a later joiner), so it only filters emission.  The sums are
-    one vector over all agents, each joiner's column added to it.
+
+def _tolerable_listings(game: FractionalGame, meter: _Meter) -> list:
+    """The ``_pool_listings`` of the tolerable coalitions.
+
+    A coalition holding a forbidden pair is cut off with every coalition it
+    extends to; the nonnegativity test itself is not monotone (a negative
+    member may be rescued by a later joiner), so it only decides whether a
+    coalition is listed.  The sums are one vector over all agents, each
+    joiner's column added to its block's.
     """
     n = game.n
     columns = tuple(zip(*game.weights))  # [x][a]: a's weight toward x
@@ -428,21 +445,15 @@ def tolerable_coalitions(game: FractionalGame, meter: _Meter):
     for i, j in forbidden_pairs(game):
         forbid[i] |= 1 << j
         forbid[j] |= 1 << i
-    out: list[tuple[int, ...]] = []
-    members: list[int] = []
 
-    def extend(mask: int, toward):
-        meter.tick()
-        if members and min(map(toward.__getitem__, members)) >= 0:
-            out.append(tuple(members))
-        for j in range(members[-1] + 1 if members else 0, n):
-            if not forbid[j] & mask:
-                members.append(j)
-                extend(mask | 1 << j, list(map(add, toward, columns[j])))
-                members.pop()
+    def grow(toward, block, mask):
+        joiner = block[-1]
+        if forbid[joiner] & mask:
+            return None
+        toward = list(map(add, toward, columns[joiner]))
+        return toward, min(map(toward.__getitem__, block)) >= 0
 
-    extend(0, [0] * n)
-    return out
+    return _pool_listings(n, grow, [0] * n, meter)
 
 
 def _pruned_fhg_candidates(game, finder: MoveFinder, meter: _Meter):
@@ -450,30 +461,93 @@ def _pruned_fhg_candidates(game, finder: MoveFinder, meter: _Meter):
     coalitions (see ``PrunedFHG``)."""
     if not isinstance(game, FractionalGame):
         raise ValueError("coalition pruning needs a weighted-average game")
-    pool = tolerable_coalitions(game, meter)
-    yield from _labelled_covers(game.n, pool, finder, meter)
+    listings = _tolerable_listings(game, meter)
+    yield from _labelled_covers(game.n, listings, finder, meter)
 
 
-def _labelled_covers(n: int, pool, finder: MoveFinder, meter: _Meter):
-    """The clash-free covers of agents ``0..n-1`` by blocks of ``pool``
-    (sorted agent tuples), as partitions, in increasing ``canonicalize``
-    order: each block placed holds the lowest agent left, and is tried by
-    its text plus ``"|"``, as in the encoding. A cover's last block has no
-    ``"|"`` after it (``"|"`` sorts above ``","`` and the digits), but it
-    holds every agent left, so no sibling option's text extends its own."""
-    pool = sorted(pool, key=lambda block: ",".join(map(str, block)) + "|")
-    # per lowest agent, its pool blocks as (index, agent bitmask)
-    by_low: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for at, block in enumerate(pool):
-        by_low[block[0]].append((at, sum(1 << a for a in block)))
+def _members(mask: int) -> tuple[int, ...]:
+    """The agents of the bitmask ``mask``, ascending."""
+    return tuple(a for a in range(mask.bit_length()) if mask >> a & 1)
+
+
+def _pool_listings(n: int, grow, root, meter: _Meter) -> list:
+    """Per lowest agent, an iterator of its pool blocks, as agent bitmasks,
+    in the order of their text plus ``"|"`` (see ``_labelled_covers``).
+
+    Each is listed depth-first.  Below a block whose highest agent is x,
+    each agent y above x gives two steps: a descent into the blocks that
+    extend the block plus y, keyed ``str(y) + ","``, and the block plus y
+    itself, keyed ``str(y) + "|"``, taken in key order.  The keys are
+    prefix-free, and ``","`` sorts below the digits and ``"|"`` above them,
+    so "0,1,10" comes before "0,1,2" and every extension of a block before
+    the block.  A descent into ``block`` asks ``grow(state, block, mask)``
+    of the state of the block it extends by one agent (``root`` for the
+    empty one): ``None`` cuts ``block`` off with every block it extends to,
+    else it gives ``block``'s state and whether ``block`` is in the pool,
+    and the descent ticks ``meter``.
+    """
+    keys = sorted((str(y) + sep, y, sep == "|") for y in range(n) for sep in ",|")
+    orders: dict[int, list] = {}  # per agent x, the steps above it
+
+    def above(x):
+        order = orders.get(x)
+        if order is None:
+            order = orders[x] = [(y, emit) for _, y, emit in keys if y > x]
+        return order
+
+    def listing(low):
+        # frames: (block, its mask, its state, the agents y for which the
+        # block plus y is kept, the steps left); the empty block's only
+        # steps are to `low`
+        stack = [((), 0, root, set(), iter(((low, False), (low, True))))]
+        while stack:
+            block, mask, state, kept, todo = stack[-1]
+            for y, emit in todo:
+                if emit:
+                    if y in kept:
+                        yield mask | 1 << y
+                    continue
+                bigger, more = block + (y,), mask | 1 << y
+                grown = grow(state, bigger, more)
+                if grown is not None:
+                    meter.tick()
+                    if grown[1]:
+                        kept.add(y)
+                    stack.append((bigger, more, grown[0], set(), iter(above(y))))
+                    break
+            else:
+                stack.pop()
+
+    return [listing(low) for low in range(n)]
+
+
+def _labelled_covers(n: int, listings, finder: MoveFinder, meter: _Meter):
+    """The clash-free covers of agents ``0..n-1`` by the pool blocks of
+    ``listings`` (per lowest agent, an iterator of its blocks as agent
+    bitmasks, in the order of their text plus ``"|"``), as partitions, in
+    increasing ``canonicalize`` order: each block placed holds the lowest
+    agent left, and is tried in the order of its text plus ``"|"``, as in
+    the encoding.  A cover's last block has no ``"|"`` after it (``"|"``
+    sorts above ``","`` and the digits), but it holds every agent left, so
+    no sibling option's text extends its own.
+
+    Each agent's listing is read only as far as the search reads it: a
+    ``tee`` whose first copy is never advanced keeps every block any copy
+    has read, one list per agent, grown by its furthest reader and read
+    from the start by every node.  A block fits when its mask lies inside
+    the free agents' mask; member tuples are made only for clash tests and
+    covers.
+    """
+    pools = [tee(listing, 1)[0] for listing in listings]
 
     def options(free):
-        for at, mask in by_low[(free & -free).bit_length() - 1]:
+        for mask in copy(pools[(free & -free).bit_length() - 1]):
             if mask & free == mask:
-                yield at, free ^ mask or None
+                yield mask, free ^ mask or None
 
-    for cover in _covers(pool, (1 << n) - 1, options, finder.clash, meter):
-        yield Partition._trusted(cover, n)
+    clash = lambda a, b: finder.clash(_members(a), _members(b))
+    for cover in _covers(1 << n, (1 << n) - 1, options, clash, meter):
+        yield Partition._trusted(tuple(map(_members, cover)), n)
 
 
 # --- reachability -----------------------------------------------------------

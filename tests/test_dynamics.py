@@ -135,6 +135,21 @@ def test_run_rejects_a_start_of_another_size(n):
             run(game, Partition.singletons(n), policy)
 
 
+@pytest.mark.parametrize("n", [3, 9])
+def test_replay_and_validate_trace_reject_a_start_of_another_size(n):
+    # the move is valid on the start alone: agent 0 joins agent 1, or
+    # agent 8, outside the 7-agent game, joins agent 0
+    game = build("ahg7").game
+    start = Partition.singletons(n)
+    move = DeviationMove(0, (1,)) if n == 3 else DeviationMove(n - 1, (0,))
+    message = f"the start has {n} agents, the game 7"
+    with pytest.raises(ValueError, match=message):
+        replay(game, start, [move])
+    trace = Trace(start, (TraceStep(move, core.apply(start, move)),))
+    with pytest.raises(ValueError, match=message):
+        validate_trace(game, trace)
+
+
 def test_cycle_detected_on_pair_chasing_dhg():
     g = three_cycle_dhg()
     out = run(g, Partition.singletons(3), Lexicographic())

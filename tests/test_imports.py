@@ -186,6 +186,9 @@ UNCALLED = {
         "the reference check that single_peaked_check is tested against",
     "hedonic_dynamics/games.py:materialize":
         "the reference order that the lazy orders are tested against",
+    "hedonic_dynamics/search.py:tolerable_coalitions":
+        "the benchmark's tracer wraps it by name and counts the coalitions "
+        "it returns, and the tests pin its order against a brute-force pool",
 }
 
 
