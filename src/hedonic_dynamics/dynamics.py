@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import compress, repeat
-from operator import add, and_, countOf, ge, gt, mul
+from operator import add, and_, countOf, ge, gt
 from typing import Iterator, Sequence
 
 from . import core
@@ -211,11 +211,11 @@ class _PerAgentRules:
     set's per-agent target test: a born block is put to every agent whose
     own block stayed, one agent at a time.
 
-    ``holders`` is the one column query on the base table: it must name
-    every agent whose base row may hold a vanished block (a superset is
-    fine, and may include agents whose own block vanished too). It is asked
-    after ``rebase`` and before ``settle``, while the rule set still
-    describes the base. Here it names every agent.
+    ``holders`` is the one column query on the base table: per vanished
+    block, it must name every agent whose base row holds that block (a
+    superset is fine, and may include agents whose own block vanished
+    too). It is asked after ``rebase`` and before ``settle``, while the
+    rule set still describes the base. Here it names every agent.
     """
 
     def rebase(self, blocks):
@@ -223,16 +223,20 @@ class _PerAgentRules:
         whose partition has the blocks ``blocks``."""
 
     def holders(self, blocks, gone):
-        """Agents whose row in the base table, of the blocks ``blocks``,
-        may hold a block of ``gone``."""
-        return (agent for block in blocks for agent in block)
+        """Per block of ``gone``, a ``(block, agents)`` pair: the agents
+        whose row in the base table, of the blocks ``blocks``, may hold
+        that block."""
+        everyone = [agent for block in blocks for agent in block]
+        return [(block, everyone) for block in gone]
 
     def settle(self, gone, fresh):
         """The finder's table is moving to a partition that lost the blocks
         ``gone`` and gained the blocks ``fresh`` (``{block: key}``)."""
 
-    def row(self, agent, cur, here, blocks, keys):
-        """The blocks of ``blocks`` that ``agent`` may join, in order."""
+    def row(self, agent, cur, here, blocks, keys, old):
+        """The blocks of ``blocks`` that ``agent`` may join, in order;
+        ``old`` is the agent's row in the base table, ``None`` if no base
+        row is kept."""
         return tuple(self.targets(agent, cur, here, blocks, keys))
 
     def joiners(self, blocks, keys, fresh):
@@ -371,7 +375,7 @@ class _SummaryRules(_PerAgentRules):
         gains = dict(zip(distinct, signature))
         return tuple(compress(blocks, map(gains.__getitem__, keys)))
 
-    def row(self, agent, cur, here, blocks, keys):
+    def row(self, agent, cur, here, blocks, keys, old):
         # `blocks` and `keys` are the table's candidates, the same for every
         # row asked between two `settle`s
         c = self.colour[agent]
@@ -470,17 +474,29 @@ class _AverageRules(_PerAgentRules):
     record that a later base still holds is made again by ``rebase``.
 
     Per agent it also keeps the size of its own block and its weight sum
-    toward it, so a block is tested against all agents at once, column by
-    column: a born block for its joiners, a vanished one for its holders.
-    Those vectors follow the table the finder patches from: ``rebase``
-    re-derives them when that is not the last one built.
+    toward it, and, per grown size g (a block of g - 1 members joined),
+    its gain limit: the sum toward such a block above which the agent
+    gains by joining it, ``have·g // size`` if its whole row is ``int``
+    (the sums are then ``int``, and ``sum > ⌊have·g / size⌋`` is exactly
+    ``sum·size > have·g``), else the exact ``Fraction``. A block is then
+    tested against all agents at once, column by column, in one
+    comparison pass: a born block for its joiners, a vanished one for its
+    holders. Those vectors follow the table the finder patches from:
+    ``settle`` moves the agents of the born blocks, and ``rebase`` the
+    agents whose block differs in a base that is not the last one built.
+
+    A member of a born block that weakly prefers it to its old block is
+    no worse off, so any kept block it now gains by joining it gained by
+    before, and welcomed it then as now: its row is its base row, less
+    the vanished blocks, plus the other born blocks, each re-tested. Under
+    IS that is the mover and every member of the block it joined.
     """
 
     def __init__(self, game):
         weights = game.weights
         #: columns[x][a] is agent a's weight toward agent x
         columns = tuple(zip(*weights))
-        whole = tuple({int}.issuperset(map(type, row)) for row in weights)
+        self.whole = whole = tuple({int}.issuperset(map(type, row)) for row in weights)
         # `record` is static, so the memo does not refer back to the rule set
         self.keys = _Memo(partial(self.record, weights, columns, whole))
         self.keys[()] = (0,) * game.n, b"\1" * game.n
@@ -488,6 +504,12 @@ class _AverageRules(_PerAgentRules):
         # built, and by `rebase`
         self.size = [0] * game.n
         self.have = [0] * game.n
+        #: per grown size, each agent's gain limit; made when a column of
+        #: that size is first asked
+        self.limits = {}
+        #: the last `settle`: the agents it moved, with their size and sum
+        #: before, and the blocks lost and gained
+        self.was, self.gone, self.fresh = {}, set(), {}
 
     @staticmethod
     def record(weights, columns, whole, block):
@@ -506,6 +528,21 @@ class _AverageRules(_PerAgentRules):
             flags &= int.from_bytes(bytes(map(ge, weights[m], repeat(least))), "little")
         return sums, flags.to_bytes(len(sums), "little")
 
+    @staticmethod
+    def limit(whole, size, have, g):
+        """The weight sum toward a block of ``g - 1`` members above which an
+        agent, with the sum ``have`` toward its own block of ``size``,
+        gains by joining it."""
+        return have * g // size if whole else Fraction(have * g, size)
+
+    def _move(self, agent, size, have):
+        """``agent``'s own block is now of ``size``, its sum toward it
+        ``have``."""
+        self.size[agent], self.have[agent] = size, have
+        whole = self.whole[agent]
+        for g, limits in self.limits.items():
+            limits[agent] = self.limit(whole, size, have, g)
+
     def targets(self, agent, cur, here, blocks, keys):
         size, have = len(cur), here[0][agent]
         # strict gain: sum over b / (len(b) + 1) > have / size
@@ -520,33 +557,53 @@ class _AverageRules(_PerAgentRules):
         """The agents, ascending, that ``block``'s members welcome and that
         gain by joining it, by the ``size`` and ``have`` vectors; a member
         of ``block`` may be among them."""
-        # strict gain, for every agent at once: sum * size > have * (len + 1)
-        gains = map(gt, map(mul, sums, self.size),
-                    map(mul, self.have, repeat(len(block) + 1)))
-        return compress(range(len(flags)), map(and_, flags, gains))
+        g = len(block) + 1
+        try:
+            limits = self.limits[g]
+        except KeyError:
+            limits = self.limits[g] = list(
+                map(self.limit, self.whole, self.size, self.have, repeat(g)))
+        return compress(range(len(flags)), map(and_, flags, map(gt, sums, limits)))
 
     def rebase(self, blocks):
         keys, size, have = self.keys, self.size, self.have
         for block in blocks:
             sums, s = keys[block][0], len(block)
             for agent in block:
-                size[agent], have[agent] = s, sums[agent]
+                if size[agent] != s or have[agent] != sums[agent]:
+                    self._move(agent, s, sums[agent])
 
     def holders(self, blocks, gone):
-        # asked before `settle`: `size`, `have` and the gone records are
-        # still the base's, so the agents that may join a gone block are its
-        # column, which may name some of its own members too
+        # asked before `settle`: the vectors and the gone records are still
+        # the base's, so the agents that may join a gone block are its
+        # column, which may name some of its own members too; listed now,
+        # as `settle` changes the vectors
         keys, column = self.keys, self.column
-        return {agent for block in gone for agent in column(block, *keys[block])}
+        return [(block, list(column(block, *keys[block]))) for block in gone]
 
     def settle(self, gone, fresh):
         # every gone block has its record: it is a block of the base table,
         # which is the last one built or has been through `rebase`
         for block in gone:
             del self.keys[block]
+        size, have, was = self.size, self.have, {}
         for block, (sums, _) in fresh.items():
             for agent in block:
-                self.size[agent], self.have[agent] = len(block), sums[agent]
+                was[agent] = size[agent], have[agent]
+                self._move(agent, len(block), sums[agent])
+        self.was, self.gone, self.fresh = was, gone, fresh
+
+    def row(self, agent, cur, here, blocks, keys, old):
+        if old is not None:
+            size, have = self.was[agent]
+            # no worse off: the new average is at least the old one
+            if here[0][agent] * size >= have * len(cur):
+                gone, key_of = self.gone, self.keys
+                blocks = sorted([b for b in old if b and b not in gone]
+                                + [b for b in self.fresh if b is not cur])
+                blocks.append(())
+                keys = list(map(key_of.__getitem__, blocks))
+        return tuple(self.targets(agent, cur, here, blocks, keys))
 
     def joiners(self, blocks, keys, fresh):
         moved = {agent for block in fresh for agent in block}
@@ -589,7 +646,7 @@ class _ApprovalRules(_PerAgentRules):
     def holders(self, blocks, gone):
         # only an agent that wants a block may join it
         wanting = self.wanting
-        return {agent for block in gone for agent in wanting.get(block, ())}
+        return [(block, wanting.get(block, ())) for block in gone]
 
     def targets(self, agent, cur, here, blocks, keys):
         wanted = self.wanted[agent]
@@ -688,9 +745,10 @@ class MoveFinder:
     whether an agent may join a block depends on its own block and that
     block only. So a table is patched from a base table, by default the
     last one the finder built (a search passes each state's parent's): only
-    the rows of agents whose block is new are rebuilt. The vanished blocks
-    leave the rows of the agents the rule set names as their holders, a
-    superset of those whose base row holds one (the column of a weight
+    the rows of agents whose block is new are rebuilt (a weight game
+    re-tests the base row of a member no worse off). Each vanished block
+    leaves the rows of the agents the rule set names as its holders, a
+    superset of those whose base row holds it (the column of a weight
     game's record, the agents an approval game's index says want the
     block, every agent otherwise); each row gains each new block the rule
     set admits it to, the rule set being asked once per new block which
@@ -775,31 +833,30 @@ class MoveFinder:
         # nor `joiners`, as no row outside the new blocks is left
         kept = len(fresh) < len(blocks)
         rows = list(base.rows) if kept else [()] * p.n
+        # a kept table's base rows, which a rule set may re-test in place
+        # of every candidate
+        old = base.rows if kept else [None] * p.n
         # asked before `settle`, while the rule set still describes the base
         holders = rules.holders(base.partition.blocks, gone) if kept else ()
         rules.settle(gone, fresh)
         # the agents whose block is new get their whole row
         for cur, here in fresh.items():
             for agent in cur:
-                rows[agent] = rules.row(agent, cur, here, candidates, keys)
-        # the vanished blocks leave the other rows that may hold them (a
-        # row just rebuilt holds none, so its bisects find nothing to cut):
-        # a run step drops and adds at most two, so each is bisected out
-        # and the row re-sliced (a whole-row filter or re-sort was twice as
-        # slow). `()` sorts before every block, so the bisects stop before
-        # a row's closing `()`; the bound is inline, as a helper call per
-        # bisect was measurably slower
-        for agent in holders:
-            row = rows[agent]
-            if not row:
-                continue
-            end = len(row) - (not row[-1])
-            for block in gone:
+                rows[agent] = rules.row(agent, cur, here, candidates, keys, old[agent])
+        # each vanished block leaves the other rows that may hold it, those
+        # the rules name for it (a row just rebuilt holds none, so its
+        # bisect finds nothing to cut): a run step drops and adds at most
+        # two, so each is bisected out and the row re-sliced (a whole-row
+        # filter or re-sort was twice as slow). `()` sorts before every
+        # block, so the bisects stop before a row's closing `()`; the bound
+        # is inline, as a helper call per bisect was measurably slower
+        for block, agents in holders:
+            for agent in agents:
+                row = rows[agent]
+                end = len(row) - (not row[-1]) if row else 0
                 at = bisect_left(row, block, 0, end)
                 if at < end and row[at] == block:
-                    row = row[:at] + row[at + 1:]
-                    end -= 1
-            rows[agent] = row
+                    rows[agent] = row[:at] + row[at + 1:]
         # every other row gains a born block only where the rules admit it
         joiners = rules.joiners(blocks, keys, fresh) if kept else ()
         for block, agents in zip(fresh, joiners):

@@ -8,9 +8,11 @@ against the ``core`` reference enumeration at every step.
 
 import gc
 import itertools
+import math
 import random
 import tracemalloc
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -30,7 +32,7 @@ from hedonic_dynamics.dynamics import (
     _VerdictRules,
     run,
 )
-from hedonic_dynamics.games import Color, DichotomousGame, DiversityGame
+from hedonic_dynamics.games import Color, DichotomousGame, DiversityGame, FractionalGame
 
 from conftest import (
     fraction_fhg,
@@ -364,31 +366,169 @@ def test_has_move_matches_core_on_every_partition():
             assert max(map(len, own_keys)) > 8
 
 
+def check_average_vectors(game, rules, state):
+    """Asserts that the weight rules' per-agent vectors describe ``state``:
+    each agent's own block size and sum, and, per grown size g cached, its
+    gain limit, made afresh here: the floor of ``have·g / size`` (an
+    ``int``) if its row is all ``int``, else that exact ``Fraction``.
+    Returns how many ``int`` limits were of a negative quotient that is
+    not whole, where floor and truncation differ."""
+    own = {a: block for block in state.blocks for a in block}
+    split = 0
+    for a in range(game.n):
+        s, have = len(own[a]), game.member_sum(a, own[a])
+        assert (rules.size[a], rules.have[a]) == (s, have), a
+        whole = all(type(w) is int for w in game.weights[a])
+        for g, limits in rules.limits.items():
+            exact = Fraction(have * g, s)
+            if whole:
+                assert type(limits[a]) is int and limits[a] == math.floor(exact), (a, g)
+                split += exact < 0 and exact.denominator > 1
+            else:
+                assert limits[a] == exact, (a, g)
+    return split
+
+
 def test_fractional_vectors_follow_the_live_blocks():
-    # after a long walk the block records are those of the last table's
-    # blocks only, each equal to a fresh computation
+    # after a long walk with jumps the block records are those of the last
+    # table's blocks only, each equal to a fresh computation, and so is
+    # every cached gain limit; then again after tables patched from earlier
+    # bases (`rebase`), over `int`, `Fraction` and mixed rows
     rng = random.Random(401)
-    game = fraction_fhg(rng, 40)
+    split = 0
+    for game in (rand_fhg(rng, 40), fraction_fhg(rng, 40), mixed_fhg(rng, 40)):
+        finder = MoveFinder(game)
+        rules = finder._rules
+        state = Partition.singletons(game.n)
+        for step in range(300):
+            table = finder.table(state)
+            if step % 50 == 49:
+                split += check_average_vectors(game, rules, state)
+            state = (core.apply(state, table.nth(rng.randrange(table.count)))
+                     if table.count and step % 60 else rand_partition(rng, game.n))
+        finder.table(state)
+        assert set(rules.keys) == set(state.blocks) | {()}
+        assert len(rules.limits) > 2, sorted(rules.limits)
+        split += check_average_vectors(game, rules, state)
+        weights = game.weights
+        for block in state.blocks:
+            s = len(block)
+            sums, flags = rules.keys[block]
+            assert list(sums) == [game.member_sum(a, block) for a in range(game.n)]
+            assert list(flags) == [
+                all(s * weights[m][a] >= game.member_sum(m, block) for m in block)
+                for a in range(game.n)
+            ]
+        tables = [finder.table(state)]
+        for _ in range(30):
+            base = rng.choice(tables)
+            state = walk_from(rng, game, base.partition, rng.randint(0, 3))
+            tables.append(finder.table(state, base))
+            # a base of the same blocks is returned as it is, with nothing built
+            split += check_average_vectors(game, rules, finder._last.partition)
+    assert split, "no int limit rounds a negative quotient"
+
+
+def test_columns_match_the_product_test():
+    # a column, by the cached limits, names the agents that a product test
+    # of their own block's size and sum names, for every block of random
+    # partitions, members of the block included
+    rng = random.Random(419)
+    for game in (rand_fhg(rng, 30), fraction_fhg(rng, 30), mixed_fhg(rng, 30)):
+        finder = MoveFinder(game)
+        rules = finder._rules
+        named = 0
+        for _ in range(10):
+            finder.table(rand_partition(rng, game.n))
+            for block in rand_partition(rng, game.n).blocks:
+                sums, flags = rules.keys[block]
+                g = len(block) + 1
+                column = list(rules.column(block, sums, flags))
+                assert column == [
+                    a for a in range(game.n)
+                    if flags[a] and sums[a] * rules.size[a] > rules.have[a] * g
+                ], (type(game.weights[0][1]), block)
+                named += len(column)
+        assert named
+
+
+def spy_on_row_paths(rules):
+    """Wraps the weight rules' ``row``; returns a dict counting the rows
+    built by scanning every candidate (``"full"``) and by re-testing a
+    shorter list (``"retest"``), and, per agent rebuilt since ``"last"``
+    was cleared, the path its row took."""
+    seen = {"full": 0, "retest": 0, "last": {}}
+    row, targets = rules.row, rules.targets
+
+    def spy(agent, cur, here, blocks, keys, old):
+        given = []
+        rules.targets = lambda *args: given.append(args[3]) or targets(*args)
+        try:
+            answer = row(agent, cur, here, blocks, keys, old)
+        finally:
+            del rules.targets
+        [scanned] = given
+        path = "full" if scanned is blocks else "retest"
+        seen[path] += 1
+        seen["last"][agent] = path
+        return answer
+
+    rules.row = spy
+    return seen
+
+
+def test_rows_of_members_no_worse_off_re_test_their_base_row():
+    # a member of a born block that weakly prefers it to its old block
+    # re-tests its base row, less the vanished blocks, plus the other born
+    # blocks; any other member scans every candidate. Both paths run many
+    # times along walks, jumps and tables patched from earlier bases, and
+    # every table is core's
+    rng = random.Random(433)
+    paths = {"full": 0, "retest": 0}
+    for game in (rand_fhg(rng, 24), mixed_fhg(rng, 24), fraction_fhg(rng, 24),
+                 rand_fhg(rng, 12), mixed_fhg(rng, 12), fraction_fhg(rng, 12)):
+        finder = MoveFinder(game)
+        seen = spy_on_row_paths(finder._rules)
+        tables = [finder.table(Partition.singletons(game.n))]
+        for step in range(40):
+            if step % 10 == 9:  # a jump
+                state, base = rand_partition(rng, game.n), finder._last
+            else:
+                base = rng.choice(tables) if rng.random() < 0.4 else finder._last
+                state = walk_from(rng, game, base.partition, rng.randint(1, 3))
+            table = finder.table(state, base)
+            check_rows(table)
+            assert list(table) == core.enumerate_deviations(game, state, IS)
+            tables.append(table)
+        for path in ("full", "retest"):
+            assert seen[path] > 20, (type(game.weights[0][1]), seen)
+            paths[path] += seen[path]
+    assert min(paths.values()) > 200, paths
+
+
+def test_re_tested_rows_by_hand():
+    # agent 0 leaves (0, 1) for (2,). Agent 1 is then alone and worse off,
+    # and gains by joining (3,), which its old row did not hold: its row
+    # must scan every candidate. Agent 2 is no better off in (0, 2), and
+    # gains by joining the born remainder (1,): its re-tested row must
+    # hold the other born blocks
+    game = FractionalGame([
+        [0, 0, 2, 0],
+        [4, 0, 0, 2],
+        [0, 2, 0, 0],
+        [0, 0, 0, 0],
+    ])
     finder = MoveFinder(game)
-    state = Partition.singletons(game.n)
-    for _ in range(300):
-        table = finder.table(state)
-        state = (core.apply(state, table.nth(rng.randrange(table.count))) if table.count
-                 else rand_partition(rng, game.n))
-    finder.table(state)
-    rules = finder._rules
-    assert set(rules.keys) == set(state.blocks) | {()}
-    weights = game.weights
-    for block in state.blocks:
-        s = len(block)
-        sums, flags = rules.keys[block]
-        assert list(sums) == [game.member_sum(a, block) for a in range(game.n)]
-        assert list(flags) == [
-            all(s * weights[m][a] >= game.member_sum(m, block) for m in block)
-            for a in range(game.n)
-        ]
-        for a in block:
-            assert (rules.size[a], rules.have[a]) == (s, game.member_sum(a, block))
+    seen = spy_on_row_paths(finder._rules)
+    before = Partition([[0, 1], [2], [3]])
+    assert finder.table(before).rows[1] == ()
+    check_against_core(finder, before)
+    after = Partition([[0, 2], [1], [3]])
+    seen["last"].clear()
+    table = finder.table(after)
+    assert table.rows[1] == ((3,),) and table.rows[2] == ((1,),)
+    assert seen["last"] == {0: "retest", 1: "full", 2: "retest"}
+    check_against_core(finder, after)
 
 
 def approval_state(rng, n):
@@ -453,14 +593,16 @@ def test_approval_lookups_match_the_per_agent_answer():
 
 
 def spy_on_holders(rules):
-    """Wraps ``rules.holders``; returns the list of (blocks, gone, named)
-    it has been asked and answered since."""
+    """Wraps ``rules.holders``; returns the list of (blocks, named) it has
+    been asked and answered since, ``named`` mapping each vanished block
+    to the set of agents named for it."""
     asked = []
     holders = rules.holders
 
     def spy(blocks, gone):
-        named = list(holders(blocks, gone))
-        asked.append((blocks, set(gone), set(named)))
+        named = [(block, list(agents)) for block, agents in holders(blocks, gone)]
+        asked.append((blocks, {block: set(agents) for block, agents in named}))
+        assert len(asked[-1][1]) == len(named) == len(gone)
         return named
 
     rules.holders = spy
@@ -468,10 +610,11 @@ def spy_on_holders(rules):
 
 
 def test_holders_name_every_row_that_holds_a_vanished_block():
-    # `_patch` takes vanished blocks out of the rows `holders` names only,
-    # so it must name every agent whose base row holds one; bases are the
-    # last table or an earlier one, after walks and jumps. A table that
-    # keeps no block of its base rebuilds every row and asks nothing
+    # `_patch` cuts each vanished block out of the rows `holders` names for
+    # that block only, so for each one it must name every agent whose base
+    # row holds it; bases are the last table or an earlier one, after
+    # walks and jumps. A table that keeps no block of its base rebuilds
+    # every row and asks nothing
     rng = random.Random(809)
     held = {cls: 0 for cls in (_SummaryRules, _AverageRules, _ApprovalRules, _VerdictRules)}
     narrow = dict.fromkeys(held, 0)
@@ -500,12 +643,13 @@ def test_holders_name_every_row_that_holds_a_vanished_block():
                 assert asked == []
                 rebuilt += bool(gone)
                 continue
-            [(blocks, asked_gone, named)] = asked
-            assert blocks == base.partition.blocks and asked_gone == gone
-            holding = {agent for agent, row in enumerate(base.rows) if gone & set(row)}
-            assert holding <= named, (type(game), holding - named)
-            held[type(rules)] += len(holding)
-            narrow[type(rules)] += len(named) < n
+            [(blocks, named)] = asked
+            assert blocks == base.partition.blocks and set(named) == gone
+            for block in gone:
+                holding = {agent for agent, row in enumerate(base.rows) if block in row}
+                assert holding <= named[block], (type(game), block, holding - named[block])
+                held[type(rules)] += len(holding)
+                narrow[type(rules)] += len(named[block]) < n
             tables.append(table)
     assert all(held.values()), held
     # the column answers leave out agents; the per-agent ones name everyone
